@@ -193,10 +193,13 @@ struct Tenant {
     stats: TenantStats,
 }
 
-#[derive(Debug)]
-struct Busy {
-    tenant: TenantId,
-    reqs: Vec<Queued>,
+/// One execution unit. Its batch buffer keeps its capacity across
+/// batches, so launching allocates nothing once batches stop growing.
+#[derive(Debug, Default)]
+struct Unit {
+    /// Tenant whose batch is running; `None` while the unit is idle.
+    tenant: Option<TenantId>,
+    batch: Vec<Queued>,
     launched: Nanos,
 }
 
@@ -215,7 +218,7 @@ pub struct AccelIsland {
     island: IslandId,
     now: Nanos,
     tenants: Vec<Tenant>,
-    units: Vec<Option<Busy>>,
+    units: Vec<Unit>,
     q: EventQueue<Internal>,
     hbm_used: u64,
     hbm_high_water: u64,
@@ -238,7 +241,7 @@ impl AccelIsland {
             island,
             now: Nanos::ZERO,
             tenants: Vec::new(),
-            units: (0..units).map(|_| None).collect(),
+            units: (0..units).map(|_| Unit::default()).collect(),
             q: EventQueue::new(),
             hbm_used: 0,
             hbm_high_water: 0,
@@ -374,19 +377,20 @@ impl AccelIsland {
     }
 
     fn finish_batch(&mut self, now: Nanos, unit: usize, out: &mut Vec<AccelEvent>) {
-        let Some(busy) = self.units[unit].take() else {
+        let u = &mut self.units[unit];
+        let Some(tenant) = u.tenant.take() else {
             return;
         };
-        let size = busy.reqs.len() as u32;
-        for q in &busy.reqs {
+        let size = u.batch.len() as u32;
+        for q in u.batch.drain(..) {
             self.hbm_used = self.hbm_used.saturating_sub(q.req.bytes);
-            self.tenants[busy.tenant.0 as usize].stats.completed += 1;
+            self.tenants[tenant.0 as usize].stats.completed += 1;
             out.push(AccelEvent::Completed {
                 at: now,
                 id: q.req.id,
-                tenant: busy.tenant,
+                tenant,
                 batch_size: size,
-                queued: busy.launched - q.enq,
+                queued: u.launched - q.enq,
             });
         }
     }
@@ -406,7 +410,7 @@ impl AccelIsland {
 
     fn form_and_launch(&mut self, now: Nanos) {
         loop {
-            let Some(unit) = self.units.iter().position(Option::is_none) else {
+            let Some(unit) = self.units.iter().position(|u| u.tenant.is_none()) else {
                 return;
             };
             // Triggered tenants jump the weighted order; otherwise the
@@ -426,9 +430,10 @@ impl AccelIsland {
 
     fn launch(&mut self, now: Nanos, unit: usize, i: usize) {
         let t = &mut self.tenants[i];
+        let u = &mut self.units[unit];
         let take = (t.batch_budget as usize).min(t.queue.len());
-        let reqs: Vec<Queued> = t.queue.drain(..take).collect();
-        let size = reqs.len() as u64;
+        u.batch.extend(t.queue.drain(..take));
+        let size = take as u64;
         t.stats.batches += 1;
         t.stats.batch_items += size;
         if t.forced {
@@ -436,15 +441,13 @@ impl AccelIsland {
             t.stats.preemptions += 1;
         }
         t.vtime += WRR_SCALE * size / u64::from(t.weight.max(1));
-        let cost: Nanos = reqs
+        let cost: Nanos = u
+            .batch
             .iter()
             .fold(self.cfg.launch_overhead, |acc, q| acc + q.req.cost);
+        u.tenant = Some(TenantId(i as u32));
+        u.launched = now;
         self.q.schedule(now + cost, Internal::BatchDone { unit });
-        self.units[unit] = Some(Busy {
-            tenant: TenantId(i as u32),
-            reqs,
-            launched: now,
-        });
     }
 
     fn check_alarms(&mut self, now: Nanos, out: &mut Vec<AccelEvent>) {

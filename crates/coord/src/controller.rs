@@ -130,33 +130,43 @@ impl Controller {
     }
 
     /// Processes one coordination message, returning the island-local
-    /// actions it resolves to. Registration messages return no actions;
-    /// invalid messages are counted in [`ControllerStats::rejected`] and
-    /// recorded in [`last_error`](Self::last_error).
+    /// actions it resolves to. See [`handle_into`](Self::handle_into).
     pub fn handle(&mut self, now: Nanos, msg: CoordMsg) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.handle_into(now, msg, &mut out);
+        out
+    }
+
+    /// Processes one coordination message, appending the island-local
+    /// actions it resolves to onto `out` (caller-owned and typically
+    /// reused). Registration messages resolve to no actions; invalid
+    /// messages append nothing, are counted in
+    /// [`ControllerStats::rejected`] and are recorded in
+    /// [`last_error`](Self::last_error).
+    pub fn handle_into(&mut self, now: Nanos, msg: CoordMsg, out: &mut Vec<Action>) {
         if self.audit_cap > 0 {
             if self.audit.len() == self.audit_cap {
                 self.audit.pop_front();
             }
             self.audit.push_back((now, msg));
         }
-        match self.try_handle(now, msg) {
-            Ok(actions) => actions,
-            Err(e) => {
-                self.stats.rejected += 1;
-                self.last_error = Some(e);
-                Vec::new()
-            }
+        if let Err(e) = self.try_handle(now, msg, out) {
+            self.stats.rejected += 1;
+            self.last_error = Some(e);
         }
     }
 
-    fn try_handle(&mut self, now: Nanos, msg: CoordMsg) -> Result<Vec<Action>, CoordError> {
+    fn try_handle(
+        &mut self,
+        now: Nanos,
+        msg: CoordMsg,
+        out: &mut Vec<Action>,
+    ) -> Result<(), CoordError> {
         match msg {
             CoordMsg::RegisterIsland { island, kind } => {
                 if self.islands.insert(island, kind).is_none() {
                     self.stats.islands += 1;
                 }
-                Ok(Vec::new())
             }
             CoordMsg::RegisterEntity {
                 entity,
@@ -168,7 +178,6 @@ impl Controller {
                 }
                 self.registry.bind(entity, island, local_key)?;
                 self.stats.bindings += 1;
-                Ok(Vec::new())
             }
             CoordMsg::Tune { entity, delta, target } => {
                 let delta = match self.policer.as_mut() {
@@ -176,7 +185,7 @@ impl Controller {
                     Some(p) => match p.police_tune(now, entity, delta) {
                         None => {
                             self.stats.throttled += 1;
-                            return Ok(Vec::new());
+                            return Ok(());
                         }
                         Some(applied) => {
                             if applied != delta {
@@ -186,29 +195,25 @@ impl Controller {
                         }
                     },
                 };
-                let actions =
-                    self.resolve(entity, target, |island, local_key| Action::ApplyTune {
-                        island,
-                        local_key,
-                        delta,
-                    })?;
+                self.resolve(entity, target, out, |island, local_key| Action::ApplyTune {
+                    island,
+                    local_key,
+                    delta,
+                })?;
                 self.stats.tunes += 1;
-                Ok(actions)
             }
             CoordMsg::Trigger { entity, target } => {
                 if let Some(p) = self.policer.as_mut() {
                     if !p.police_trigger(now, entity) {
                         self.stats.throttled += 1;
-                        return Ok(Vec::new());
+                        return Ok(());
                     }
                 }
-                let actions =
-                    self.resolve(entity, target, |island, local_key| Action::ApplyTrigger {
-                        island,
-                        local_key,
-                    })?;
+                self.resolve(entity, target, out, |island, local_key| Action::ApplyTrigger {
+                    island,
+                    local_key,
+                })?;
                 self.stats.triggers += 1;
-                Ok(actions)
             }
             CoordMsg::SetKnob { entity, axis, rung, target } => {
                 // Knob settings originate from the platform's own energy
@@ -216,52 +221,39 @@ impl Controller {
                 // adversary policer (which meters the tenant-facing
                 // Tune/Trigger verbs) — but still resolve through the
                 // registry like every other coordination message.
-                let actions =
-                    self.resolve(entity, target, |island, local_key| Action::ApplyKnob {
-                        island,
-                        local_key,
-                        axis,
-                        rung,
-                    })?;
+                self.resolve(entity, target, out, |island, local_key| Action::ApplyKnob {
+                    island,
+                    local_key,
+                    axis,
+                    rung,
+                })?;
                 self.stats.knobs += 1;
-                Ok(actions)
             }
-            CoordMsg::Ack { .. } => Ok(Vec::new()),
+            CoordMsg::Ack { .. } => {}
         }
+        Ok(())
     }
 
-    /// Resolves an entity to one action per addressed island binding.
-    /// With `target = None` every bound island acts; otherwise only the
-    /// named island (erroring if the entity has no binding there).
+    /// Resolves an entity to one action per addressed island binding,
+    /// appended to `out` in island order. With `target = None` every
+    /// bound island acts; otherwise only the named island (erroring if
+    /// the entity has no binding there). On error nothing is appended.
     fn resolve(
         &self,
         entity: EntityId,
         target: Option<IslandId>,
+        out: &mut Vec<Action>,
         mk: impl Fn(IslandId, u64) -> Action,
-    ) -> Result<Vec<Action>, CoordError> {
-        let islands = self.registry.islands_of(entity);
-        if islands.is_empty() {
+    ) -> Result<(), CoordError> {
+        let mut bindings = self.registry.bindings_of(entity).peekable();
+        if bindings.peek().is_none() {
             return Err(CoordError::UnknownEntity(entity));
         }
-        let islands: Vec<IslandId> = match target {
-            None => islands,
-            Some(t) => {
-                if !islands.contains(&t) {
-                    return Err(CoordError::NotMapped { entity, island: t });
-                }
-                vec![t]
-            }
-        };
-        Ok(islands
-            .into_iter()
-            .map(|i| {
-                let key = self
-                    .registry
-                    .local_key(entity, i)
-                    .expect("islands_of implies binding");
-                mk(i, key)
-            })
-            .collect())
+        match target {
+            None => out.extend(bindings.map(|(island, key)| mk(island, key))),
+            Some(t) => out.push(mk(t, self.registry.local_key(entity, t)?)),
+        }
+        Ok(())
     }
 
     /// The registered kind of an island, if any.
@@ -342,6 +334,43 @@ mod tests {
         assert_eq!(actions.len(), 2);
         assert!(actions.contains(&Action::ApplyTrigger { island: IslandId(0), local_key: 1 }));
         assert!(actions.contains(&Action::ApplyTrigger { island: IslandId(1), local_key: 0 }));
+    }
+
+    #[test]
+    fn resolution_by_target_keeps_its_errors_and_island_order() {
+        let (mut c, e) = setup();
+        c.handle(
+            Nanos::ZERO,
+            CoordMsg::RegisterIsland { island: IslandId(2), kind: IslandKind::Accelerator },
+        );
+        // Bound on islands 1 and 0 (registered out of order) and not on 2;
+        // a neighbouring entity shares island 0.
+        c.handle(
+            Nanos::ZERO,
+            CoordMsg::RegisterEntity { entity: e, island: IslandId(1), local_key: 5 },
+        );
+        c.handle(
+            Nanos::ZERO,
+            CoordMsg::RegisterEntity { entity: EntityId(2), island: IslandId(0), local_key: 9 },
+        );
+        let trigger = |target| CoordMsg::Trigger { entity: e, target };
+        let at = |island: u16, local_key| Action::ApplyTrigger { island: IslandId(island), local_key };
+        assert_eq!(c.handle(Nanos::ZERO, trigger(None)), vec![at(0, 1), at(1, 5)]);
+        assert_eq!(c.handle(Nanos::ZERO, trigger(Some(IslandId(1)))), vec![at(1, 5)]);
+        assert!(c.handle(Nanos::ZERO, trigger(Some(IslandId(2)))).is_empty());
+        assert_eq!(c.last_error(), Some(CoordError::NotMapped { entity: e, island: IslandId(2) }));
+        let ghost = EntityId(7);
+        for target in [None, Some(IslandId(0))] {
+            let msg = CoordMsg::Tune { entity: ghost, delta: 1, target };
+            assert!(c.handle(Nanos::ZERO, msg).is_empty());
+            assert_eq!(c.last_error(), Some(CoordError::UnknownEntity(ghost)));
+        }
+        assert_eq!(c.stats().rejected, 3);
+        assert_eq!(c.stats().triggers, 2);
+        // `handle_into` appends after whatever the buffer already holds.
+        let mut out = vec![at(9, 9)];
+        c.handle_into(Nanos::ZERO, trigger(None), &mut out);
+        assert_eq!(out, vec![at(9, 9), at(0, 1), at(1, 5)]);
     }
 
     #[test]

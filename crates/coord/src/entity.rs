@@ -90,13 +90,12 @@ impl Registry {
         self.reverse.get(&(island, local_key)).copied()
     }
 
-    /// All islands an entity is bound on.
-    pub fn islands_of(&self, entity: EntityId) -> Vec<IslandId> {
+    /// Every `(island, local_key)` binding of `entity`, in island order:
+    /// one range query over the `(entity, island)`-ordered map.
+    pub fn bindings_of(&self, entity: EntityId) -> impl Iterator<Item = (IslandId, u64)> + '_ {
         self.forward
-            .keys()
-            .filter(|(e, _)| *e == entity)
-            .map(|(_, i)| *i)
-            .collect()
+            .range((entity, IslandId(0))..=(entity, IslandId(u16::MAX)))
+            .map(|(&(_, island), &key)| (island, key))
     }
 
     /// Number of bindings.
@@ -159,11 +158,15 @@ mod tests {
     }
 
     #[test]
-    fn islands_of_lists_all_bindings() {
+    fn bindings_of_lists_only_that_entity_in_island_order() {
         let mut r = Registry::new();
         let e = EntityId(5);
-        r.bind(e, IslandId(0), 1).unwrap();
         r.bind(e, IslandId(1), 0).unwrap();
-        assert_eq!(r.islands_of(e), vec![IslandId(0), IslandId(1)]);
+        r.bind(e, IslandId(0), 1).unwrap();
+        r.bind(EntityId(4), IslandId(0), 7).unwrap();
+        r.bind(EntityId(6), IslandId(0), 8).unwrap();
+        let got: Vec<_> = r.bindings_of(e).collect();
+        assert_eq!(got, vec![(IslandId(0), 1), (IslandId(1), 0)]);
+        assert_eq!(r.bindings_of(EntityId(9)).count(), 0);
     }
 }

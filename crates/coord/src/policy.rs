@@ -50,8 +50,9 @@ pub enum Observation {
 
 /// A coordination policy: observations in, coordination messages out.
 pub trait CoordinationPolicy {
-    /// Feeds one observation; returns messages to put on the channel.
-    fn observe(&mut self, now: Nanos, obs: &Observation) -> Vec<CoordMsg>;
+    /// Feeds one observation, appending the messages to put on the
+    /// channel to `out` (caller-owned and typically reused).
+    fn observe(&mut self, now: Nanos, obs: &Observation, out: &mut Vec<CoordMsg>);
 
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
@@ -81,9 +82,7 @@ pub enum PolicyKind {
 pub struct NullPolicy;
 
 impl CoordinationPolicy for NullPolicy {
-    fn observe(&mut self, _now: Nanos, _obs: &Observation) -> Vec<CoordMsg> {
-        Vec::new()
-    }
+    fn observe(&mut self, _now: Nanos, _obs: &Observation, _out: &mut Vec<CoordMsg>) {}
     fn name(&self) -> &'static str {
         "no-coord"
     }
@@ -165,17 +164,16 @@ impl RequestTypePolicy {
 }
 
 impl CoordinationPolicy for RequestTypePolicy {
-    fn observe(&mut self, _now: Nanos, obs: &Observation) -> Vec<CoordMsg> {
+    fn observe(&mut self, _now: Nanos, obs: &Observation, out: &mut Vec<CoordMsg>) {
         let Observation::Request { write, .. } = obs else {
-            return Vec::new();
+            return;
         };
         if self.regime == Some(*write) {
-            return Vec::new(); // same class as last request: regime holds
+            return; // same class as last request: regime holds
         }
         self.regime = Some(*write);
         let desired = self.desired_for(*write);
         let entities = [self.web, self.app, self.db];
-        let mut out = Vec::new();
         for i in 0..3 {
             let delta = desired[i] - self.communicated[i];
             if delta != 0 {
@@ -187,7 +185,6 @@ impl CoordinationPolicy for RequestTypePolicy {
                 });
             }
         }
-        out
     }
     fn name(&self) -> &'static str {
         "coord-ixp-dom0"
@@ -238,11 +235,10 @@ impl StreamQosPolicy {
 }
 
 impl CoordinationPolicy for StreamQosPolicy {
-    fn observe(&mut self, _now: Nanos, obs: &Observation) -> Vec<CoordMsg> {
+    fn observe(&mut self, _now: Nanos, obs: &Observation, out: &mut Vec<CoordMsg>) {
         let Observation::StreamInfo { entity, kbps, .. } = obs else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
         if *kbps >= self.hi_kbps {
             out.push(CoordMsg::Tune {
                 entity: *entity,
@@ -263,7 +259,6 @@ impl CoordinationPolicy for StreamQosPolicy {
                 target: Some(self.cpu_island),
             });
         }
-        out
     }
     fn name(&self) -> &'static str {
         "stream-qos"
@@ -313,19 +308,18 @@ impl BufferTriggerPolicy {
 }
 
 impl CoordinationPolicy for BufferTriggerPolicy {
-    fn observe(&mut self, now: Nanos, obs: &Observation) -> Vec<CoordMsg> {
+    fn observe(&mut self, now: Nanos, obs: &Observation, out: &mut Vec<CoordMsg>) {
         let Observation::BufferLevel { entity, crossed: true, .. } = obs else {
-            return Vec::new();
+            return;
         };
         if self.bucket.try_take(now) {
             self.fired += 1;
-            vec![CoordMsg::Trigger {
+            out.push(CoordMsg::Trigger {
                 entity: *entity,
                 target: Some(self.target),
-            }]
+            });
         } else {
             self.suppressed += 1;
-            Vec::new()
         }
     }
     fn name(&self) -> &'static str {
@@ -378,12 +372,12 @@ impl InferenceBatchPolicy {
 }
 
 impl CoordinationPolicy for InferenceBatchPolicy {
-    fn observe(&mut self, _now: Nanos, obs: &Observation) -> Vec<CoordMsg> {
+    fn observe(&mut self, _now: Nanos, obs: &Observation, out: &mut Vec<CoordMsg>) {
         let Observation::InferenceArrival { entity, latency_sensitive } = obs else {
-            return Vec::new();
+            return;
         };
         match self.communicated.iter_mut().find(|(e, _)| e == entity) {
-            Some((_, class)) if *class == *latency_sensitive => return Vec::new(),
+            Some((_, class)) if *class == *latency_sensitive => return,
             Some((_, class)) => *class = *latency_sensitive,
             None => self.communicated.push((*entity, *latency_sensitive)),
         }
@@ -392,11 +386,11 @@ impl CoordinationPolicy for InferenceBatchPolicy {
         } else {
             self.throughput_lean
         };
-        vec![CoordMsg::Tune {
+        out.push(CoordMsg::Tune {
             entity: *entity,
             delta,
             target: Some(self.target),
-        }]
+        });
     }
     fn name(&self) -> &'static str {
         "inference-batch"
@@ -462,9 +456,9 @@ impl HysteresisPolicy {
 }
 
 impl CoordinationPolicy for HysteresisPolicy {
-    fn observe(&mut self, _now: Nanos, obs: &Observation) -> Vec<CoordMsg> {
+    fn observe(&mut self, _now: Nanos, obs: &Observation, out: &mut Vec<CoordMsg>) {
         let Observation::Request { write, .. } = obs else {
-            return Vec::new();
+            return;
         };
         self.ewma_write =
             (1.0 - self.alpha) * self.ewma_write + self.alpha * if *write { 1.0 } else { 0.0 };
@@ -476,12 +470,11 @@ impl CoordinationPolicy for HysteresisPolicy {
             r => r,
         };
         if next == self.regime {
-            return Vec::new();
+            return;
         }
         self.regime = next;
         let desired = self.desired_for(next);
         let entities = [self.web, self.app, self.db];
-        let mut out = Vec::new();
         for i in 0..3 {
             let delta = desired[i] - self.communicated[i];
             if delta != 0 {
@@ -493,7 +486,6 @@ impl CoordinationPolicy for HysteresisPolicy {
                 });
             }
         }
-        out
     }
     fn name(&self) -> &'static str {
         "coord-hysteresis"
@@ -503,6 +495,19 @@ impl CoordinationPolicy for HysteresisPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The messages one observation produces, collected fresh.
+    trait ObserveVec {
+        fn observe_vec(&mut self, now: Nanos, obs: &Observation) -> Vec<CoordMsg>;
+    }
+
+    impl<P: CoordinationPolicy> ObserveVec for P {
+        fn observe_vec(&mut self, now: Nanos, obs: &Observation) -> Vec<CoordMsg> {
+            let mut out = Vec::new();
+            self.observe(now, obs, &mut out);
+            out
+        }
+    }
 
     const WEB: EntityId = EntityId(1);
     const APP: EntityId = EntityId(2);
@@ -520,14 +525,14 @@ mod tests {
     #[test]
     fn null_policy_is_silent() {
         let mut p = NullPolicy;
-        assert!(p.observe(Nanos::ZERO, &read_req()).is_empty());
+        assert!(p.observe_vec(Nanos::ZERO, &read_req()).is_empty());
         assert_eq!(p.name(), "no-coord");
     }
 
     #[test]
     fn read_request_enters_read_regime() {
         let mut p = RequestTypePolicy::new(WEB, APP, DB, X86);
-        let msgs = p.observe(Nanos::ZERO, &read_req());
+        let msgs = p.observe_vec(Nanos::ZERO, &read_req());
         // From base 256: web +512 → 768, app +512 → 768, db stays (lo=256).
         assert!(msgs.contains(&CoordMsg::Tune { entity: WEB, delta: 512, target: Some(X86) }));
         assert!(msgs.contains(&CoordMsg::Tune { entity: APP, delta: 512, target: Some(X86) }));
@@ -537,7 +542,7 @@ mod tests {
     #[test]
     fn write_request_enters_write_regime() {
         let mut p = RequestTypePolicy::new(WEB, APP, DB, X86);
-        let msgs = p.observe(Nanos::ZERO, &write_req());
+        let msgs = p.observe_vec(Nanos::ZERO, &write_req());
         assert!(msgs.contains(&CoordMsg::Tune { entity: DB, delta: 512, target: Some(X86) }));
         // Web stays at base in the write regime (the paper never lowers it).
         assert_eq!(p.communicated(), [256, 768, 768]);
@@ -546,14 +551,14 @@ mod tests {
     #[test]
     fn same_class_stream_is_quiet_flips_oscillate() {
         let mut p = RequestTypePolicy::new(WEB, APP, DB, X86);
-        assert!(!p.observe(Nanos::ZERO, &read_req()).is_empty());
+        assert!(!p.observe_vec(Nanos::ZERO, &read_req()).is_empty());
         for _ in 0..50 {
-            assert!(p.observe(Nanos::ZERO, &read_req()).is_empty());
+            assert!(p.observe_vec(Nanos::ZERO, &read_req()).is_empty());
         }
         // A class flip re-tunes web and db (app stays high in both regimes).
-        let flip = p.observe(Nanos::ZERO, &write_req());
+        let flip = p.observe_vec(Nanos::ZERO, &write_req());
         assert_eq!(flip.len(), 2);
-        let flop = p.observe(Nanos::ZERO, &read_req());
+        let flop = p.observe_vec(Nanos::ZERO, &read_req());
         assert_eq!(flop.len(), 2);
     }
 
@@ -561,7 +566,7 @@ mod tests {
     fn non_request_observations_ignored() {
         let mut p = RequestTypePolicy::new(WEB, APP, DB, X86);
         let obs = Observation::BufferLevel { entity: WEB, bytes: 1, crossed: true };
-        assert!(p.observe(Nanos::ZERO, &obs).is_empty());
+        assert!(p.observe_vec(Nanos::ZERO, &obs).is_empty());
     }
 
     #[test]
@@ -569,9 +574,9 @@ mod tests {
         let mut p = StreamQosPolicy::new(X86, 500);
         let hi = Observation::StreamInfo { entity: WEB, kbps: 1000, fps: 25 };
         let lo = Observation::StreamInfo { entity: APP, kbps: 300, fps: 20 };
-        let m1 = p.observe(Nanos::ZERO, &hi);
+        let m1 = p.observe_vec(Nanos::ZERO, &hi);
         assert_eq!(m1, vec![CoordMsg::Tune { entity: WEB, delta: 128, target: Some(X86) }]);
-        let m2 = p.observe(Nanos::ZERO, &lo);
+        let m2 = p.observe_vec(Nanos::ZERO, &lo);
         assert_eq!(m2, vec![CoordMsg::Tune { entity: APP, delta: -64, target: Some(X86) }]);
     }
 
@@ -580,7 +585,7 @@ mod tests {
         let ixp = IslandId(1);
         let mut p = StreamQosPolicy::new(X86, 500).with_tandem_ixp(ixp);
         let hi = Observation::StreamInfo { entity: WEB, kbps: 1000, fps: 25 };
-        let msgs = p.observe(Nanos::ZERO, &hi);
+        let msgs = p.observe_vec(Nanos::ZERO, &hi);
         assert_eq!(msgs.len(), 2);
         assert!(msgs.contains(&CoordMsg::Tune { entity: WEB, delta: 2, target: Some(ixp) }));
     }
@@ -589,9 +594,9 @@ mod tests {
     fn buffer_trigger_fires_on_crossings_only() {
         let mut p = BufferTriggerPolicy::new(X86);
         let quiet = Observation::BufferLevel { entity: WEB, bytes: 10, crossed: false };
-        assert!(p.observe(Nanos::ZERO, &quiet).is_empty());
+        assert!(p.observe_vec(Nanos::ZERO, &quiet).is_empty());
         let crossed = Observation::BufferLevel { entity: WEB, bytes: 1 << 17, crossed: true };
-        let msgs = p.observe(Nanos::ZERO, &crossed);
+        let msgs = p.observe_vec(Nanos::ZERO, &crossed);
         assert_eq!(msgs, vec![CoordMsg::Trigger { entity: WEB, target: Some(X86) }]);
         assert_eq!(p.fired(), 1);
     }
@@ -600,10 +605,10 @@ mod tests {
     fn buffer_trigger_rate_limited() {
         let mut p = BufferTriggerPolicy::new(X86).with_rate_limit(1.0, 1.0);
         let crossed = Observation::BufferLevel { entity: WEB, bytes: 1 << 17, crossed: true };
-        assert_eq!(p.observe(Nanos::ZERO, &crossed).len(), 1);
-        assert_eq!(p.observe(Nanos::from_millis(100), &crossed).len(), 0);
+        assert_eq!(p.observe_vec(Nanos::ZERO, &crossed).len(), 1);
+        assert_eq!(p.observe_vec(Nanos::from_millis(100), &crossed).len(), 0);
         assert_eq!(p.suppressed(), 1);
-        assert_eq!(p.observe(Nanos::from_secs(2), &crossed).len(), 1);
+        assert_eq!(p.observe_vec(Nanos::from_secs(2), &crossed).len(), 1);
     }
 
     #[test]
@@ -612,14 +617,14 @@ mod tests {
         // Drive into the read regime.
         let mut changed = 0;
         for _ in 0..200 {
-            changed += p.observe(Nanos::ZERO, &read_req()).len();
+            changed += p.observe_vec(Nanos::ZERO, &read_req()).len();
         }
         assert!(changed > 0, "entered read regime");
         // A few writes inside a read-heavy stream must not flip the regime.
         let mut noise = 0;
         for _ in 0..3 {
-            noise += p.observe(Nanos::ZERO, &write_req()).len();
-            noise += p.observe(Nanos::ZERO, &read_req()).len();
+            noise += p.observe_vec(Nanos::ZERO, &write_req()).len();
+            noise += p.observe_vec(Nanos::ZERO, &read_req()).len();
         }
         assert_eq!(noise, 0, "hysteresis damps isolated flips");
     }
@@ -628,11 +633,11 @@ mod tests {
     fn hysteresis_follows_sustained_shift() {
         let mut p = HysteresisPolicy::new(WEB, APP, DB, X86);
         for _ in 0..200 {
-            p.observe(Nanos::ZERO, &read_req());
+            p.observe_vec(Nanos::ZERO, &read_req());
         }
         let mut msgs = Vec::new();
         for _ in 0..200 {
-            msgs.extend(p.observe(Nanos::ZERO, &write_req()));
+            msgs.extend(p.observe_vec(Nanos::ZERO, &write_req()));
         }
         assert!(
             msgs.iter().any(|m| matches!(
@@ -654,11 +659,11 @@ mod tests {
         let hi = Observation::StreamInfo { entity: WEB, kbps: 900, fps: 30 };
         let lo = Observation::StreamInfo { entity: APP, kbps: 100, fps: 10 };
         assert_eq!(
-            p.observe(Nanos::ZERO, &hi),
+            p.observe_vec(Nanos::ZERO, &hi),
             vec![CoordMsg::Tune { entity: WEB, delta: 200, target: Some(X86) }]
         );
         assert_eq!(
-            p.observe(Nanos::ZERO, &lo),
+            p.observe_vec(Nanos::ZERO, &lo),
             vec![CoordMsg::Tune { entity: APP, delta: -20, target: Some(X86) }]
         );
     }
@@ -667,7 +672,7 @@ mod tests {
     fn stream_qos_threshold_is_inclusive() {
         let mut p = StreamQosPolicy::new(X86, 500);
         let edge = Observation::StreamInfo { entity: WEB, kbps: 500, fps: 25 };
-        let msgs = p.observe(Nanos::ZERO, &edge);
+        let msgs = p.observe_vec(Nanos::ZERO, &edge);
         assert!(matches!(msgs[0], CoordMsg::Tune { delta, .. } if delta > 0));
     }
 
@@ -676,10 +681,10 @@ mod tests {
         let flips_needed = |alpha: f64| -> usize {
             let mut p = HysteresisPolicy::new(WEB, APP, DB, X86).with_alpha(alpha);
             for _ in 0..500 {
-                p.observe(Nanos::ZERO, &read_req());
+                p.observe_vec(Nanos::ZERO, &read_req());
             }
             for i in 0..500 {
-                if !p.observe(Nanos::ZERO, &write_req()).is_empty() {
+                if !p.observe_vec(Nanos::ZERO, &write_req()).is_empty() {
                     return i;
                 }
             }
@@ -694,10 +699,10 @@ mod tests {
     fn policies_ignore_foreign_observations() {
         let buf = Observation::BufferLevel { entity: WEB, bytes: 1, crossed: true };
         let req = read_req();
-        assert!(StreamQosPolicy::new(X86, 500).observe(Nanos::ZERO, &buf).is_empty());
-        assert!(StreamQosPolicy::new(X86, 500).observe(Nanos::ZERO, &req).is_empty());
-        assert!(BufferTriggerPolicy::new(X86).observe(Nanos::ZERO, &req).is_empty());
-        assert!(HysteresisPolicy::new(WEB, APP, DB, X86).observe(Nanos::ZERO, &buf).is_empty());
+        assert!(StreamQosPolicy::new(X86, 500).observe_vec(Nanos::ZERO, &buf).is_empty());
+        assert!(StreamQosPolicy::new(X86, 500).observe_vec(Nanos::ZERO, &req).is_empty());
+        assert!(BufferTriggerPolicy::new(X86).observe_vec(Nanos::ZERO, &req).is_empty());
+        assert!(HysteresisPolicy::new(WEB, APP, DB, X86).observe_vec(Nanos::ZERO, &buf).is_empty());
     }
 
     #[test]
@@ -707,23 +712,23 @@ mod tests {
         let chat = Observation::InferenceArrival { entity: WEB, latency_sensitive: true };
         let rank = Observation::InferenceArrival { entity: APP, latency_sensitive: false };
         assert_eq!(
-            p.observe(Nanos::ZERO, &chat),
+            p.observe_vec(Nanos::ZERO, &chat),
             vec![CoordMsg::Tune { entity: WEB, delta: -6, target: Some(accel) }]
         );
         assert_eq!(
-            p.observe(Nanos::ZERO, &rank),
+            p.observe_vec(Nanos::ZERO, &rank),
             vec![CoordMsg::Tune { entity: APP, delta: 6, target: Some(accel) }]
         );
         // Steady classes cost no further channel traffic.
         for _ in 0..100 {
-            assert!(p.observe(Nanos::ZERO, &chat).is_empty());
-            assert!(p.observe(Nanos::ZERO, &rank).is_empty());
+            assert!(p.observe_vec(Nanos::ZERO, &chat).is_empty());
+            assert!(p.observe_vec(Nanos::ZERO, &rank).is_empty());
         }
         assert_eq!(p.communicated(), 2);
         // A tenant changing SLA class re-tunes.
         let flipped = Observation::InferenceArrival { entity: WEB, latency_sensitive: false };
-        assert_eq!(p.observe(Nanos::ZERO, &flipped).len(), 1);
-        assert!(p.observe(Nanos::ZERO, &read_req()).is_empty());
+        assert_eq!(p.observe_vec(Nanos::ZERO, &flipped).len(), 1);
+        assert!(p.observe_vec(Nanos::ZERO, &read_req()).is_empty());
     }
 
     #[test]
@@ -731,7 +736,7 @@ mod tests {
         let mut p = InferenceBatchPolicy::new(X86).with_leans(-2, 9);
         let obs = Observation::InferenceArrival { entity: DB, latency_sensitive: false };
         assert_eq!(
-            p.observe(Nanos::ZERO, &obs),
+            p.observe_vec(Nanos::ZERO, &obs),
             vec![CoordMsg::Tune { entity: DB, delta: 9, target: Some(X86) }]
         );
     }

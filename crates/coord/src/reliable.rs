@@ -49,6 +49,15 @@ impl Default for ReliableConfig {
     }
 }
 
+impl ReliableConfig {
+    /// Deadline of a message sent (or resent) at `now` after `retries`
+    /// retransmissions.
+    fn deadline(&self, now: Nanos, retries: u32) -> Nanos {
+        let factor = self.backoff.max(1).saturating_pow(retries.min(16));
+        now + Nanos(self.ack_timeout.as_nanos().saturating_mul(u64::from(factor)))
+    }
+}
+
 /// Counters kept by [`ReliableSender`] for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SenderStats {
@@ -100,17 +109,12 @@ impl ReliableSender {
         self.cfg
     }
 
-    fn deadline(&self, now: Nanos, retries: u32) -> Nanos {
-        let factor = self.cfg.backoff.max(1).saturating_pow(retries.min(16));
-        now + Nanos(self.cfg.ack_timeout.as_nanos().saturating_mul(u64::from(factor)))
-    }
-
     /// Registers a fresh outbound message and returns its sequence number;
     /// the caller transmits the framed bytes.
     pub fn send(&mut self, now: Nanos, msg: CoordMsg) -> u32 {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let deadline = self.deadline(now, 0);
+        let deadline = self.cfg.deadline(now, 0);
         self.pending.insert(seq, Pending { msg, retries: 0, deadline });
         seq
     }
@@ -126,32 +130,28 @@ impl ReliableSender {
     /// the pending set. Every expired deadline counts one consecutive
     /// timeout toward the degraded threshold.
     pub fn on_timer(&mut self, now: Nanos, out: &mut Vec<(u32, CoordMsg)>) {
-        let due: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in due {
-            self.consecutive_timeouts += 1;
-            if self.consecutive_timeouts >= self.cfg.degraded_after && self.degraded_since.is_none()
-            {
-                self.degraded_since = Some(now);
-                self.stats.degraded_entries += 1;
+        let ReliableSender { cfg, pending, consecutive_timeouts, degraded_since, stats, .. } = self;
+        // `retain` visits in sequence order and each entry once, so a
+        // deadline re-armed here is not fired again in this call.
+        pending.retain(|&seq, p| {
+            if p.deadline > now {
+                return true;
             }
-            let retries = self.pending.get(&seq).map(|p| p.retries).expect("collected above");
-            if retries >= self.cfg.max_retries {
-                self.pending.remove(&seq);
-                self.stats.gave_up += 1;
-            } else {
-                let deadline = self.deadline(now, retries + 1);
-                let p = self.pending.get_mut(&seq).expect("collected above");
-                p.retries = retries + 1;
-                p.deadline = deadline;
-                self.stats.retransmits += 1;
-                out.push((seq, p.msg));
+            *consecutive_timeouts += 1;
+            if *consecutive_timeouts >= cfg.degraded_after && degraded_since.is_none() {
+                *degraded_since = Some(now);
+                stats.degraded_entries += 1;
             }
-        }
+            if p.retries >= cfg.max_retries {
+                stats.gave_up += 1;
+                return false;
+            }
+            p.retries += 1;
+            p.deadline = cfg.deadline(now, p.retries);
+            stats.retransmits += 1;
+            out.push((seq, p.msg));
+            true
+        });
     }
 
     /// Processes an ack. Returns `true` when it matched a pending message;

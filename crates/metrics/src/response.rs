@@ -21,8 +21,7 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ResponseStats {
-    per_type: BTreeMap<String, Summary>,
-    histograms: BTreeMap<String, Histogram>,
+    per_type: BTreeMap<String, (Summary, Histogram)>,
     all: Summary,
     all_hist: Histogram,
 }
@@ -31,7 +30,6 @@ impl Default for ResponseStats {
     fn default() -> Self {
         ResponseStats {
             per_type: BTreeMap::new(),
-            histograms: BTreeMap::new(),
             all: Summary::new(),
             all_hist: Histogram::latency_millis(),
         }
@@ -45,16 +43,18 @@ impl ResponseStats {
     }
 
     /// Records a completed request of type `key` with the given
-    /// end-to-end latency. Values are summarised in milliseconds.
+    /// end-to-end latency. Values are summarised in milliseconds. Only the
+    /// first record of a type allocates (its owned key).
     pub fn record(&mut self, key: &str, latency: Nanos) {
-        self.per_type
-            .entry(key.to_owned())
-            .or_default()
-            .record_nanos(latency);
-        self.histograms
-            .entry(key.to_owned())
-            .or_insert_with(Histogram::latency_millis)
-            .record(latency.as_millis_f64());
+        let (summary, hist) = match self.per_type.get_mut(key) {
+            Some(entry) => entry,
+            None => self
+                .per_type
+                .entry(key.to_owned())
+                .or_insert_with(|| (Summary::new(), Histogram::latency_millis())),
+        };
+        summary.record_nanos(latency);
+        hist.record(latency.as_millis_f64());
         self.all.record_nanos(latency);
         self.all_hist.record(latency.as_millis_f64());
     }
@@ -62,7 +62,7 @@ impl ResponseStats {
     /// Approximate latency percentile for one request type, in
     /// milliseconds (`q` in 0..=1; 0 when the type was never seen).
     pub fn percentile(&self, key: &str, q: f64) -> f64 {
-        self.histograms.get(key).map(|h| h.quantile(q)).unwrap_or(0.0)
+        self.per_type.get(key).map_or(0.0, |(_, h)| h.quantile(q))
     }
 
     /// Approximate latency percentile across all types, in milliseconds.
@@ -72,7 +72,7 @@ impl ResponseStats {
 
     /// Summary for one request type.
     pub fn summary(&self, key: &str) -> Option<&Summary> {
-        self.per_type.get(key)
+        self.per_type.get(key).map(|(s, _)| s)
     }
 
     /// Summary across all request types.
@@ -82,7 +82,7 @@ impl ResponseStats {
 
     /// Iterates `(type, summary)` in type order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Summary)> {
-        self.per_type.iter().map(|(k, v)| (k.as_str(), v))
+        self.per_type.iter().map(|(k, (s, _))| (k.as_str(), s))
     }
 
     /// Total requests recorded.

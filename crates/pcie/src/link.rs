@@ -153,17 +153,25 @@ impl HostLink {
     }
 
     /// The host messaging driver services the ring, draining up to `max`
-    /// descriptors. Re-arms notification if descriptors remain.
+    /// descriptors. Re-arms notification if descriptors remain. See
+    /// [`host_take_into`](Self::host_take_into).
     pub fn host_take(&mut self, now: Nanos, max: usize) -> Vec<(FlowId, Packet)> {
+        let mut taken = Vec::new();
+        self.host_take_into(now, max, &mut taken);
+        taken
+    }
+
+    /// [`host_take`](Self::host_take), appending the drained descriptors
+    /// to `out` (caller-owned and typically reused).
+    pub fn host_take_into(&mut self, now: Nanos, max: usize, out: &mut Vec<(FlowId, Packet)>) {
         self.now = self.now.max(now);
         let n = max.min(self.ring.len());
-        let taken: Vec<_> = self.ring.drain(..n).collect();
-        self.stats.drained += taken.len() as u64;
+        out.extend(self.ring.drain(..n));
+        self.stats.drained += n as u64;
         self.notify_outstanding = false;
         if !self.ring.is_empty() {
             self.schedule_notify(now);
         }
-        taken
     }
 
     /// Descriptors currently waiting in the host ring.

@@ -160,7 +160,7 @@ impl Platform {
         let post = inf.model.post_cost(idx);
         let vm = inf.tenant_vms[idx];
         let Some(dom) = self.dom_of_vm(vm) else { return };
-        let tag = self.alloc_tag(Ctx::InfPost { req });
+        let tag = self.tags.insert(Ctx::InfPost { req });
         self.submit(dom, Burst::user(post, tag), WakeMode::Boost);
     }
 
@@ -174,7 +174,7 @@ impl Platform {
             self.vms[slot].pending = self.vms[slot].pending.saturating_sub(1);
         }
         let cost = self.costs.resp_bridge;
-        let tag = self.alloc_tag(Ctx::InfRespOut { req });
+        let tag = self.tags.insert(Ctx::InfRespOut { req });
         let dom0 = self.dom0;
         self.submit(dom0, Burst::system(cost, tag), WakeMode::Boost);
     }

@@ -60,7 +60,7 @@ impl Platform {
         let cost = p.player.spec().decode_cost();
         let vm = p.vm_index;
         let Some(dom) = self.dom_of_vm(vm) else { return };
-        let tag = self.alloc_tag(Ctx::Decode { player: i });
+        let tag = self.tags.insert(Ctx::Decode { player: i });
         self.submit(dom, Burst::user(cost, tag), WakeMode::Boost);
     }
 

@@ -194,7 +194,7 @@ impl Platform {
         } = self;
         let ixp_ref: &ixp::IxpIsland = ixp;
         let accel_ref: Option<&accel::AccelIsland> = accel.as_ref();
-        let accel_mbx_ref: &pcie::Mailbox<Vec<u8>> = accel_mbx;
+        let accel_mbx_ref: &pcie::Mailbox<crate::world::Frame> = accel_mbx;
         let accel_slice = || {
             [
                 accel_ref

@@ -103,7 +103,7 @@ impl Platform {
         }
         self.vms[slot].pending += 1;
         let dom = self.vms[slot].dom;
-        let tag = self.alloc_tag(Ctx::TierDone { req, tier });
+        let tag = self.tags.insert(Ctx::TierDone { req, tier });
         self.submit(dom, Burst::user(demand, tag), WakeMode::Boost);
     }
 
@@ -162,7 +162,7 @@ impl Platform {
     /// Queues the Dom0 bridge burst carrying a request to its next tier.
     fn bridge_hop(&mut self, req: u64, tier: Tier) {
         let cost = self.costs.bridge;
-        let tag = self.alloc_tag(Ctx::HopDone { req, tier });
+        let tag = self.tags.insert(Ctx::HopDone { req, tier });
         let dom0 = self.dom0;
         self.submit(dom0, Burst::system(cost, tag), WakeMode::Boost);
     }
@@ -170,7 +170,7 @@ impl Platform {
     /// The deepest tier finished: emit the response through Dom0 → IXP.
     fn respond(&mut self, req: u64) {
         let cost = self.costs.resp_bridge;
-        let tag = self.alloc_tag(Ctx::RespOut { req });
+        let tag = self.tags.insert(Ctx::RespOut { req });
         let dom0 = self.dom0;
         self.submit(dom0, Burst::system(cost, tag), WakeMode::Boost);
     }

@@ -23,9 +23,9 @@ use simcore::stats::Series;
 use crate::trace_event::TraceEvent;
 use simcore::trace::TraceBuffer;
 use crate::pdes;
-use simcore::{Component, EventQueue, HorizonCache, Nanos, SimRng};
+use simcore::{Component, EventQueue, HorizonCache, IdMap, Nanos, SimRng};
 use simtest::chaos::ChaosPlan;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use workloads::adversary::Adversary;
 use workloads::inference::InferenceModel;
 use workloads::mplayer::{Player, Source};
@@ -114,6 +114,73 @@ pub(crate) enum Ctx {
     InfRespOut { req: u64 },
 }
 
+/// The burst contexts awaiting their completion, in a generation-tagged
+/// slab: a tag is `generation << 32 | slot`. Freed slots are reused, and
+/// the generation bump makes a stale tag miss instead of reaching the
+/// slot's next owner. The slab grows only to the most bursts ever in
+/// flight at once.
+#[derive(Debug, Default)]
+pub(crate) struct TagSlab {
+    slots: Vec<(u32, Option<Ctx>)>,
+    free: Vec<u32>,
+}
+
+impl TagSlab {
+    pub(crate) fn insert(&mut self, ctx: Ctx) -> u64 {
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            (self.slots.len() - 1) as u32
+        });
+        let slot = &mut self.slots[index as usize];
+        slot.1 = Some(ctx);
+        u64::from(slot.0) << 32 | u64::from(index)
+    }
+
+    /// The context `tag` was issued for, if it is still pending.
+    pub(crate) fn remove(&mut self, tag: u64) -> Option<Ctx> {
+        let index = tag as u32;
+        let slot = self.slots.get_mut(index as usize)?;
+        if slot.0 != (tag >> 32) as u32 {
+            return None;
+        }
+        let ctx = slot.1.take()?;
+        slot.0 = slot.0.wrapping_add(1);
+        self.free.push(index);
+        Some(ctx)
+    }
+}
+
+/// A wire-encoded coordination message as the mailboxes carry it: by
+/// value, so a send allocates nothing and a channel duplicate is a copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame {
+    len: u8,
+    bytes: [u8; Frame::CAPACITY],
+}
+
+impl Frame {
+    /// The longest encoding: a sequence-numbered frame around a
+    /// `RegisterEntity` (5 + 15 bytes).
+    const CAPACITY: usize = 20;
+
+    /// Encodes `msg`, framed with its reliable-delivery sequence number
+    /// when it has one, through `buf` (the reused encoding buffer).
+    fn encode(buf: &mut Vec<u8>, seq: Option<u32>, msg: &CoordMsg) -> Frame {
+        buf.clear();
+        let len = match seq {
+            Some(seq) => coord::wire::encode_framed(seq, msg, buf),
+            None => coord::wire::encode(msg, buf),
+        };
+        let mut bytes = [0; Frame::CAPACITY];
+        bytes[..len].copy_from_slice(buf);
+        Frame { len: len as u8, bytes }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct VmSlot {
     pub dom: DomId,
@@ -150,9 +217,9 @@ pub(crate) struct ClientState {
 #[derive(Debug)]
 pub(crate) struct RubisState {
     pub model: RubisModel,
-    pub reqs: HashMap<u64, ReqState>,
-    pub resp_map: HashMap<u64, u64>,
-    pub pkt_to_req: HashMap<u64, u64>,
+    pub reqs: IdMap<u64, ReqState>,
+    pub resp_map: IdMap<u64, u64>,
+    pub pkt_to_req: IdMap<u64, u64>,
     pub clients: Vec<ClientState>,
     pub web_vm: u32,
     pub app_vm: u32,
@@ -176,11 +243,11 @@ pub(crate) struct InfReqState {
 #[derive(Debug)]
 pub(crate) struct InferenceState {
     pub model: InferenceModel,
-    pub reqs: HashMap<u64, InfReqState>,
+    pub reqs: IdMap<u64, InfReqState>,
     /// Response packet id → request id.
-    pub resp_map: HashMap<u64, u64>,
+    pub resp_map: IdMap<u64, u64>,
     /// Request packet id → request id (one entry per transmission).
-    pub pkt_to_req: HashMap<u64, u64>,
+    pub pkt_to_req: IdMap<u64, u64>,
     /// Tenant index → guest VM index.
     pub tenant_vms: Vec<u32>,
     /// Tenant index → accelerator-side queue identity.
@@ -323,11 +390,11 @@ pub struct Platform {
     pub(crate) sched: CreditScheduler,
     pub(crate) ixp: IxpIsland,
     pub(crate) link: HostLink,
-    pub(crate) mbx: Mailbox<Vec<u8>>,
+    pub(crate) mbx: Mailbox<Frame>,
     /// Reverse channel (Dom0 → IXP) carrying reliable-delivery acks; it
     /// shares the forward channel's latency and fault profile and stays
     /// silent unless reliable delivery is enabled.
-    pub(crate) ack_mbx: Mailbox<Vec<u8>>,
+    pub(crate) ack_mbx: Mailbox<Frame>,
     pub(crate) rel_tx: Option<ReliableSender>,
     pub(crate) rel_rx: Option<ReliableReceiver>,
     pub(crate) degraded_suppressed: u64,
@@ -345,8 +412,7 @@ pub struct Platform {
     pub(crate) controller: Controller,
     pub(crate) policy: Box<dyn CoordinationPolicy>,
     pub(crate) q: EventQueue<Ev>,
-    pub(crate) tags: HashMap<u64, Ctx>,
-    pub(crate) next_tag: u64,
+    pub(crate) tags: TagSlab,
     pub(crate) dom0: DomId,
     pub(crate) vms: Vec<VmSlot>,
     pub(crate) rubis: Option<RubisState>,
@@ -356,7 +422,7 @@ pub struct Platform {
     pub(crate) accel: Option<AccelIsland>,
     /// Doorbell lane carrying wire-encoded coordination verbs from Dom0
     /// to the accelerator (its own mailbox, with its own fault stream).
-    pub(crate) accel_mbx: Mailbox<Vec<u8>>,
+    pub(crate) accel_mbx: Mailbox<Frame>,
     pub(crate) inf: Option<InferenceState>,
     /// Host→accelerator DMA latency for one inference request.
     pub(crate) accel_dma: Nanos,
@@ -402,12 +468,18 @@ pub struct Platform {
     pub(crate) scratch_sched: Vec<SchedEvent>,
     pub(crate) scratch_ixp: Vec<IxpEvent>,
     pub(crate) scratch_link: Vec<PcieEvent>,
-    pub(crate) scratch_mbx: Vec<Vec<u8>>,
-    pub(crate) scratch_ack: Vec<Vec<u8>>,
+    pub(crate) scratch_mbx: Vec<Frame>,
+    pub(crate) scratch_ack: Vec<Frame>,
     pub(crate) scratch_retx: Vec<(u32, CoordMsg)>,
     pub(crate) scratch_accel: Vec<AccelEvent>,
-    pub(crate) scratch_accel_mbx: Vec<Vec<u8>>,
+    pub(crate) scratch_accel_mbx: Vec<Frame>,
     pub(crate) scratch_ev: Vec<(Nanos, Ev)>,
+    /// Policy output awaiting [`send_coord`](Self::send_coord).
+    pub(crate) scratch_coord: Vec<CoordMsg>,
+    pub(crate) scratch_actions: Vec<Action>,
+    pub(crate) scratch_take: Vec<(FlowId, Packet)>,
+    /// Encoding buffer every [`Frame`] is built in.
+    pub(crate) scratch_wire: Vec<u8>,
     /// Cached `next_event_time()` of each source (`Nanos::MAX` = idle)
     /// plus the dirty mask, indexed by the bit positions in [`horizon`].
     /// Only dirty entries are recomputed each iteration, so the
@@ -487,8 +559,7 @@ impl Platform {
             controller,
             policy: Box::new(NullPolicy),
             q: EventQueue::new(),
-            tags: HashMap::new(),
-            next_tag: 1,
+            tags: TagSlab::default(),
             dom0: DomId::DOM0,
             vms: Vec::new(),
             rubis: None,
@@ -535,6 +606,10 @@ impl Platform {
             scratch_accel: Vec::new(),
             scratch_accel_mbx: Vec::new(),
             scratch_ev: Vec::new(),
+            scratch_coord: Vec::new(),
+            scratch_actions: Vec::new(),
+            scratch_take: Vec::new(),
+            scratch_wire: Vec::new(),
             horizons: HorizonCache::new(),
             island_threads: b.island_threads,
         }
@@ -645,9 +720,9 @@ impl Platform {
             .collect();
         p.rubis = Some(RubisState {
             model,
-            reqs: HashMap::new(),
-            resp_map: HashMap::new(),
-            pkt_to_req: HashMap::new(),
+            reqs: IdMap::default(),
+            resp_map: IdMap::default(),
+            pkt_to_req: IdMap::default(),
             clients,
             web_vm: 1,
             app_vm: 2,
@@ -758,9 +833,9 @@ impl Platform {
         };
         p.inf = Some(InferenceState {
             model,
-            reqs: HashMap::new(),
-            resp_map: HashMap::new(),
-            pkt_to_req: HashMap::new(),
+            reqs: IdMap::default(),
+            resp_map: IdMap::default(),
+            pkt_to_req: IdMap::default(),
             tenant_vms,
             accel_tenants,
             queue_delays: ResponseStats::new(),
@@ -779,13 +854,6 @@ impl Platform {
 
     pub(crate) fn dom_of_vm(&self, vm_index: u32) -> Option<DomId> {
         self.slot_by_vm(vm_index).map(|i| self.vms[i].dom)
-    }
-
-    pub(crate) fn alloc_tag(&mut self, ctx: Ctx) -> u64 {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.tags.insert(tag, ctx);
-        tag
     }
 
     /// Submits a burst to a domain and absorbs any catch-up completions.
@@ -1037,7 +1105,7 @@ impl Platform {
         let mut msgs = std::mem::take(&mut self.scratch_mbx);
         Component::advance(&mut self.mbx, t, &mut msgs);
         for m in msgs.drain(..) {
-            self.handle_coord_delivery(m);
+            self.handle_coord_delivery(m.as_bytes());
         }
         self.scratch_mbx = msgs;
     }
@@ -1047,7 +1115,7 @@ impl Platform {
         let mut msgs = std::mem::take(&mut self.scratch_ack);
         Component::advance(&mut self.ack_mbx, t, &mut msgs);
         for m in msgs.drain(..) {
-            self.handle_ack_delivery(m);
+            self.handle_ack_delivery(m.as_bytes());
         }
         self.scratch_ack = msgs;
     }
@@ -1077,7 +1145,7 @@ impl Platform {
         let mut msgs = std::mem::take(&mut self.scratch_accel_mbx);
         Component::advance(&mut self.accel_mbx, t, &mut msgs);
         for m in msgs.drain(..) {
-            self.handle_accel_delivery(m);
+            self.handle_accel_delivery(m.as_bytes());
         }
         self.scratch_accel_mbx = msgs;
     }
@@ -1186,7 +1254,8 @@ impl Platform {
         let Some(a) = self.adversaries.get_mut(i) else { return };
         let Some(msg) = a.emit(now) else { return };
         let next = a.next_at();
-        self.send_coord(vec![msg]);
+        self.scratch_coord.push(msg);
+        self.send_coord();
         if let Some(t) = next {
             if t <= self.run_end {
                 self.horizons.mark(horizon::QUEUE);
@@ -1201,7 +1270,7 @@ impl Platform {
     fn submit_adv_load(&mut self, slot: usize) {
         let chunk = self.hog_chunk;
         let dom = self.vms[slot].dom;
-        let tag = self.alloc_tag(Ctx::AdvLoad { slot });
+        let tag = self.tags.insert(Ctx::AdvLoad { slot });
         // A CPU-bound guest gets no I/O boost; its share is bought purely
         // by weight — exactly the knob the inflater strategy games.
         self.submit(dom, Burst::user(chunk, tag), WakeMode::Plain);
@@ -1237,7 +1306,7 @@ impl Platform {
     fn absorb_sched_drain(&mut self, evs: &mut Vec<SchedEvent>) {
         for ev in evs.drain(..) {
             let SchedEvent::Completed { tag, .. } = ev;
-            let Some(ctx) = self.tags.remove(&tag) else { continue };
+            let Some(ctx) = self.tags.remove(tag) else { continue };
             self.handle_ctx(ctx);
         }
     }
@@ -1248,10 +1317,12 @@ impl Platform {
                 self.driver_pending = false;
                 let now = self.now;
                 self.horizons.mark(horizon::LINK);
-                let pkts = self.link.host_take(now, usize::MAX);
-                for (flow, pkt) in pkts {
+                let mut pkts = std::mem::take(&mut self.scratch_take);
+                self.link.host_take_into(now, usize::MAX, &mut pkts);
+                for (flow, pkt) in pkts.drain(..) {
                     self.deliver_to_guest(flow, pkt);
                 }
+                self.scratch_take = pkts;
             }
             Ctx::TierDone { req, tier } => self.rubis_tier_done(req, tier),
             Ctx::HopDone { req, tier } => self.rubis_hop_done(req, tier),
@@ -1308,7 +1379,7 @@ impl Platform {
                         self.driver_pending = true;
                         let cost = self.costs.driver_base
                             + self.costs.driver_per_desc * pending as u64;
-                        let tag = self.alloc_tag(Ctx::DriverService);
+                        let tag = self.tags.insert(Ctx::DriverService);
                         let dom0 = self.dom0;
                         self.submit(dom0, Burst::system(cost, tag), WakeMode::Boost);
                     }
@@ -1345,10 +1416,16 @@ impl Platform {
             _ => None,
         };
         if let Some(obs) = obs {
-            let now = self.now;
-            let msgs = self.policy.observe(now, &obs);
-            self.send_coord(msgs);
+            self.observe(obs);
         }
+    }
+
+    /// Feeds the coordination policy one observation and sends what it
+    /// emits.
+    fn observe(&mut self, obs: Observation) {
+        let now = self.now;
+        self.policy.observe(now, &obs, &mut self.scratch_coord);
+        self.send_coord();
     }
 
     fn on_buffer_alarm(&mut self, flow: FlowId, bytes: u64) {
@@ -1360,19 +1437,16 @@ impl Platform {
         else {
             return;
         };
-        let now = self.now;
-        let msgs = self.policy.observe(
-            now,
-            &Observation::BufferLevel { entity, bytes, crossed: true },
-        );
-        self.send_coord(msgs);
+        self.observe(Observation::BufferLevel { entity, bytes, crossed: true });
     }
 
-    fn send_coord(&mut self, msgs: Vec<CoordMsg>) {
+    /// Puts every message queued in `scratch_coord` on the coordination
+    /// channel, draining it.
+    fn send_coord(&mut self) {
         let now = self.now;
-        for m in msgs {
-            let mut buf = Vec::new();
-            let n = match self.rel_tx.as_mut() {
+        let mut msgs = std::mem::take(&mut self.scratch_coord);
+        for m in msgs.drain(..) {
+            let seq = match self.rel_tx.as_mut() {
                 Some(tx) => {
                     if tx.is_degraded() && tx.pending_len() > 0 {
                         // Degraded fallback: don't pile new tunes onto a
@@ -1383,25 +1457,26 @@ impl Platform {
                         self.trace.record(now, TraceEvent::DegradedSuppressed { msg: m });
                         continue;
                     }
-                    let seq = tx.send(now, m);
-                    coord::wire::encode_framed(seq, &m, &mut buf)
+                    Some(tx.send(now, m))
                 }
-                None => coord::wire::encode(&m, &mut buf),
+                None => None,
             };
+            let frame = Frame::encode(&mut self.scratch_wire, seq, &m);
             self.coord.messages_sent += 1;
-            self.coord.bytes_sent += n as u64;
+            self.coord.bytes_sent += u64::from(frame.len);
             self.horizons.mark(horizon::RETX | horizon::MBX);
             match self.chaos.coord_jitter() {
                 Some(extra) => {
                     // Chaos: this message rides a congested channel. The
                     // override applies to this send only.
                     self.mbx.set_latency(self.coord_latency + extra);
-                    self.mbx.send(now, buf);
+                    self.mbx.send(now, frame);
                     self.mbx.set_latency(self.coord_latency);
                 }
-                None => self.mbx.send(now, buf),
+                None => self.mbx.send(now, frame),
             }
         }
+        self.scratch_coord = msgs;
     }
 
     /// Fires due retransmission deadlines: re-sends under-cap messages and
@@ -1417,11 +1492,10 @@ impl Platform {
         let entered_degraded = !was_degraded && tx.is_degraded();
         let gave_up = tx.stats().gave_up - gave_up_before;
         for (seq, msg) in retx.drain(..) {
-            let mut buf = Vec::new();
-            let n = coord::wire::encode_framed(seq, &msg, &mut buf);
-            self.coord.bytes_sent += n as u64;
+            let frame = Frame::encode(&mut self.scratch_wire, Some(seq), &msg);
+            self.coord.bytes_sent += u64::from(frame.len);
             self.trace.record(now, TraceEvent::Retransmit { seq });
-            self.mbx.send(now, buf);
+            self.mbx.send(now, frame);
         }
         self.scratch_retx = retx;
         if gave_up > 0 {
@@ -1432,16 +1506,15 @@ impl Platform {
         }
     }
 
-    fn handle_coord_delivery(&mut self, bytes: Vec<u8>) {
-        let msg = if coord::wire::is_framed(&bytes) {
-            let Ok((seq, msg, _)) = coord::wire::decode_framed(&bytes) else {
+    fn handle_coord_delivery(&mut self, bytes: &[u8]) {
+        let msg = if coord::wire::is_framed(bytes) {
+            let Ok((seq, msg, _)) = coord::wire::decode_framed(bytes) else {
                 return;
             };
             // Ack every copy — the sender may be retransmitting because a
             // previous ack was lost — but process each sequence once.
             let now = self.now;
-            let mut ack = Vec::new();
-            coord::wire::encode(&CoordMsg::Ack { seq }, &mut ack);
+            let ack = Frame::encode(&mut self.scratch_wire, None, &CoordMsg::Ack { seq });
             self.horizons.mark(horizon::ACK);
             self.ack_mbx.send(now, ack);
             if let Some(rx) = self.rel_rx.as_mut() {
@@ -1452,7 +1525,7 @@ impl Platform {
             }
             msg
         } else {
-            let Ok((msg, _)) = coord::wire::decode(&bytes) else {
+            let Ok((msg, _)) = coord::wire::decode(bytes) else {
                 return;
             };
             msg
@@ -1467,8 +1540,8 @@ impl Platform {
         }
     }
 
-    fn handle_ack_delivery(&mut self, bytes: Vec<u8>) {
-        let Ok((CoordMsg::Ack { seq }, _)) = coord::wire::decode(&bytes) else {
+    fn handle_ack_delivery(&mut self, bytes: &[u8]) {
+        let Ok((CoordMsg::Ack { seq }, _)) = coord::wire::decode(bytes) else {
             return;
         };
         let now = self.now;
@@ -1501,8 +1574,8 @@ impl Platform {
     // collapsible_match would hoist the side-effecting apply_* calls into
     // match guards, which hides the mutation inside pattern dispatch.
     #[allow(clippy::collapsible_match)]
-    fn handle_accel_delivery(&mut self, bytes: Vec<u8>) {
-        let Ok((msg, _)) = coord::wire::decode(&bytes) else { return };
+    fn handle_accel_delivery(&mut self, bytes: &[u8]) {
+        let Ok((msg, _)) = coord::wire::decode(bytes) else { return };
         let now = self.now;
         self.horizons.mark(horizon::ACCEL);
         let Some(acc) = self.accel.as_mut() else { return };
@@ -1533,12 +1606,7 @@ impl Platform {
         };
         let Some(slot) = self.slot_by_vm(inf.tenant_vms[idx]) else { return };
         let entity = self.vms[slot].entity;
-        let now = self.now;
-        let msgs = self.policy.observe(
-            now,
-            &Observation::BufferLevel { entity, bytes: queued_bytes, crossed: true },
-        );
-        self.send_coord(msgs);
+        self.observe(Observation::BufferLevel { entity, bytes: queued_bytes, crossed: true });
     }
 
     /// Keeps exactly one Dom0 coordination-apply burst in flight so Tune
@@ -1550,17 +1618,19 @@ impl Platform {
         let Some(msg) = self.coord_pending.pop_front() else { return };
         self.coord_inflight = true;
         let cost = self.costs.coord_apply;
-        let tag = self.alloc_tag(Ctx::CoordApply { msg });
+        let tag = self.tags.insert(Ctx::CoordApply { msg });
         let dom0 = self.dom0;
         self.submit(dom0, Burst::system(cost, tag), WakeMode::Boost);
     }
 
     fn apply_coord_msg(&mut self, msg: CoordMsg) {
         let now = self.now;
-        let actions = self.controller.handle(now, msg);
-        for a in actions {
+        let mut actions = std::mem::take(&mut self.scratch_actions);
+        self.controller.handle_into(now, msg, &mut actions);
+        for a in actions.drain(..) {
             self.apply_action(a);
         }
+        self.scratch_actions = actions;
     }
 
     fn apply_action(&mut self, action: Action) {
@@ -1589,40 +1659,23 @@ impl Platform {
                 // re-encodes the verb and the device applies it on
                 // delivery, so accel coordination pays channel latency
                 // (and suffers channel faults) like any other island.
-                let mut buf = Vec::new();
-                let msg = CoordMsg::Tune {
+                self.send_to_accel(CoordMsg::Tune {
                     entity: EntityId(local_key as u32),
                     delta,
                     target: Some(ACCEL),
-                };
-                let n = coord::wire::encode(&msg, &mut buf);
-                self.coord.bytes_sent += n as u64;
-                let now = self.now;
-                self.horizons.mark(horizon::ACCEL_MBX);
-                self.accel_mbx.send(now, buf);
+                });
             }
             Action::ApplyTrigger { island, local_key } if island == ACCEL => {
-                let mut buf = Vec::new();
-                let msg = CoordMsg::Trigger {
+                self.send_to_accel(CoordMsg::Trigger {
                     entity: EntityId(local_key as u32),
                     target: Some(ACCEL),
-                };
-                let n = coord::wire::encode(&msg, &mut buf);
-                self.coord.bytes_sent += n as u64;
-                let now = self.now;
-                self.horizons.mark(horizon::ACCEL_MBX);
-                self.accel_mbx.send(now, buf);
+                });
             }
             Action::ApplyKnob { island, axis, rung, .. } if island == X86 => {
                 self.apply_knob(axis, rung);
             }
             Action::ApplyTrigger { island, local_key } if island == X86 => {
                 let dom = DomId(local_key as u32);
-                if std::env::var_os("COORD_TRIGGER_DEBUG").is_some() {
-                    eprintln!("trigger dom{} state={:?} prio={:?} credit={:?}",
-                        local_key, self.sched.run_state(dom), self.sched.priority(dom),
-                        self.sched.credit(dom));
-                }
                 let now = self.now;
                 self.horizons.mark(horizon::SCHED);
                 if let Ok(evs) = self.sched.boost_front(now, dom) {
@@ -1637,6 +1690,15 @@ impl Platform {
             }
             _ => {}
         }
+    }
+
+    /// Re-encodes a resolved verb onto the accelerator's doorbell lane.
+    fn send_to_accel(&mut self, msg: CoordMsg) {
+        let frame = Frame::encode(&mut self.scratch_wire, None, &msg);
+        self.coord.bytes_sent += u64::from(frame.len);
+        let now = self.now;
+        self.horizons.mark(horizon::ACCEL_MBX);
+        self.accel_mbx.send(now, frame);
     }
 
     /// Moves one axis of the x86 island's energy lattice to `rung`
@@ -1781,6 +1843,9 @@ impl Platform {
             self.cpu_series.entry(dom).or_default().push(now, pct);
             self.cpu_prev.insert(dom, cum);
             total_pct += pct;
+            if self.power_gov.is_none() {
+                continue; // the governor is the samples' only reader
+            }
             let name = if dom == self.dom0 {
                 "dom0".to_owned()
             } else {
@@ -1836,7 +1901,8 @@ impl Platform {
             }
         }
         if let Some(m) = knob_msg {
-            self.send_coord(vec![m]);
+            self.scratch_coord.push(m);
+            self.send_coord();
         }
         if let Some(gov) = self.power_gov.as_mut() {
             let actions = gov.sample(now, watts, &samples);
@@ -2059,11 +2125,35 @@ impl Platform {
 
     fn submit_background(&mut self) {
         let chunk = self.hog_chunk;
-        let tag = self.alloc_tag(Ctx::Background);
+        let tag = self.tags.insert(Ctx::Background);
         let dom0 = self.dom0;
         // Dom0's background load is event-driven (interrupt handlers,
         // backend processing): its wakes are event-channel wakes and
         // boost like any other I/O work.
         self.submit(dom0, Burst::system(chunk, tag), WakeMode::Boost);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tag_slab_reuses_slots_and_ignores_stale_tags() {
+        let mut slab = TagSlab::default();
+        let a = slab.insert(Ctx::Background);
+        let b = slab.insert(Ctx::DriverService);
+        assert!(matches!(slab.remove(a), Some(Ctx::Background)));
+        assert!(slab.remove(a).is_none(), "a tag completes once");
+        // The freed slot is reused under a new generation: the stale tag
+        // must not reach the slot's new owner.
+        let c = slab.insert(Ctx::RespOut { req: 9 });
+        assert_eq!(c as u32, a as u32);
+        assert_ne!(c, a);
+        assert!(slab.remove(a).is_none());
+        assert!(matches!(slab.remove(c), Some(Ctx::RespOut { req: 9 })));
+        assert!(matches!(slab.remove(b), Some(Ctx::DriverService)));
+        assert!(slab.remove(u64::MAX).is_none(), "unknown slot");
+        assert_eq!(slab.slots.len(), 2, "grows only to the bursts in flight");
     }
 }

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 mod component;
+mod idmap;
 mod queue;
 mod rng;
 pub mod stats;
@@ -37,6 +38,7 @@ mod time;
 pub mod trace;
 
 pub use component::{Component, HorizonCache};
+pub use idmap::{IdHasher, IdMap};
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
 pub use time::{Cycles, Nanos};

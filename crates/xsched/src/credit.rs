@@ -35,7 +35,8 @@ use crate::runstate::UsageAccum;
 use crate::{Burst, BurstKind, DomId, Domain, PcpuId, RunstateSnapshot, SchedError};
 use simcore::Nanos;
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Lower bound on accumulated credit debt. Deliberately generous: a tight
 /// floor (e.g. −300) lets saturated VCPUs burn CPU "for free" once pinned
@@ -192,11 +193,14 @@ enum HorizonCache {
 #[derive(Debug)]
 pub struct CreditScheduler {
     cfg: SchedConfig,
-    domains: BTreeMap<DomId, Domain>,
-    dom_vcpus: BTreeMap<DomId, Vec<usize>>,
+    /// Indexed by `DomId.0`: ids are handed out densely by
+    /// [`create_domain`](Self::create_domain), so index order is id order.
+    domains: Vec<Domain>,
+    /// Each domain's VCPUs, by `DomId.0`: a domain's VCPUs are created
+    /// together, so they occupy one contiguous range of `vcpus`.
+    dom_vcpus: Vec<Range<usize>>,
     vcpus: Vec<Vcpu>,
     pcpus: Vec<Pcpu>,
-    next_dom_id: u32,
     next_tick: Nanos,
     ticks_until_acct: u32,
     now: Nanos,
@@ -227,11 +231,10 @@ impl CreditScheduler {
         let ticks_until_acct = cfg.ticks_per_acct;
         CreditScheduler {
             cfg,
-            domains: BTreeMap::new(),
-            dom_vcpus: BTreeMap::new(),
+            domains: Vec::new(),
+            dom_vcpus: Vec::new(),
             vcpus: Vec::new(),
             pcpus,
-            next_dom_id: 0,
             next_tick,
             ticks_until_acct,
             now: Nanos::ZERO,
@@ -300,10 +303,9 @@ impl CreditScheduler {
     /// Panics if `nvcpus == 0`.
     pub fn create_domain(&mut self, name: &str, weight: u32, nvcpus: u32) -> DomId {
         assert!(nvcpus > 0, "domain must have at least one vcpu");
-        let id = DomId(self.next_dom_id);
-        self.next_dom_id += 1;
-        self.domains.insert(id, Domain::new(id, name, weight, nvcpus));
-        let mut idxs = Vec::new();
+        let id = DomId(self.domains.len() as u32);
+        self.domains.push(Domain::new(id, name, weight, nvcpus));
+        let first = self.vcpus.len();
         for _ in 0..nvcpus {
             let idx = self.vcpus.len();
             self.vcpus.push(Vcpu {
@@ -320,9 +322,8 @@ impl CreditScheduler {
                 consumed_since_tick: Nanos::ZERO,
                 boost_until: Nanos::ZERO,
             });
-            idxs.push(idx);
         }
-        self.dom_vcpus.insert(id, idxs);
+        self.dom_vcpus.push(first..self.vcpus.len());
         self.usage.register(id);
         self.dirty_horizon();
         id
@@ -338,12 +339,7 @@ impl CreditScheduler {
                 return Err(SchedError::BadAffinity(p.0));
             }
         }
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .clone();
-        for i in idxs {
+        for i in self.vcpus_of(dom)? {
             self.vcpus[i].affinity = if pcpus.is_empty() {
                 None
             } else {
@@ -359,10 +355,7 @@ impl CreditScheduler {
     /// # Errors
     /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
     pub fn set_weight(&mut self, dom: DomId, weight: u32) -> Result<(), SchedError> {
-        self.domains
-            .get_mut(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .set_weight(weight);
+        self.domain_mut(dom)?.set_weight(weight);
         Ok(())
     }
 
@@ -371,8 +364,7 @@ impl CreditScheduler {
     /// # Errors
     /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
     pub fn weight(&self, dom: DomId) -> Result<u32, SchedError> {
-        self.domains
-            .get(&dom)
+        self.domain(dom)
             .map(|d| d.weight())
             .ok_or(SchedError::UnknownDomain(dom))
     }
@@ -382,21 +374,32 @@ impl CreditScheduler {
     /// # Errors
     /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
     pub fn set_cap(&mut self, dom: DomId, cap_percent: u32) -> Result<(), SchedError> {
-        self.domains
-            .get_mut(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .set_cap_percent(cap_percent);
+        self.domain_mut(dom)?.set_cap_percent(cap_percent);
         Ok(())
     }
 
     /// Domain metadata, if it exists.
     pub fn domain(&self, dom: DomId) -> Option<&Domain> {
-        self.domains.get(&dom)
+        self.domains.get(dom.0 as usize)
+    }
+
+    fn domain_mut(&mut self, dom: DomId) -> Result<&mut Domain, SchedError> {
+        self.domains
+            .get_mut(dom.0 as usize)
+            .ok_or(SchedError::UnknownDomain(dom))
+    }
+
+    /// The indices of `dom`'s VCPUs.
+    fn vcpus_of(&self, dom: DomId) -> Result<Range<usize>, SchedError> {
+        self.dom_vcpus
+            .get(dom.0 as usize)
+            .cloned()
+            .ok_or(SchedError::UnknownDomain(dom))
     }
 
     /// All domains in id order.
     pub fn domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.values()
+        self.domains.iter()
     }
 
     // ------------------------------------------------------------------
@@ -437,12 +440,7 @@ impl CreditScheduler {
     pub fn boost_front(&mut self, now: Nanos, dom: DomId) -> Result<Vec<SchedEvent>, SchedError> {
         let mut out = Vec::new();
         self.advance(now, &mut out);
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .clone();
-        for vi in idxs {
+        for vi in self.vcpus_of(dom)? {
             // The preemptive grant holds for one scheduling slice: the
             // triggered VCPU keeps BOOST across ticks until it expires.
             self.vcpus[vi].boost_until = now + self.cfg.slice;
@@ -471,11 +469,7 @@ impl CreditScheduler {
     /// # Errors
     /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
     pub fn grant_credit(&mut self, dom: DomId, credits: i32) -> Result<(), SchedError> {
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .clone();
+        let idxs = self.vcpus_of(dom)?;
         let per = credits / idxs.len().max(1) as i32;
         for vi in idxs {
             let v = &mut self.vcpus[vi];
@@ -497,12 +491,7 @@ impl CreditScheduler {
     pub fn notify(&mut self, now: Nanos, dom: DomId) -> Result<Vec<SchedEvent>, SchedError> {
         let mut out = Vec::new();
         self.advance(now, &mut out);
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .clone();
-        for vi in idxs {
+        for vi in self.vcpus_of(dom)? {
             if self.vcpus[vi].state == RunState::Blocked && !self.vcpus[vi].work.is_empty() {
                 self.wake_vcpu(vi, WakeMode::Boost, false);
             }
@@ -619,43 +608,37 @@ impl CreditScheduler {
 
     /// Current credit of a domain's first VCPU (diagnostics).
     pub fn credit(&self, dom: DomId) -> Option<i32> {
-        self.dom_vcpus
-            .get(&dom)
-            .and_then(|v| v.first())
-            .map(|&i| self.vcpus[i].credit)
+        self.first_vcpu(dom).map(|v| v.credit)
     }
 
     /// Current priority of a domain's first VCPU.
     pub fn priority(&self, dom: DomId) -> Option<Priority> {
-        self.dom_vcpus
-            .get(&dom)
-            .and_then(|v| v.first())
-            .map(|&i| self.vcpus[i].prio)
+        self.first_vcpu(dom).map(|v| v.prio)
+    }
+
+    fn first_vcpu(&self, dom: DomId) -> Option<&Vcpu> {
+        self.vcpus_of(dom).ok().map(|r| &self.vcpus[r.start])
     }
 
     /// Credits of every VCPU of a domain (diagnostics).
     pub fn credits_all(&self, dom: DomId) -> Vec<i32> {
-        self.dom_vcpus
-            .get(&dom)
-            .map(|idxs| idxs.iter().map(|&i| self.vcpus[i].credit).collect())
+        self.vcpus_of(dom)
+            .map(|r| self.vcpus[r].iter().map(|v| v.credit).collect())
             .unwrap_or_default()
     }
 
     /// Current run state of a domain's first VCPU.
     pub fn run_state(&self, dom: DomId) -> Option<RunState> {
-        self.dom_vcpus
-            .get(&dom)
-            .and_then(|v| v.first())
-            .map(|&i| self.vcpus[i].state)
+        self.first_vcpu(dom).map(|v| v.state)
     }
 
     /// Queued (unstarted + in-progress) work of a domain across VCPUs.
     pub fn backlog(&self, dom: DomId) -> Nanos {
-        self.dom_vcpus
-            .get(&dom)
-            .map(|idxs| {
-                idxs.iter()
-                    .flat_map(|&i| self.vcpus[i].work.iter())
+        self.vcpus_of(dom)
+            .map(|r| {
+                self.vcpus[r]
+                    .iter()
+                    .flat_map(|v| v.work.iter())
                     .map(|b| b.demand)
                     .sum()
             })
@@ -839,41 +822,37 @@ impl CreditScheduler {
     }
 
     fn do_accounting(&mut self) {
-        // Identify active domains: any VCPU that is not blocked, or that
-        // consumed CPU during the period.
-        let mut active_weight: u64 = 0;
-        let mut active_doms: Vec<(DomId, u32, Vec<usize>)> = Vec::new();
-        for (dom, idxs) in &self.dom_vcpus {
-            let active: Vec<usize> = idxs
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let v = &self.vcpus[i];
-                    v.state != RunState::Blocked || !v.consumed_in_period.is_zero()
-                })
-                .collect();
-            if !active.is_empty() {
-                let w = self.domains[dom].weight();
-                active_weight += w as u64;
-                active_doms.push((*dom, w, active));
-            }
-        }
+        // Active VCPUs: not blocked, or consumed CPU during the period. A
+        // domain is active when any of its VCPUs is. The first pass sums
+        // the active weight; nothing changes activity before the second
+        // pass hands out the shares.
+        let active = |v: &Vcpu| v.state != RunState::Blocked || !v.consumed_in_period.is_zero();
+        let active_weight: u64 = self
+            .dom_vcpus
+            .iter()
+            .zip(&self.domains)
+            .filter(|(r, _)| self.vcpus[(*r).clone()].iter().any(active))
+            .map(|(_, d)| u64::from(d.weight()))
+            .sum();
         if active_weight > 0 {
             let pool = self.cfg.credits_per_acct() as i64 * self.cfg.ncpus as i64;
-            for (dom, w, idxs) in &active_doms {
+            for (r, d) in self.dom_vcpus.iter().zip(&self.domains) {
+                let n = self.vcpus[r.clone()].iter().filter(|v| active(v)).count();
+                if n == 0 {
+                    continue;
+                }
                 // Round the share to the nearest credit rather than
                 // truncating: truncation makes a domain burning exactly
                 // its entitlement drift OVER one credit per period.
-                let mut share =
-                    (pool * *w as i64 + active_weight as i64 / 2) / active_weight as i64;
-                let cap = self.domains[dom].cap_percent();
+                let mut share = (pool * d.weight() as i64 + active_weight as i64 / 2)
+                    / active_weight as i64;
+                let cap = d.cap_percent();
                 if cap > 0 {
                     let max = self.cfg.credits_per_acct() as i64 * cap as i64 / 100;
                     share = share.min(max);
                 }
-                let per_vcpu = (share / idxs.len() as i64) as i32;
-                for &i in idxs {
-                    let v = &mut self.vcpus[i];
+                let per_vcpu = (share / n as i64) as i32;
+                for v in self.vcpus[r.clone()].iter_mut().filter(|v| active(v)) {
                     v.credit = (v.credit + per_vcpu).clamp(CREDIT_FLOOR, self.cfg.credit_cap);
                 }
             }
@@ -883,7 +862,7 @@ impl CreditScheduler {
         // domains, reset period counters.
         for i in 0..self.vcpus.len() {
             let dom = self.vcpus[i].dom;
-            let capped = self.domains[&dom].cap_percent() > 0;
+            let capped = self.domains[dom.0 as usize].cap_percent() > 0;
             let now = self.now;
             let v = &mut self.vcpus[i];
             v.consumed_in_period = Nanos::ZERO;
@@ -934,10 +913,12 @@ impl CreditScheduler {
     }
 
     fn resort_runqueues(&mut self) {
-        for pi in 0..self.pcpus.len() {
-            let mut q: Vec<usize> = self.pcpus[pi].runq.drain(..).collect();
-            q.sort_by_key(|&vi| self.vcpus[vi].prio.rank());
-            self.pcpus[pi].runq = q.into();
+        // A stable sort: FIFO order within each priority class survives.
+        let vcpus = &self.vcpus;
+        for p in &mut self.pcpus {
+            p.runq
+                .make_contiguous()
+                .sort_by_key(|&vi| vcpus[vi].prio.rank());
         }
     }
 
@@ -1066,26 +1047,26 @@ impl CreditScheduler {
     }
 
     fn choose_pcpu(&self, vi: usize) -> PcpuId {
-        let allowed: Vec<PcpuId> = (0..self.cfg.ncpus)
-            .map(PcpuId)
-            .filter(|p| self.allowed_on(vi, *p))
-            .collect();
-        debug_assert!(!allowed.is_empty(), "vcpu pinned to no pcpu");
+        let allowed = || {
+            (0..self.cfg.ncpus)
+                .map(PcpuId)
+                .filter(move |p| self.allowed_on(vi, *p))
+        };
         // Prefer an idle pCPU, then the last one used, then the shortest queue.
-        for &p in &allowed {
+        let idle = allowed().find(|p| {
             let pc = &self.pcpus[p.0 as usize];
-            if pc.running.is_none() && pc.runq.is_empty() {
-                return p;
-            }
+            pc.running.is_none() && pc.runq.is_empty()
+        });
+        if let Some(p) = idle {
+            return p;
         }
         let last = self.vcpus[vi].last_pcpu;
-        if allowed.contains(&last) {
+        if allowed().any(|p| p == last) {
             return last;
         }
-        *allowed
-            .iter()
+        allowed()
             .min_by_key(|p| self.pcpus[p.0 as usize].runq.len())
-            .expect("allowed nonempty")
+            .expect("vcpu pinned to no pcpu")
     }
 
     fn wake_vcpu(&mut self, vi: usize, mode: WakeMode, _force_boost: bool) {
@@ -1159,12 +1140,7 @@ impl CreditScheduler {
     }
 
     fn pick_vcpu_for_work(&self, dom: DomId) -> Result<usize, SchedError> {
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?;
-        idxs.iter()
-            .copied()
+        self.vcpus_of(dom)?
             .min_by_key(|&i| self.vcpus[i].work.len())
             .ok_or(SchedError::NoVcpus)
     }
@@ -1448,15 +1424,31 @@ mod tests {
 
     #[test]
     fn unknown_domain_errors() {
+        // Every DomId entry point, for the first id past the dense table
+        // and for one far beyond it: an error or an empty answer, never a
+        // panic.
         let mut s = CreditScheduler::new(SchedConfig::new(1));
-        let ghost = DomId(99);
-        assert!(matches!(
-            s.submit(Nanos::ZERO, ghost, Burst::user(Nanos(1), 0), WakeMode::Plain),
-            Err(SchedError::UnknownDomain(_))
-        ));
-        assert!(s.set_weight(ghost, 512).is_err());
-        assert!(s.boost_front(Nanos::ZERO, ghost).is_err());
-        assert!(s.notify(Nanos::ZERO, ghost).is_err());
+        s.create_domain("a", 256, 2);
+        for ghost in [DomId(1), DomId(u32::MAX)] {
+            let unknown = Err(SchedError::UnknownDomain(ghost));
+            let burst = Burst::user(Nanos(1), 0);
+            assert_eq!(s.submit(Nanos::ZERO, ghost, burst, WakeMode::Plain), unknown);
+            assert_eq!(s.boost_front(Nanos::ZERO, ghost), unknown);
+            assert_eq!(s.notify(Nanos::ZERO, ghost), unknown);
+            assert_eq!(s.grant_credit(ghost, 10), Err(SchedError::UnknownDomain(ghost)));
+            assert_eq!(s.pin_domain(ghost, &[PcpuId(0)]), Err(SchedError::UnknownDomain(ghost)));
+            assert_eq!(s.set_weight(ghost, 512), Err(SchedError::UnknownDomain(ghost)));
+            assert_eq!(s.weight(ghost), Err(SchedError::UnknownDomain(ghost)));
+            assert_eq!(s.set_cap(ghost, 50), Err(SchedError::UnknownDomain(ghost)));
+            assert!(s.domain(ghost).is_none());
+            assert_eq!(s.credit(ghost), None);
+            assert_eq!(s.priority(ghost), None);
+            assert_eq!(s.run_state(ghost), None);
+            assert!(s.credits_all(ghost).is_empty());
+            assert_eq!(s.backlog(ghost), Nanos::ZERO);
+            assert!(s.usage_snapshot().usage(ghost).is_none());
+        }
+        assert_eq!(s.domains().count(), 1);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use crate::{BurstKind, DomId};
 use simcore::Nanos;
-use std::collections::BTreeMap;
 
 /// Accumulated run-state time for one domain over an accounting window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,14 +30,15 @@ impl DomainUsage {
 /// A consistent view of all domains' usage over a window.
 #[derive(Debug, Clone, Default)]
 pub struct RunstateSnapshot {
-    per_dom: BTreeMap<DomId, DomainUsage>,
+    /// Indexed by `DomId.0`.
+    per_dom: Vec<DomainUsage>,
     window: Nanos,
 }
 
 impl RunstateSnapshot {
     /// Usage for one domain, if it exists.
     pub fn usage(&self, dom: DomId) -> Option<&DomainUsage> {
-        self.per_dom.get(&dom)
+        self.per_dom.get(dom.0 as usize)
     }
 
     /// The window length this snapshot covers.
@@ -52,8 +52,7 @@ impl RunstateSnapshot {
         if self.window.is_zero() {
             return 0.0;
         }
-        self.per_dom
-            .get(&dom)
+        self.usage(dom)
             .map(|u| u.running() / self.window * 100.0)
             .unwrap_or(0.0)
     }
@@ -63,8 +62,7 @@ impl RunstateSnapshot {
         if self.window.is_zero() {
             return 0.0;
         }
-        self.per_dom
-            .get(&dom)
+        self.usage(dom)
             .map(|u| u.running_user / self.window * 100.0)
             .unwrap_or(0.0)
     }
@@ -74,8 +72,7 @@ impl RunstateSnapshot {
         if self.window.is_zero() {
             return 0.0;
         }
-        self.per_dom
-            .get(&dom)
+        self.usage(dom)
             .map(|u| u.running_system / self.window * 100.0)
             .unwrap_or(0.0)
     }
@@ -85,40 +82,48 @@ impl RunstateSnapshot {
         if self.window.is_zero() {
             return 0.0;
         }
-        self.per_dom
-            .get(&dom)
+        self.usage(dom)
             .map(|u| u.runnable / self.window * 100.0)
             .unwrap_or(0.0)
     }
 
     /// Iterates over `(domain, usage)` in domain order.
     pub fn iter(&self) -> impl Iterator<Item = (DomId, &DomainUsage)> {
-        self.per_dom.iter().map(|(d, u)| (*d, u))
+        self.per_dom
+            .iter()
+            .enumerate()
+            .map(|(i, u)| (DomId(i as u32), u))
     }
 
     /// Sum of all domains' CPU percentages (percent of one pCPU).
     pub fn total_cpu_percent(&self) -> f64 {
-        self.per_dom
-            .keys()
-            .map(|d| self.cpu_percent(*d))
-            .sum()
+        self.iter().map(|(d, _)| self.cpu_percent(d)).sum()
     }
 }
 
 /// Internal accumulator maintained by the scheduler.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UsageAccum {
-    per_dom: BTreeMap<DomId, DomainUsage>,
+    /// Indexed by `DomId.0`, grown to cover every domain seen.
+    per_dom: Vec<DomainUsage>,
     window_start: Nanos,
 }
 
 impl UsageAccum {
+    fn slot(&mut self, dom: DomId) -> &mut DomainUsage {
+        let i = dom.0 as usize;
+        if i >= self.per_dom.len() {
+            self.per_dom.resize(i + 1, DomainUsage::default());
+        }
+        &mut self.per_dom[i]
+    }
+
     pub(crate) fn register(&mut self, dom: DomId) {
-        self.per_dom.entry(dom).or_default();
+        self.slot(dom);
     }
 
     pub(crate) fn add_running(&mut self, dom: DomId, kind: BurstKind, dt: Nanos) {
-        let u = self.per_dom.entry(dom).or_default();
+        let u = self.slot(dom);
         match kind {
             BurstKind::User => u.running_user += dt,
             BurstKind::System => u.running_system += dt,
@@ -126,11 +131,11 @@ impl UsageAccum {
     }
 
     pub(crate) fn add_runnable(&mut self, dom: DomId, dt: Nanos) {
-        self.per_dom.entry(dom).or_default().runnable += dt;
+        self.slot(dom).runnable += dt;
     }
 
     pub(crate) fn add_blocked(&mut self, dom: DomId, dt: Nanos) {
-        self.per_dom.entry(dom).or_default().blocked += dt;
+        self.slot(dom).blocked += dt;
     }
 
     /// Snapshot the window ending at `now` without resetting.
@@ -143,7 +148,7 @@ impl UsageAccum {
 
     /// Clears all counters and starts a new window at `now`.
     pub(crate) fn reset(&mut self, now: Nanos) {
-        for u in self.per_dom.values_mut() {
+        for u in &mut self.per_dom {
             *u = DomainUsage::default();
         }
         self.window_start = now;

@@ -113,9 +113,11 @@ fn main() {
         Observation::Request { class_id: 7, write: false },
     ];
     let mut bytes_on_wire = 0usize;
+    let mut msgs = Vec::new();
     for (i, obs) in observations.iter().enumerate() {
         let now = Nanos::from_millis(i as u64 * 10);
-        for msg in policy.observe(now, obs) {
+        policy.observe(now, obs, &mut msgs);
+        for msg in msgs.drain(..) {
             let mut buf = Vec::new();
             bytes_on_wire += wire::encode(&msg, &mut buf);
             let (decoded, _) = wire::decode(&buf).expect("round-trip");

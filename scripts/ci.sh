@@ -13,6 +13,20 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> benchmark smoke tests and a digest-checked rubis_rw run"
+# Every operation's digest must match benchmark/digests.txt, so a
+# performance change that moves any simulated result fails here.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload rubis_rw --seconds 3 --trace 0 | tail -n1)
+python3 - "$result" <<'EOF'
+import json, sys
+r = json.loads(sys.argv[1])
+if r.get("correct") is not True:
+    sys.exit(f"benchmark rubis_rw run is not correct: {sys.argv[1]}")
+print(f"    ok: {r['attempted']} rubis_rw operations, every digest pinned")
+EOF
+
 echo "==> bench smoke pass (SIMTEST_BENCH_MODE=smoke)"
 SIMTEST_BENCH_MODE=smoke cargo bench --offline -p bench
 

@@ -58,7 +58,8 @@ fn tune_travels_policy_to_scheduler() {
     let mut mbx: Mailbox<Vec<u8>> = Mailbox::new(Nanos::from_micros(30));
 
     // A read request classified on the IXP at t=0.
-    let msgs = policy.observe(Nanos::ZERO, &Observation::Request { class_id: 1, write: false });
+    let mut msgs = Vec::new();
+    policy.observe(Nanos::ZERO, &Observation::Request { class_id: 1, write: false }, &mut msgs);
     assert!(!msgs.is_empty());
     for m in &msgs {
         let mut buf = Vec::new();
@@ -96,9 +97,11 @@ fn tune_travels_policy_to_scheduler() {
 fn stream_qos_tandem_reaches_both_islands() {
     let mut controller = registered_controller(1, 0);
     let mut policy = StreamQosPolicy::new(X86, 500).with_tandem_ixp(IXP);
-    let msgs = policy.observe(
+    let mut msgs = Vec::new();
+    policy.observe(
         Nanos::ZERO,
         &Observation::StreamInfo { entity: EntityId(1), kbps: 1000, fps: 25 },
+        &mut msgs,
     );
     assert_eq!(msgs.len(), 2);
     let mut islands = Vec::new();
@@ -199,12 +202,14 @@ fn wire_stream_of_policy_output_decodes() {
     let mut policy = RequestTypePolicy::new(EntityId(1), EntityId(2), EntityId(3), X86);
     let mut buf = Vec::new();
     let mut count = 0;
+    let mut msgs = Vec::new();
     for (i, write) in [false, true, false, true, true, false].iter().enumerate() {
-        let msgs = policy.observe(
+        policy.observe(
             Nanos::from_millis(i as u64),
             &Observation::Request { class_id: i as u16, write: *write },
+            &mut msgs,
         );
-        for m in msgs {
+        for m in msgs.drain(..) {
             wire::encode(&m, &mut buf);
             count += 1;
         }

@@ -427,6 +427,36 @@ fn registry_is_bijective() {
 }
 
 #[test]
+fn registry_range_lookup_matches_a_scan_of_all_bindings() {
+    // Few entities and islands, so entities collect several bindings and
+    // their key ranges sit next to each other.
+    let bindings = vec_of(
+        zip3(Gen::u32_in(0, 5), Gen::u16_in(0, 5), Gen::u64_any()),
+        0,
+        60,
+    );
+    check("registry_range_lookup_matches_a_scan_of_all_bindings", &bindings, |bindings| {
+        let mut r = Registry::new();
+        let mut accepted = Vec::new();
+        for &(e, i, k) in bindings {
+            if r.bind(EntityId(e), IslandId(i), k).is_ok() && r.len() > accepted.len() {
+                accepted.push((EntityId(e), IslandId(i), k));
+            }
+        }
+        for e in (0..=6).map(EntityId) {
+            let mut scan: Vec<(IslandId, u64)> = accepted
+                .iter()
+                .filter(|(be, _, _)| *be == e)
+                .map(|&(_, i, k)| (i, k))
+                .collect();
+            scan.sort_by_key(|&(i, _)| i);
+            st_assert_eq!(r.bindings_of(e).collect::<Vec<_>>(), scan, "entity {e}");
+        }
+        Ok(())
+    });
+}
+
+#[test]
 fn token_bucket_respects_long_run_rate() {
     let input = zip3(
         Gen::f64_in(1.0, 1000.0),
