@@ -1,8 +1,9 @@
-//! Churn benchmarks for the timing-wheel [`EventQueue`]: schedule,
-//! cancel, and pop mixes at the three horizon regimes the wheel
-//! distinguishes — imminent (inside the current bucket), near (inside
-//! the wheel span), and far (overflow heap) — plus a mixed workload
-//! shaped like the platform's steady state.
+//! Churn benchmarks for the heap-backed [`EventQueue`]: schedule, cancel,
+//! and pop mixes at three horizon regimes — imminent (about 2 µs), near
+//! (about 1 ms) and far (up to 100 ms) — plus a mixed workload shaped like
+//! the platform's steady state. The heap treats every horizon alike; the
+//! regimes (and bench names) are kept so results compare across
+//! implementations.
 
 use simcore::{EventQueue, Nanos, SimRng};
 use simtest::BenchSuite;
@@ -16,8 +17,9 @@ fn schedule_pop_cycle(rng: &mut SimRng, span: u64, n: u64) -> u64 {
     let mut sum = 0u64;
     for i in 0..n {
         q.schedule(Nanos(now + 1 + rng.next_u64() % span), i);
-        // Drain every other event so the wheel advances as it would in a
-        // live simulation instead of filling up and emptying once.
+        // Drain every other event so virtual time advances as it would in
+        // a live simulation instead of the queue filling up and emptying
+        // once.
         if i % 2 == 1 {
             if let Some((t, v)) = q.pop() {
                 now = t.0;
@@ -34,9 +36,9 @@ fn schedule_pop_cycle(rng: &mut SimRng, span: u64, n: u64) -> u64 {
 fn main() {
     let mut suite = BenchSuite::new("queue");
 
-    // Horizon regimes: imminent events land in the wheel's current
-    // bucket, near events elsewhere in the 512-bucket span, far events
-    // in the overflow heap.
+    // Horizon regimes: imminent events fall within a few microseconds,
+    // near events within about a millisecond, far events up to 100 ms
+    // out (the platform's retransmit and think-time timers).
     let mut rng = SimRng::new(11);
     suite.bench("queue/schedule_pop_imminent_1k", || {
         schedule_pop_cycle(&mut rng, 2_000, 1000)

@@ -43,6 +43,7 @@ fn rubis_w(policy: PolicyKind, label: &str, weights: Option<(u32, u32, u32)>) {
     );
     summary::print_cpu(&r, true);
     summary::print_islands(&r);
+    summary::print_sources(&r);
     println!(
         "  coord: sent {} tunes {} trig {}  net: drops {} link {} deliv {}",
         r.coord.messages_sent,

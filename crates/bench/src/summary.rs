@@ -142,6 +142,25 @@ pub fn print_islands(r: &RunReport) {
     );
 }
 
+/// Prints the deterministic per-source dispatch counts of a run, in
+/// registry order, with each source's share of all dispatches.
+pub fn print_sources(r: &RunReport) {
+    let total = r.sim_rate.events.max(1) as f64;
+    let cols: Vec<String> = r
+        .events_by_source
+        .iter()
+        .map(|s| {
+            format!(
+                "{} {} ({:.1}%)",
+                s.name,
+                s.events,
+                100.0 * s.events as f64 / total
+            )
+        })
+        .collect();
+    println!("  sources: {}", cols.join("  "));
+}
+
 /// Prints a fleet run's per-shard event/coordination counters plus the
 /// bus and tree totals (the `probe fleet` view).
 pub fn print_fleet(r: &fleet::FleetReport) {

@@ -20,7 +20,7 @@
 use crate::monitor::BufferMonitor;
 use crate::{AppTag, CostModel, FlowId, IxpGeometry, Packet, ThreadPool};
 use simcore::{EventQueue, Nanos};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration for an [`IxpIsland`].
 #[derive(Debug, Clone, PartialEq)]
@@ -150,7 +150,7 @@ struct FlowState {
     window: u32,
     window_max: u32,
     /// Packets that finished queue service but found the window closed.
-    awaiting_window: Vec<Packet>,
+    awaiting_window: VecDeque<Packet>,
 }
 
 /// The IXP island state machine. See the module-level documentation for
@@ -208,7 +208,7 @@ impl IxpIsland {
             stats: FlowStats::default(),
             window: self.cfg.host_window,
             window_max: self.cfg.host_window,
-            awaiting_window: Vec::new(),
+            awaiting_window: VecDeque::new(),
         });
         self.vm_to_flow.insert(vm, id);
         id
@@ -373,18 +373,16 @@ impl IxpIsland {
         };
         f.window = (f.window + n).min(f.window_max);
         // Release packets that were blocked on the window.
-        while f.window > 0 && !f.awaiting_window.is_empty() {
-            let pkt = f.awaiting_window.remove(0);
+        while f.window > 0 {
+            let Some(pkt) = f.awaiting_window.pop_front() else {
+                break;
+            };
             f.window -= 1;
             f.stats.delivered += 1;
             out.push(IxpEvent::DeliverToHost { flow, pkt, at: now });
         }
         // Freed queue space may admit new services.
-        let mut starts = Vec::new();
         while let Some(pkt) = f.pool.start_next() {
-            starts.push(pkt);
-        }
-        for pkt in starts {
             let t = now + Self::flow_service(&self.cfg, &pkt);
             self.q.schedule(
                 t,
@@ -564,7 +562,7 @@ impl IxpIsland {
                         at: t,
                     });
                 } else {
-                    f.awaiting_window.push(ev.pkt);
+                    f.awaiting_window.push_back(ev.pkt);
                 }
                 self.check_monitor(flow, t, out);
             }

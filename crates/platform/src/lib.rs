@@ -54,7 +54,7 @@ pub use config::{
 pub use pdes::LookaheadPlan;
 pub use report::{
     AccelReport, AccelTenantReport, CoordReport, DomCpu, EnergyReport, IslandEvents, NetReport,
-    PlayerReport, PowerReport, RubisReport, RunReport, SimRate,
+    PlayerReport, PowerReport, RubisReport, RunReport, SimRate, SourceEvents,
 };
 pub use trace_event::TraceEvent;
 pub use world::Platform;

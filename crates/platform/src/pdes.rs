@@ -54,8 +54,8 @@
 //! future PR that re-baselines artifacts can widen the parallel region
 //! without re-deriving the structure.
 
-use crate::report::IslandEvents;
-use crate::world::Platform;
+use crate::report::{IslandEvents, SourceEvents};
+use crate::world::{horizon::NSRC, Platform, SOURCES};
 use simcore::{Component, Nanos};
 
 /// Island index of the x86 host (queue, sched, link, mailboxes, retx).
@@ -66,6 +66,8 @@ pub(crate) const IXP_ISLAND: usize = 1;
 pub(crate) const ACCEL_ISLAND: usize = 2;
 /// Number of scheduling islands.
 pub(crate) const N_ISLANDS: usize = 3;
+/// Island names, indexed by the island consts.
+const ISLAND_NAMES: [&str; N_ISLANDS] = ["x86", "ixp", "accel"];
 
 /// Epoch barriers between two threaded island-horizon services. Barrier
 /// *accounting* happens at every epoch crossing (cheap: a counter and,
@@ -101,10 +103,9 @@ pub struct LookaheadPlan {
 /// Per-run PDES bookkeeping accumulated by the master loop.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PdesStats {
-    /// Total events dispatched.
-    pub events: u64,
-    /// Events dispatched per island (indexed by the island consts).
-    pub by_island: [u64; N_ISLANDS],
+    /// Events dispatched per source (indexed like [`SOURCES`]); the
+    /// island and total counts fold from these.
+    pub by_source: [u64; NSRC],
     /// Epoch barriers crossed.
     pub sync_points: u64,
     /// The conservative epoch the run used.
@@ -116,20 +117,41 @@ pub(crate) struct PdesStats {
 impl PdesStats {
     pub(crate) fn new(epoch: Nanos, threads: usize) -> Self {
         PdesStats {
-            events: 0,
-            by_island: [0; N_ISLANDS],
+            by_source: [0; NSRC],
             sync_points: 0,
             epoch,
             threads,
         }
     }
 
+    /// Total events dispatched.
+    pub(crate) fn events(&self) -> u64 {
+        self.by_source.iter().sum()
+    }
+
+    /// The per-source report block, in registry order.
+    pub(crate) fn source_events(&self) -> Vec<SourceEvents> {
+        SOURCES
+            .iter()
+            .zip(self.by_source)
+            .map(|(spec, events)| SourceEvents {
+                name: spec.name,
+                island: ISLAND_NAMES[spec.island],
+                events,
+            })
+            .collect()
+    }
+
     /// The report block (deterministic: identical for any thread count).
     pub(crate) fn island_events(&self) -> IslandEvents {
+        let mut by_island = [0; N_ISLANDS];
+        for (spec, n) in SOURCES.iter().zip(self.by_source) {
+            by_island[spec.island] += n;
+        }
         IslandEvents {
-            x86: self.by_island[X86_ISLAND],
-            ixp: self.by_island[IXP_ISLAND],
-            accel: self.by_island[ACCEL_ISLAND],
+            x86: by_island[X86_ISLAND],
+            ixp: by_island[IXP_ISLAND],
+            accel: by_island[ACCEL_ISLAND],
             sync_points: self.sync_points,
             island_threads: self.threads as u64,
             epoch_ns: self.epoch.as_nanos(),

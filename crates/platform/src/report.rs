@@ -244,6 +244,23 @@ impl IslandEvents {
     }
 }
 
+/// Deterministic dispatch count of one master-loop event source (one
+/// entry of the platform's source registry: `queue`, `sched`, `ixp`,
+/// `link`, `coord-mbx`, `ack-mbx`, `retx`, `accel`, `accel-mbx`).
+///
+/// The counts sum to [`SimRate::events`] and fold by `island` onto
+/// [`IslandEvents`]. They are diagnostics: no digest or CSV reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SourceEvents {
+    /// The source's registry name.
+    pub name: &'static str,
+    /// The scheduling island the source belongs to: `x86`, `ixp` or
+    /// `accel`.
+    pub island: &'static str,
+    /// Events the master loop dispatched to this source.
+    pub events: u64,
+}
+
 /// Simulator throughput over one run (wall-clock instrumentation).
 ///
 /// These fields describe the *simulator*, not the simulated system: they
@@ -297,6 +314,8 @@ pub struct RunReport {
     pub sim_rate: SimRate,
     /// Deterministic per-island event counts and PDES barrier accounting.
     pub events_by_island: IslandEvents,
+    /// Deterministic per-source event counts, in registry order.
+    pub events_by_source: Vec<SourceEvents>,
 }
 
 impl RunReport {

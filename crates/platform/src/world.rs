@@ -357,8 +357,7 @@ pub(crate) mod horizon {
 /// assignments in [`horizon`]; `island` places the source in the PDES
 /// partition defined in [`crate::pdes`].
 pub(crate) struct SourceSpec {
-    /// Short stable name (read by the debug-build invariant sweep).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    /// Short stable name (the report's `events_by_source` key).
     pub name: &'static str,
     /// PDES island index ([`crate::pdes::X86_ISLAND`] etc.).
     pub island: usize,
@@ -1025,8 +1024,7 @@ impl Platform {
                 next_barrier = pdes::next_boundary(t, plan.epoch);
             }
             self.now = t;
-            stats.events += 1;
-            stats.by_island[SOURCES[src].island] += 1;
+            stats.by_source[src] += 1;
             // Dispatching a source always perturbs it (its head event is
             // consumed), so its entry is unconditionally dirty; anything
             // else the handler touches marks itself at the mutation site.
@@ -1933,7 +1931,7 @@ impl Platform {
         stats: pdes::PdesStats,
         wall_micros: u64,
     ) -> RunReport {
-        let events = stats.events;
+        let events = stats.events();
         let snap = self.sched.usage_snapshot();
         let mut cpu = Vec::new();
         let mut total = 0.0;
@@ -2116,6 +2114,7 @@ impl Platform {
                 },
             },
             events_by_island: stats.island_events(),
+            events_by_source: stats.source_events(),
         }
     }
 

@@ -1,10 +1,13 @@
-//! Proves the master loop's steady-state dispatch (almost) never allocates.
+//! Proves the master loop's steady-state dispatch (almost) never allocates,
+//! and bounds what building a platform allocates.
 //!
 //! A counting global allocator measures two runs of one seed, 20 s and
 //! 80 s of simulated time. Building the platform, warming its buffers up
 //! to their high-water sizes and writing the report cost about the same
 //! in both, so the extra allocations of the longer run over its extra
-//! dispatched events are what one steady-state event costs. Counters are
+//! dispatched events are what one steady-state event costs. The same
+//! allocator also counts requested bytes, so construction cost is pinned
+//! separately. Counters are
 //! per thread, so the harness and the other test in this binary cannot
 //! leak into a measurement. This binary installs its own
 //! `#[global_allocator]`.
@@ -16,16 +19,19 @@ use platform::{
     AdversarySpec, FaultProfile, Jitter, Platform, PlatformBuilder, PolicerConfig, PolicyKind,
     ReliableConfig, RubisScenario,
 };
-use simcore::Nanos;
+use simcore::{EventQueue, Nanos};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts one allocation request of `bytes` bytes.
+fn count(bytes: usize) {
     // `try_with`: allocations while a thread's locals are torn down go
     // uncounted instead of panicking inside the allocator.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 struct CountingAlloc;
@@ -35,17 +41,17 @@ struct CountingAlloc;
 // allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -114,4 +120,36 @@ fn faulty_channel_dispatch_allocates_almost_nothing() {
             .build_rubis(RubisScenario::read_write_mix(24))
     });
     assert!(per_event <= 0.1, "{per_event:.4} allocations per event");
+}
+
+/// Allocation requests and requested bytes while `f` runs.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    (
+        ALLOCS.with(Cell::get) - allocs,
+        BYTES.with(Cell::get) - bytes,
+        out,
+    )
+}
+
+#[test]
+fn empty_event_queue_allocates_nothing() {
+    let (allocs, bytes, q) = allocated_by(EventQueue::<u32>::new);
+    assert_eq!((allocs, bytes), (0, 0), "a new queue reserves no storage");
+    drop(q);
+}
+
+/// Bytes that building the default RUBiS platform may request: about
+/// 17 KiB measured, with headroom.
+const BUILD_BYTES_MAX: u64 = 32 * 1024;
+
+#[test]
+fn building_the_default_rubis_platform_is_cheap() {
+    // Every island's event queue starts empty, so construction pays only
+    // for the platform's own tables.
+    let (_, bytes, sim) =
+        allocated_by(|| PlatformBuilder::new().build_rubis(RubisScenario::read_write_mix(24)));
+    assert!(bytes <= BUILD_BYTES_MAX, "building allocated {bytes} bytes");
+    drop(sim);
 }

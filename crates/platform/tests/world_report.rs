@@ -2,7 +2,10 @@
 //! asserting the accounting identities a `RunReport` promises.
 
 use coord::PolicyKind;
-use platform::{MplayerScenario, PlatformBuilder, RubisScenario};
+use platform::{
+    FaultProfile, InferenceScenario, MplayerScenario, PlatformBuilder, ReliableConfig,
+    RubisScenario,
+};
 use power::Strategy;
 use simcore::Nanos;
 
@@ -223,4 +226,61 @@ fn coordinated_energy_controller_descends_under_headroom() {
     // Residency spread: the run left the full-performance rung.
     let off_nominal: u64 = coord.energy.residency.iter().skip(1).map(|&(_, n)| n).sum();
     assert!(off_nominal > 0, "residency at a lower rung: {:?}", coord.energy.residency);
+}
+
+#[test]
+fn source_counts_sum_to_events_and_fold_onto_islands() {
+    let faulty = PlatformBuilder::new()
+        .seed(7)
+        .policy(PolicyKind::RequestType)
+        .fault_profile(FaultProfile::none().with_drop(0.2).with_dup(0.05))
+        .reliable_delivery(ReliableConfig::default())
+        .build_rubis(RubisScenario::read_write_mix(8));
+    let inference = PlatformBuilder::new()
+        .seed(7)
+        .policy(PolicyKind::InferenceBatch)
+        .build_inference(InferenceScenario::mixed_tenants());
+    let mut live = std::collections::BTreeSet::new();
+    for mut sim in [faulty, inference] {
+        let r = sim.run(Nanos::from_secs(5));
+        let names: Vec<_> = r.events_by_source.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "queue",
+                "sched",
+                "ixp",
+                "link",
+                "coord-mbx",
+                "ack-mbx",
+                "retx",
+                "accel",
+                "accel-mbx"
+            ],
+            "one entry per registry source, in registry order"
+        );
+        let total: u64 = r.events_by_source.iter().map(|s| s.events).sum();
+        assert_eq!(total, r.sim_rate.events);
+        let island = |name: &str| -> u64 {
+            r.events_by_source
+                .iter()
+                .filter(|s| s.island == name)
+                .map(|s| s.events)
+                .sum()
+        };
+        let i = &r.events_by_island;
+        assert_eq!(
+            (island("x86"), island("ixp"), island("accel")),
+            (i.x86, i.ixp, i.accel)
+        );
+        live.extend(
+            r.events_by_source
+                .iter()
+                .filter(|s| s.events > 0)
+                .map(|s| s.name),
+        );
+    }
+    // Between them the two runs exercise every source, so the fold is
+    // checked on live counts, not zeros.
+    assert_eq!(live.len(), 9, "sources never dispatched: {live:?}");
 }

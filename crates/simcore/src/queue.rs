@@ -1,44 +1,30 @@
 //! Time-ordered event queue with FIFO tie-breaking and cancellation,
-//! implemented as a hierarchical timing wheel.
+//! implemented as a binary min-heap over a generation-tagged slab.
 //!
 //! The queue is the innermost loop of every simulation in the workspace:
 //! the master platform loop, the IXP pipeline, the PCIe link, the
-//! coordination mailboxes and the accelerator all drain through one. At
-//! packet-rate event densities the classic `BinaryHeap + HashSet`
-//! implementation pays a hash insert on every `schedule` and a hash
-//! remove (plus a top sweep) on every `pop`; the wheel replaces both with
-//! O(1) array work:
+//! coordination mailboxes and the accelerator all drain through one.
+//! These queues hold tens to a few hundred entries, and many of them are
+//! long timers (retransmission timeouts, client think times, sample
+//! ticks), so one `BinaryHeap` ordered by `(time, seq)` is both the
+//! simplest and the fastest index: every entry is pushed and popped
+//! exactly once, whatever its horizon.
 //!
-//! * **Near wheel** — `BUCKETS` fixed-width buckets of `BUCKET_WIDTH`
-//!   nanoseconds each, covering a ~1 ms window from the wheel cursor.
-//!   Scheduling into the window is a `Vec::push` into the bucket indexed
-//!   by `(time / width) % BUCKETS`; an occupancy bitmap finds the next
-//!   non-empty bucket in O(words) regardless of sparsity.
-//! * **Imminent heap** (`cur`) — the entries of the cursor's own bucket,
-//!   kept as a tiny binary heap ordered by `(time, seq)` so pops inside
-//!   one bucket window come out in exact global order.
-//! * **Overflow heap** (`far`) — events beyond the wheel span. As the
-//!   cursor advances, due overflow entries migrate into the wheel.
-//! * **Slab with generation tags** — payloads live in a slab; buckets and
-//!   heaps store 24-byte `(time, seq, slot, gen)` entries. An
-//!   [`EventKey`] packs `(slot, gen)`, so `cancel` is a bounds check and
-//!   a generation compare — no hashing — and a stale entry anywhere in
-//!   the structure is recognized by its generation mismatch and skipped.
+//! * **Slab with generation tags** — payloads live in a slab; the heap
+//!   stores 24-byte `(time, seq, slot, gen)` entries. An [`EventKey`]
+//!   packs `(slot, gen)`, so `cancel` is a bounds check and a generation
+//!   compare — no hashing. A cancelled entry stays in the heap as a
+//!   tombstone, recognized by its generation mismatch and skipped.
+//! * **Eager head** — tombstones are swept off the heap's top on every
+//!   mutation, so the top is always live and [`EventQueue::peek_time`] is
+//!   a read-only load.
+//! * **Amortized compaction** — once tombstones outnumber live entries
+//!   the heap is rebuilt without them (`BinaryHeap::retain`), so heavy
+//!   cancel traffic cannot grow storage without bound.
 
 use crate::Nanos;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Number of near-wheel buckets (power of two).
-const BUCKETS: usize = 512;
-/// log2 of the bucket width in nanoseconds (2^11 = 2.048 µs).
-const WIDTH_SHIFT: u32 = 11;
-/// Bucket width in nanoseconds.
-const BUCKET_WIDTH: u64 = 1 << WIDTH_SHIFT;
-/// The wheel covers `[wheel_start, wheel_start + SPAN)` — just over 1 ms.
-const SPAN: u64 = (BUCKETS as u64) << WIDTH_SHIFT;
-/// Words in the bucket-occupancy bitmap.
-const WORDS: usize = BUCKETS / 64;
 
 /// An opaque handle identifying a scheduled event, usable to cancel it.
 ///
@@ -60,9 +46,9 @@ impl EventKey {
     }
 }
 
-/// A 24-byte index entry stored in buckets and heaps; the payload stays
-/// in the slab. `(slot, gen)` identifies the slab record (a mismatch
-/// marks a tombstone), `(time, seq)` gives the deterministic total order.
+/// A 24-byte heap entry; the payload stays in the slab. `(slot, gen)`
+/// identifies the slab record (a mismatch marks a tombstone), `(time,
+/// seq)` gives the deterministic total order.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: Nanos,
@@ -88,14 +74,12 @@ impl Ord for Entry {
     }
 }
 
+/// A payload slot: occupied (`event` is `Some`) or on the free list.
 #[derive(Debug)]
 struct Slot<E> {
-    /// Bumped every time the slot is freed; an index entry whose `gen`
+    /// Bumped every time the slot is freed; a heap entry whose `gen`
     /// does not match is a tombstone.
     gen: u32,
-    /// The event's scheduled time while occupied (drives the cached-head
-    /// check in `cancel`).
-    time: Nanos,
     event: Option<E>,
 }
 
@@ -125,28 +109,11 @@ struct Slot<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
+    /// Indices of the unoccupied slots.
     free: Vec<u32>,
-    /// Near-wheel buckets; the cursor's own bucket is always empty (its
-    /// entries live in `cur`).
-    near: Vec<Vec<Entry>>,
-    /// Bit i set ⇔ `near[i]` is non-empty.
-    occupied: [u64; WORDS],
-    /// Entries with `time < wheel_start + BUCKET_WIDTH` (including any
-    /// scheduled in the past), ordered by `(time, seq)`.
-    cur: BinaryHeap<Reverse<Entry>>,
-    /// Entries beyond the wheel span, ordered by `(time, seq)`.
-    far: BinaryHeap<Reverse<Entry>>,
-    /// Start of the cursor bucket's window; always a multiple of
-    /// `BUCKET_WIDTH`.
-    wheel_start: u64,
-    /// Index entries physically stored in `near` (incl. tombstones).
-    near_stored: usize,
-    /// Live (non-cancelled, non-popped) events.
-    len: usize,
-    /// Index entries physically stored anywhere (incl. tombstones).
-    stored: usize,
-    /// Cached minimum live time; `None` iff the queue is empty.
-    head: Option<Nanos>,
+    /// Every scheduled entry, tombstones included, ordered by `(time,
+    /// seq)`; its top is live whenever any event is pending.
+    heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
 }
 
@@ -157,20 +124,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue.
+    /// Creates an empty queue. Allocates nothing until the first
+    /// `schedule`.
     pub fn new() -> Self {
         EventQueue {
             slots: Vec::new(),
             free: Vec::new(),
-            near: (0..BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; WORDS],
-            cur: BinaryHeap::new(),
-            far: BinaryHeap::new(),
-            wheel_start: 0,
-            near_stored: 0,
-            len: 0,
-            stored: 0,
-            head: None,
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -182,40 +142,17 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
-                let rec = &mut self.slots[s as usize];
-                rec.time = time;
-                rec.event = Some(event);
+                self.slots[s as usize].event = Some(event);
                 s
             }
             None => {
-                self.slots.push(Slot { gen: 0, time, event: Some(event) });
+                self.slots.push(Slot { gen: 0, event: Some(event) });
                 (self.slots.len() - 1) as u32
             }
         };
         let gen = self.slots[slot as usize].gen;
-        self.insert(Entry { time, seq, slot, gen });
-        self.len += 1;
-        self.head = Some(match self.head {
-            Some(h) => h.min(time),
-            None => time,
-        });
+        self.heap.push(Reverse(Entry { time, seq, slot, gen }));
         EventKey::new(slot, gen)
-    }
-
-    /// Routes an index entry to `cur`, a near bucket, or `far`.
-    fn insert(&mut self, e: Entry) {
-        self.stored += 1;
-        let t = e.time.0;
-        if t < self.wheel_start.saturating_add(BUCKET_WIDTH) {
-            self.cur.push(Reverse(e));
-        } else if t < self.wheel_start.saturating_add(SPAN) {
-            let idx = ((t >> WIDTH_SHIFT) as usize) & (BUCKETS - 1);
-            self.near[idx].push(e);
-            self.occupied[idx / 64] |= 1 << (idx % 64);
-            self.near_stored += 1;
-        } else {
-            self.far.push(Reverse(e));
-        }
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event was
@@ -226,73 +163,51 @@ impl<E> EventQueue<E> {
         if s >= self.slots.len() {
             return false;
         }
-        let rec = &mut self.slots[s];
+        let rec = &self.slots[s];
         if rec.gen != key.gen() || rec.event.is_none() {
             return false;
         }
-        let time = rec.time;
-        rec.event = None;
-        rec.gen = rec.gen.wrapping_add(1);
-        self.free.push(key.slot());
-        self.len -= 1;
-        if self.len == 0 {
-            self.reset_storage();
-        } else if Some(time) == self.head {
-            self.fix_head();
-        }
+        self.release(key.slot());
+        self.sweep_top();
         self.maybe_compact();
         true
     }
 
     /// The time of the earliest pending (non-cancelled) event.
     ///
-    /// The head is maintained eagerly on `schedule`/`cancel`/`pop`, so this
+    /// Tombstones are swept off the heap's top on every mutation, so this
     /// is a read-only O(1) load.
     pub fn peek_time(&self) -> Option<Nanos> {
-        self.head
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Removes and returns the earliest pending event with its time.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.advance_to_head();
-        loop {
-            let Reverse(e) = self.cur.pop().expect("len > 0: a live entry is reachable");
-            self.stored -= 1;
-            let rec = &mut self.slots[e.slot as usize];
-            if rec.gen != e.gen {
-                continue; // tombstone
-            }
-            let event = rec.event.take().expect("generation-matched slot is occupied");
-            rec.gen = rec.gen.wrapping_add(1);
-            self.free.push(e.slot);
-            self.len -= 1;
-            if self.len == 0 {
-                self.reset_storage();
-            } else {
-                self.fix_head();
-            }
-            return Some((e.time, event));
-        }
+        let Reverse(e) = self.heap.pop()?;
+        let event = self.slots[e.slot as usize]
+            .event
+            .take()
+            .expect("the heap's top is live");
+        self.release(e.slot);
+        self.sweep_top();
+        Some((e.time, event))
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.len
+        self.slots.len() - self.free.len()
     }
 
     /// `true` if no pending events remain.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Index entries physically stored, including cancelled tombstones that
+    /// Heap entries physically stored, including cancelled tombstones that
     /// have not been swept or compacted yet (diagnostics; tests assert the
     /// compaction bound through this).
     pub fn storage_len(&self) -> usize {
-        self.stored
+        self.heap.len()
     }
 
     /// Pops the head event if it is due at or before `now`, appending it
@@ -300,195 +215,43 @@ impl<E> EventQueue<E> {
     /// events keep their FIFO order across successive advances, so the
     /// master loop's tie-break stays with the loop, not the queue.
     fn advance_due(&mut self, now: Nanos, out: &mut Vec<(Nanos, E)>) {
-        if self.head.is_some_and(|t| t <= now) {
+        if self.peek_time().is_some_and(|t| t <= now) {
             let (t, e) = self.pop().expect("head is live");
             out.push((t, e));
         }
     }
 
-    /// Recomputes the cached head after the previous minimum was removed.
-    /// Requires `len > 0`.
-    fn fix_head(&mut self) {
-        self.advance_to_head();
-        self.head = self.cur.peek().map(|Reverse(e)| e.time);
-        debug_assert!(self.head.is_some(), "len > 0 but no live entry found");
+    /// Frees a slot whose event was popped or cancelled: the generation
+    /// bump turns its heap entry (if still stored) into a tombstone.
+    fn release(&mut self, slot: u32) {
+        let rec = &mut self.slots[slot as usize];
+        rec.event = None;
+        rec.gen = rec.gen.wrapping_add(1);
+        self.free.push(slot);
     }
 
-    /// Advances the wheel until the top of `cur` is the live global
-    /// minimum. Requires `len > 0` on entry.
-    fn advance_to_head(&mut self) {
-        loop {
-            // Sweep tombstones off the imminent heap's top.
-            while let Some(Reverse(e)) = self.cur.peek() {
-                if self.slots[e.slot as usize].gen == e.gen {
-                    return; // live minimum found
-                }
-                self.cur.pop();
-                self.stored -= 1;
-            }
-            // `cur` is empty: move the window to the next candidate —
-            // the nearest occupied bucket or the overflow top, whichever
-            // is earlier.
-            while let Some(Reverse(e)) = self.far.peek() {
-                if self.slots[e.slot as usize].gen == e.gen {
-                    break;
-                }
-                self.far.pop();
-                self.stored -= 1;
-            }
-            let bucket = (self.near_stored > 0).then(|| self.next_bucket());
-            let far_t = self.far.peek().map(|Reverse(e)| e.time.0);
-            match (bucket, far_t) {
-                (Some((idx, start)), far) => {
-                    if far.is_none_or(|f| start <= f) {
-                        // Jump the cursor to that bucket and drain it
-                        // into `cur`, dropping tombstones on the way.
-                        self.wheel_start = start;
-                        self.drain_bucket(idx);
-                    } else {
-                        self.wheel_start =
-                            (far.expect("checked") >> WIDTH_SHIFT) << WIDTH_SHIFT;
-                    }
-                    self.migrate_far();
-                }
-                (None, Some(f)) => {
-                    // Everything pending is past the wheel span: jump the
-                    // window to the overflow top and pull due entries in.
-                    self.wheel_start = (f >> WIDTH_SHIFT) << WIDTH_SHIFT;
-                    self.migrate_far();
-                }
-                (None, None) => {
-                    debug_assert_eq!(self.len, 0, "live entries but empty storage");
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Finds the nearest occupied bucket at or after the cursor,
-    /// returning `(bucket index, window start time)`. Requires
-    /// `near_stored > 0`.
-    fn next_bucket(&self) -> (usize, u64) {
-        let cursor = ((self.wheel_start >> WIDTH_SHIFT) as usize) & (BUCKETS - 1);
-        // Scan the circular bitmap starting at the cursor. The cursor's
-        // own bucket is always empty (its entries live in `cur`), but a
-        // set bit there after wrap-around means a full revolution.
-        let mut dist = usize::MAX;
-        for w in 0..=WORDS {
-            let wi = (cursor / 64 + w) % WORDS;
-            let mut word = self.occupied[wi];
-            if w == 0 {
-                word &= !0u64 << (cursor % 64); // ignore bits before cursor
-            }
-            if word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                let idx = wi * 64 + bit;
-                // The cursor's own bucket is never occupied, so a set bit
-                // always lies strictly ahead (mod BUCKETS).
-                dist = (idx + BUCKETS - cursor) % BUCKETS;
-                break;
-            }
-        }
-        debug_assert_ne!(dist, usize::MAX, "near_stored > 0 but bitmap empty");
-        let start = self.wheel_start + ((dist as u64) << WIDTH_SHIFT);
-        (((cursor + dist) % BUCKETS), start)
-    }
-
-    /// Moves one bucket's entries into `cur`, dropping tombstones.
-    fn drain_bucket(&mut self, idx: usize) {
-        let mut bucket = std::mem::take(&mut self.near[idx]);
-        self.near_stored -= bucket.len();
-        self.occupied[idx / 64] &= !(1 << (idx % 64));
-        for e in bucket.drain(..) {
+    /// Drops tombstones off the heap's top until it is live or empty.
+    fn sweep_top(&mut self) {
+        while let Some(Reverse(e)) = self.heap.peek() {
             if self.slots[e.slot as usize].gen == e.gen {
-                self.cur.push(Reverse(e));
-            } else {
-                self.stored -= 1;
+                return;
             }
-        }
-        // Hand the (empty, but allocated) Vec back so steady-state bucket
-        // traffic reuses its capacity.
-        self.near[idx] = bucket;
-    }
-
-    /// Pulls overflow entries that now fall inside the wheel span into
-    /// the wheel (or `cur`).
-    fn migrate_far(&mut self) {
-        let end = self.wheel_start.saturating_add(SPAN);
-        while let Some(Reverse(e)) = self.far.peek() {
-            if e.time.0 >= end {
-                break;
-            }
-            let Reverse(e) = self.far.pop().expect("peeked");
-            self.stored -= 1;
-            if self.slots[e.slot as usize].gen == e.gen {
-                self.insert(e); // re-routes into `cur` or a near bucket
-            }
+            self.heap.pop();
         }
     }
 
-    /// Drops every stored index entry; valid only when `len == 0` (all
-    /// remaining entries are tombstones). Keeps bucket capacity.
-    fn reset_storage(&mut self) {
-        debug_assert_eq!(self.len, 0);
-        self.head = None;
-        self.cur.clear();
-        self.far.clear();
-        if self.near_stored > 0 {
-            for w in 0..WORDS {
-                let mut word = self.occupied[w];
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.near[w * 64 + bit].clear();
-                }
-            }
-        }
-        self.occupied = [0; WORDS];
-        self.near_stored = 0;
-        self.stored = 0;
-    }
-
-    /// Rebuilds the index without tombstones once they outnumber live
+    /// Rebuilds the heap without tombstones once they outnumber live
     /// entries. The O(n) rebuild is amortized: it frees at least half the
     /// storage, so each cancelled entry is moved O(1) times on average.
     fn maybe_compact(&mut self) {
-        let dead = self.stored - self.len;
-        if dead <= self.len || self.stored < 64 {
+        let (stored, live) = (self.heap.len(), self.len());
+        if stored - live <= live || stored < 64 {
             return;
         }
-        let mut live: Vec<Entry> = Vec::with_capacity(self.len);
-        let keep = |slots: &[Slot<E>], e: &Entry| slots[e.slot as usize].gen == e.gen;
-        for Reverse(e) in self.cur.drain() {
-            if keep(&self.slots, &e) {
-                live.push(e);
-            }
-        }
-        for Reverse(e) in self.far.drain() {
-            if keep(&self.slots, &e) {
-                live.push(e);
-            }
-        }
-        for w in 0..WORDS {
-            let mut word = self.occupied[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let idx = w * 64 + bit;
-                for e in std::mem::take(&mut self.near[idx]) {
-                    if keep(&self.slots, &e) {
-                        live.push(e);
-                    }
-                }
-            }
-        }
-        self.occupied = [0; WORDS];
-        self.near_stored = 0;
-        self.stored = 0;
-        for e in live {
-            self.insert(e);
-        }
-        debug_assert_eq!(self.stored, self.len);
+        let slots = &self.slots;
+        self.heap
+            .retain(|Reverse(e)| slots[e.slot as usize].gen == e.gen);
+        debug_assert_eq!(self.heap.len(), live);
     }
 }
 
@@ -623,9 +386,8 @@ mod tests {
     }
 
     #[test]
-    fn far_events_migrate_through_the_wheel() {
-        // Spread events across the cur window, the near wheel, the
-        // overflow heap, and multiple wheel wraps.
+    fn wide_horizons_pop_in_sorted_order() {
+        // Horizons from nanoseconds to 50 ms, scheduled out of order.
         let mut q = EventQueue::new();
         let times: Vec<u64> = (0..500)
             .map(|i| (i * 2_654_435_761u64) % 50_000_000) // up to 50 ms
@@ -646,11 +408,11 @@ mod tests {
     #[test]
     fn schedule_in_the_past_still_pops_first() {
         let mut q = EventQueue::new();
-        q.schedule(Nanos(10_000_000), 'f'); // advances the wheel on pop
+        q.schedule(Nanos(10_000_000), 'f');
         q.schedule(Nanos(1), 'p');
         assert_eq!(q.pop(), Some((Nanos(1), 'p')));
-        // After the wheel advanced to 10 ms, a past-time schedule still
-        // comes out ahead of the far event.
+        // A schedule behind the last popped time still comes out ahead
+        // of the far event.
         assert_eq!(q.peek_time(), Some(Nanos(10_000_000)));
         q.schedule(Nanos(5), 'q');
         assert_eq!(q.peek_time(), Some(Nanos(5)));

@@ -13,19 +13,24 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> benchmark smoke tests and a digest-checked rubis_rw run"
+echo "==> benchmark smoke tests and a digest-checked run of every workload"
 # Every operation's digest must match benchmark/digests.txt, so a
-# performance change that moves any simulated result fails here.
+# performance change that moves any simulated result fails here. The four
+# workloads cover the RUBiS host path, the faulty coordination channel,
+# the accelerator and the fleet.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload rubis_rw --seconds 3 --trace 0 | tail -n1)
-python3 - "$result" <<'EOF'
+for workload in rubis_rw coord_storm inference_mix fleet_lossy; do
+    result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 2 --trace 0 | tail -n1)
+    python3 - "$workload" "$result" <<'EOF'
 import json, sys
-r = json.loads(sys.argv[1])
+workload, line = sys.argv[1:3]
+r = json.loads(line)
 if r.get("correct") is not True:
-    sys.exit(f"benchmark rubis_rw run is not correct: {sys.argv[1]}")
-print(f"    ok: {r['attempted']} rubis_rw operations, every digest pinned")
+    sys.exit(f"benchmark {workload} run is not correct: {line}")
+print(f"    ok: {r['attempted']} {workload} operations, every digest pinned")
 EOF
+done
 
 echo "==> bench smoke pass (SIMTEST_BENCH_MODE=smoke)"
 SIMTEST_BENCH_MODE=smoke cargo bench --offline -p bench

@@ -151,10 +151,10 @@ fn event_queue_interleaving_matches_reference_model() {
 #[test]
 fn event_queue_matches_sorted_vec_reference_across_horizons() {
     // Differential test against a naive sorted-vec model, with offsets
-    // drawn from three horizon classes that each stress a different tier
-    // of the timing wheel: inside one bucket, across the near wheel's
-    // span, and far beyond it (the overflow heap). Pops drag the wheel's
-    // cursor forward so migrations between tiers happen mid-sequence.
+    // drawn from three horizon classes spanning five orders of magnitude:
+    // a couple of microseconds, about a millisecond, and up to 100 ms
+    // (the platform's RTOs and think times). Pops move `now` forward, so
+    // new events interleave with long-pending ones.
     let ops = vec_of(
         zip3(Gen::u64_in(0, 5), Gen::u64_in(0, 2), Gen::u64_in(0, u64::MAX / 2)),
         1,
@@ -182,9 +182,9 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
                 match op {
                     0..=2 => {
                         let horizon = match class {
-                            0 => raw % 2_048,       // within one wheel bucket
-                            1 => raw % 1_100_000,   // across the near wheel
-                            _ => raw % 100_000_000, // far overflow
+                            0 => raw % 2_048,       // imminent
+                            1 => raw % 1_100_000,   // about a millisecond
+                            _ => raw % 100_000_000, // long timers
                         };
                         let t = now + horizon;
                         keys.push(q.schedule(Nanos(t), keys.len()));
@@ -227,6 +227,74 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
             }
             st_assert!(q.pop().is_none(), "both empty after drain");
             st_assert_eq!(q.storage_len(), 0, "drained queue retains no storage");
+            Ok(())
+        },
+    );
+}
+
+/// Cancel-heavy traffic that forces tombstone compaction between pops.
+/// Each round schedules a batch with times in a narrow window (so ties
+/// abound and overlap earlier rounds), cancels three quarters of it, then
+/// pops half of what is live. The queue's minimum is never cancelled, so
+/// no top sweep can hide a tombstone: storage shrinks on a cancel only
+/// through the `retain` rebuild. After every cancel storage stays within
+/// `max(2·len, 64)`, and every pop matches the `(time, FIFO)` minimum of
+/// a reference model, so equal-timestamp order survives each rebuild.
+#[test]
+fn event_queue_compaction_keeps_fifo_ties_and_bounds_storage() {
+    let times = vec_of(Gen::u64_in(0, 7), 128, 300);
+    check(
+        "event_queue_compaction_keeps_fifo_ties_and_bounds_storage",
+        &times,
+        |times| {
+            let mut q = EventQueue::new();
+            let mut keys = Vec::new();
+            // Live entries as (time, id); ids rise with schedule order, so
+            // the tuple order is the queue's (time, seq) order.
+            let mut model: Vec<(u64, usize)> = Vec::new();
+            let mut rebuilds = 0;
+            for round in 0..3u64 {
+                let first = keys.len();
+                for &t in times {
+                    let t = t + 4 * round;
+                    model.push((t, keys.len()));
+                    keys.push(q.schedule(Nanos(t), keys.len()));
+                }
+                let head = *model.iter().min().expect("just scheduled");
+                for (id, &key) in keys.iter().enumerate().skip(first) {
+                    if id % 4 == 0 || head.1 == id {
+                        continue;
+                    }
+                    let before = q.storage_len();
+                    st_assert!(q.cancel(key), "cancel of a live entry succeeds");
+                    model.retain(|&(_, i)| i != id);
+                    st_assert!(
+                        q.storage_len() <= (2 * q.len()).max(64),
+                        "{} stored for {} live after a cancel",
+                        q.storage_len(),
+                        q.len()
+                    );
+                    if q.storage_len() < before {
+                        rebuilds += 1;
+                    }
+                }
+                for _ in 0..model.len() / 2 {
+                    let min = *model.iter().min().expect("model holds live entries");
+                    st_assert_eq!(
+                        q.pop(),
+                        Some((Nanos(min.0), min.1)),
+                        "pop follows (time, FIFO) order"
+                    );
+                    model.retain(|&e| e != min);
+                }
+            }
+            st_assert!(rebuilds > 0, "three quarters cancelled but never compacted");
+            model.sort();
+            for &(t, id) in &model {
+                st_assert_eq!(q.pop(), Some((Nanos(t), id)), "drain order");
+            }
+            st_assert!(q.pop().is_none(), "both empty after drain");
+            st_assert_eq!(q.storage_len(), 0, "drained queue holds no tombstones");
             Ok(())
         },
     );
