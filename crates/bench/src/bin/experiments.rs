@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the paper's evaluation plus the
 //! ablations, printing paper-style tables and writing CSVs to `results/`.
 //!
-//! Usage: `experiments [--jobs N] [--island-threads N] [--shards N]
-//! [--smoke[=SECS]] [--seed S] [SELECTION]`
+//! Usage: `experiments [--jobs N] [--shards N] [--smoke[=SECS]]
+//! [--seed S] [SELECTION]`
 //!
 //! * `SELECTION` — `all` (default), an experiment id (`experiments list`
 //!   prints them), or one of the groups `fig4`, `fig7`, `ablations`,
@@ -10,10 +10,6 @@
 //! * `--jobs N` — fan independent experiments across N worker threads
 //!   (default: `ARCH_JOBS` or the machine's available parallelism).
 //!   Output is byte-identical to `--jobs 1`.
-//! * `--island-threads N` — PDES island worker threads inside each
-//!   simulated run (default 1 = the serial master loop). Dispatch order
-//!   is conserved, so output is byte-identical to `--island-threads 1`;
-//!   ci.sh asserts this on every pass.
 //! * `--shards N` — shard count for the fleet experiments (default 12,
 //!   clamped to 2..=64). Output for any fixed N is byte-identical across
 //!   `--jobs` values; ci.sh asserts this on a 2-shard fleet.
@@ -71,8 +67,6 @@ fn selection(which: &str) -> Option<Vec<&'static str>> {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = bench::pool::take_jobs_flag(&mut args);
-    let island_threads = bench::pool::take_island_threads_flag(&mut args);
-    bench::set_island_threads(island_threads);
     if let Some(shards) = bench::pool::take_shards_flag(&mut args) {
         bench::set_fleet_shards(shards);
     }
@@ -134,8 +128,8 @@ fn main() {
     );
     let islands = bench::island_totals();
     println!(
-        "islands: x86 {} ixp {} accel {}  sync points {} (island threads {island_threads})",
-        islands.x86, islands.ixp, islands.accel, islands.sync_points
+        "islands: x86 {} ixp {} accel {}",
+        islands.x86, islands.ixp, islands.accel
     );
     let fleet = bench::fleet_totals();
     if fleet.runs > 0 {
@@ -192,8 +186,6 @@ fn main() {
                 ("x86", Json::Num(islands.x86 as f64)),
                 ("ixp", Json::Num(islands.ixp as f64)),
                 ("accel", Json::Num(islands.accel as f64)),
-                ("sync_points", Json::Num(islands.sync_points as f64)),
-                ("island_threads", Json::Num(island_threads as f64)),
             ]),
         ),
         (

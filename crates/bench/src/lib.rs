@@ -49,11 +49,9 @@ pub const INFER_SECS: u64 = 120;
 static SMOKE_CAP_SECS: AtomicU64 = AtomicU64::new(u64::MAX);
 static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_WALL_MICROS: AtomicU64 = AtomicU64::new(0);
-static ISLAND_THREADS: AtomicU64 = AtomicU64::new(1);
 static TOTAL_X86_EVENTS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_IXP_EVENTS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_ACCEL_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SYNC_POINTS: AtomicU64 = AtomicU64::new(0);
 
 /// Caps every simulated run at `secs` simulated seconds. Smoke mode for
 /// CI and the determinism tests: the tables lose statistical meaning but
@@ -83,7 +81,6 @@ pub fn reset_sim_rate_totals() {
     TOTAL_X86_EVENTS.store(0, Ordering::Relaxed);
     TOTAL_IXP_EVENTS.store(0, Ordering::Relaxed);
     TOTAL_ACCEL_EVENTS.store(0, Ordering::Relaxed);
-    TOTAL_SYNC_POINTS.store(0, Ordering::Relaxed);
     for c in [
         &FLEET_RUNS,
         &FLEET_SHARD_SLICES,
@@ -104,30 +101,12 @@ pub fn reset_sim_rate_totals() {
     FLEET_PER_SHARD_EVENTS.lock().unwrap().clear();
 }
 
-/// Sets the PDES island worker count every subsequent [`Platform`] run in
-/// this process uses (1 = the exact serial master loop, the default).
-/// Dispatch order — and so every table — is identical for any value; the
-/// determinism suite asserts it.
-pub fn set_island_threads(threads: usize) {
-    ISLAND_THREADS.store(threads.max(1) as u64, Ordering::Relaxed);
-}
-
-/// The configured PDES island worker count.
-pub fn island_threads() -> usize {
-    ISLAND_THREADS.load(Ordering::Relaxed) as usize
-}
-
-/// Deterministic per-island dispatch totals accumulated across every run:
-/// x86/ixp/accel event counts plus epoch barriers crossed. `epoch_ns` is
-/// not aggregated (it is per-run configuration) and reads 0 here.
+/// Deterministic per-island dispatch totals accumulated across every run.
 pub fn island_totals() -> platform::IslandEvents {
     platform::IslandEvents {
         x86: TOTAL_X86_EVENTS.load(Ordering::Relaxed),
         ixp: TOTAL_IXP_EVENTS.load(Ordering::Relaxed),
         accel: TOTAL_ACCEL_EVENTS.load(Ordering::Relaxed),
-        sync_points: TOTAL_SYNC_POINTS.load(Ordering::Relaxed),
-        island_threads: ISLAND_THREADS.load(Ordering::Relaxed),
-        epoch_ns: 0,
     }
 }
 
@@ -135,14 +114,12 @@ pub fn island_totals() -> platform::IslandEvents {
 /// throughput and per-island dispatch counts can be reported by the
 /// `experiments` binary.
 fn timed_run(sim: &mut Platform, duration: Nanos) -> RunReport {
-    sim.set_island_threads(island_threads());
     let r = sim.run(duration);
     TOTAL_EVENTS.fetch_add(r.sim_rate.events, Ordering::Relaxed);
     TOTAL_WALL_MICROS.fetch_add(r.sim_rate.wall_micros, Ordering::Relaxed);
     TOTAL_X86_EVENTS.fetch_add(r.events_by_island.x86, Ordering::Relaxed);
     TOTAL_IXP_EVENTS.fetch_add(r.events_by_island.ixp, Ordering::Relaxed);
     TOTAL_ACCEL_EVENTS.fetch_add(r.events_by_island.accel, Ordering::Relaxed);
-    TOTAL_SYNC_POINTS.fetch_add(r.events_by_island.sync_points, Ordering::Relaxed);
     r
 }
 

@@ -127,19 +127,10 @@ pub fn print_accel(r: &RunReport) {
     }
 }
 
-/// Prints the deterministic per-island dispatch split and PDES barrier
-/// accounting of a run.
+/// Prints the deterministic per-island dispatch split of a run.
 pub fn print_islands(r: &RunReport) {
     let i = &r.events_by_island;
-    println!(
-        "  islands: x86 {} ixp {} accel {}  sync points {}  epoch {} us  threads {}",
-        i.x86,
-        i.ixp,
-        i.accel,
-        i.sync_points,
-        i.epoch_ns as f64 / 1e3,
-        i.island_threads,
-    );
+    println!("  islands: x86 {} ixp {} accel {}", i.x86, i.ixp, i.accel);
 }
 
 /// Prints the deterministic per-source dispatch counts of a run, in

@@ -233,13 +233,13 @@ fn every_island_component_keeps_a_monotone_horizon() {
 }
 
 // ----------------------------------------------------------------------
-// Serial vs PDES-parallel differential: dispatch order is conserved
+// Same-seed replay: two fresh platforms, one observable surface
 // ----------------------------------------------------------------------
 
 /// A run's full observable surface: the report fingerprint plus the
 /// rendered coordination trace.
-fn run_surface(sim: &mut platform::Platform, dur: Nanos, threads: usize) -> (Vec<u64>, Vec<String>) {
-    let fp = fingerprint(&sim.run_with(dur, threads));
+fn run_surface(mut sim: platform::Platform, dur: Nanos) -> (Vec<u64>, Vec<String>) {
+    let fp = fingerprint(&sim.run(dur));
     let trace = sim
         .coordination_trace()
         .map(|(t, line)| format!("{} {line}", t.as_nanos()))
@@ -248,7 +248,7 @@ fn run_surface(sim: &mut platform::Platform, dur: Nanos, threads: usize) -> (Vec
 }
 
 #[test]
-fn island_threads_do_not_change_any_run() {
+fn same_seed_runs_replay_identically() {
     use platform::{FaultProfile, Jitter, ReliableConfig};
     let dur = Nanos::from_secs(2);
     let faulty = FaultProfile::none()
@@ -258,40 +258,36 @@ fn island_threads_do_not_change_any_run() {
     for seed in [bench::SEED, 7, 1234] {
         for faults in [None, Some(faulty)] {
             for chaos in [None, Some(ChaosPlan::seeded(seed, 6))] {
-                let build_rubis = || {
-                    let mut b = PlatformBuilder::new().seed(seed).policy(PolicyKind::RequestType);
+                let builder = |policy| {
+                    let mut b = PlatformBuilder::new().seed(seed).policy(policy);
                     if let Some(profile) = faults {
                         b = b.fault_profile(profile).reliable_delivery(ReliableConfig::default());
                     }
                     if let Some(plan) = chaos.clone() {
                         b = b.chaos(plan);
                     }
-                    b.build_rubis(RubisScenario::read_write_mix(8))
+                    b
+                };
+                let build_rubis = || {
+                    builder(PolicyKind::RequestType).build_rubis(RubisScenario::read_write_mix(8))
                 };
                 let build_inference = || {
-                    let mut b =
-                        PlatformBuilder::new().seed(seed).policy(PolicyKind::InferenceBatch);
-                    if let Some(profile) = faults {
-                        b = b.fault_profile(profile).reliable_delivery(ReliableConfig::default());
-                    }
-                    if let Some(plan) = chaos.clone() {
-                        b = b.chaos(plan);
-                    }
-                    b.build_inference(InferenceScenario::mixed_tenants())
+                    builder(PolicyKind::InferenceBatch)
+                        .build_inference(InferenceScenario::mixed_tenants())
                 };
                 let ctx = format!(
                     "seed {seed}, faults {}, chaos {}",
                     faults.is_some(),
                     chaos.is_some()
                 );
-                let serial = run_surface(&mut build_rubis(), dur, 1);
-                for threads in [2, 3] {
-                    let par = run_surface(&mut build_rubis(), dur, threads);
-                    assert_eq!(serial, par, "rubis diverged with {threads} threads ({ctx})");
-                }
-                let serial = run_surface(&mut build_inference(), dur, 1);
-                let par = run_surface(&mut build_inference(), dur, 3);
-                assert_eq!(serial, par, "inference diverged with 3 threads ({ctx})");
+                let first = run_surface(build_rubis(), dur);
+                assert_eq!(first, run_surface(build_rubis(), dur), "rubis replay diverged ({ctx})");
+                let first = run_surface(build_inference(), dur);
+                assert_eq!(
+                    first,
+                    run_surface(build_inference(), dur),
+                    "inference replay diverged ({ctx})"
+                );
             }
         }
     }

@@ -96,10 +96,9 @@ impl FleetReport {
 
     /// A canonical, thread-count-independent rendering of the report.
     ///
-    /// Floats print with fixed precision and `island_threads` (a host
-    /// configuration knob, not a simulation outcome) is excluded, so the
-    /// string — and the digest over it — is the shard determinism
-    /// contract in one value.
+    /// Floats print with fixed precision and only simulated outcomes are
+    /// included, so the string — and the digest over it — is the shard
+    /// determinism contract in one value.
     pub fn canonical(&self) -> String {
         let mut s = String::new();
         let _ = write!(
@@ -141,15 +140,14 @@ impl FleetReport {
         }
         let _ = write!(
             s,
-            "|tunes={},{},{} root={} x86={} ixp={} accel={} sync={}",
+            "|tunes={},{},{} root={} x86={} ixp={} accel={}",
             self.tunes[0],
             self.tunes[1],
             self.tunes[2],
             self.root_lookups,
             self.islands.x86,
             self.islands.ixp,
-            self.islands.accel,
-            self.islands.sync_points
+            self.islands.accel
         );
         s
     }
@@ -227,10 +225,5 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         b.per_shard[1].completed += 1;
         assert_ne!(a.digest(), b.digest());
-        // island_threads is excluded: a host knob must not change the
-        // digest.
-        let mut c = report();
-        c.islands.island_threads = 4;
-        assert_eq!(a.digest(), c.digest());
     }
 }

@@ -190,16 +190,6 @@ impl HostLink {
         self.q.peek_time()
     }
 
-    /// Conservative lookahead of this link: no transfer handed to the
-    /// DMA engine at time `t` becomes visible on the other side before
-    /// `t + lookahead()`. This is the per-transfer base latency of the
-    /// lane's DMA model (doorbell + descriptor fetch + setup); payload
-    /// time only adds to it. PDES epoch derivation takes the min of
-    /// these bounds across every cross-island channel.
-    pub fn lookahead(&self) -> Nanos {
-        self.cfg.dma.base()
-    }
-
     /// Advances to `now`, appending notifications and IXP-bound arrivals
     /// to `out` (caller-owned and typically reused across calls).
     pub fn on_timer(&mut self, now: Nanos, out: &mut Vec<PcieEvent>) {

@@ -344,7 +344,6 @@ pub struct PlatformBuilder {
     pub(crate) chaos: ChaosPlan,
     pub(crate) defenses: Option<PolicerConfig>,
     pub(crate) adversaries: Vec<AdversarySpec>,
-    pub(crate) island_threads: usize,
     pub(crate) shard: u16,
 }
 
@@ -379,7 +378,6 @@ impl PlatformBuilder {
             chaos: ChaosPlan::none(),
             defenses: None,
             adversaries: Vec::new(),
-            island_threads: 1,
             shard: 0,
         }
     }
@@ -398,15 +396,6 @@ impl PlatformBuilder {
     /// independent of the order `seed`/`shard` were set in).
     pub(crate) fn effective_seed(&self) -> u64 {
         self.seed ^ self.shard as u64
-    }
-
-    /// Sets the island worker-thread count for the PDES engine. `1`
-    /// (the default) is the serial master loop; `N > 1` services island
-    /// horizons on scoped worker threads at conservative epoch barriers.
-    /// Output is bit-identical either way — see DESIGN.md §2.14.
-    pub fn island_threads(mut self, threads: usize) -> Self {
-        self.island_threads = threads.max(1);
-        self
     }
 
     /// Sets the deterministic seed.

@@ -42,7 +42,6 @@
 mod config;
 mod inference_path;
 mod media;
-mod pdes;
 mod report;
 mod rubis_path;
 mod trace_event;
@@ -51,7 +50,6 @@ mod world;
 pub use config::{
     EnergyConfig, InferenceScenario, MplayerScenario, PlatformBuilder, PlayerSpec, RubisScenario,
 };
-pub use pdes::LookaheadPlan;
 pub use report::{
     AccelReport, AccelTenantReport, CoordReport, DomCpu, EnergyReport, IslandEvents, NetReport,
     PlayerReport, PowerReport, RubisReport, RunReport, SimRate, SourceEvents,

@@ -6,7 +6,7 @@ use crate::config::{
 };
 use crate::report::{
     AccelReport, AccelTenantReport, CoordReport, DomCpu, EnergyReport, NetReport, PlayerReport,
-    PowerReport, RubisReport, RunReport, SimRate,
+    IslandEvents, PowerReport, RubisReport, RunReport, SimRate, SourceEvents,
 };
 use accel::{AccelEvent, AccelIsland, TenantId};
 use coord::{
@@ -22,7 +22,6 @@ use power::{CpuPowerModel, DomainSample, DvfsState, IxpPowerModel, PowerGovernor
 use simcore::stats::Series;
 use crate::trace_event::TraceEvent;
 use simcore::trace::TraceBuffer;
-use crate::pdes;
 use simcore::{Component, EventQueue, HorizonCache, IdMap, Nanos, SimRng};
 use simtest::chaos::ChaosPlan;
 use std::collections::{BTreeMap, VecDeque};
@@ -352,34 +351,82 @@ pub(crate) mod horizon {
     pub const NSRC: usize = 9;
 }
 
+/// Island index of the x86 host (queue, sched, link, mailboxes, retx).
+const X86_ISLAND: usize = 0;
+/// Island index of the IXP network processor.
+const IXP_ISLAND: usize = 1;
+/// Island index of the batching accelerator (+ doorbell lane).
+const ACCEL_ISLAND: usize = 2;
+/// Island names, indexed by the island consts.
+const ISLAND_NAMES: [&str; 3] = ["x86", "ixp", "accel"];
+
 /// One registry entry per event source: what the master loop iterates
 /// instead of a hand-written nine-arm match. Array order mirrors the bit
-/// assignments in [`horizon`]; `island` places the source in the PDES
-/// partition defined in [`crate::pdes`].
-pub(crate) struct SourceSpec {
+/// assignments in [`horizon`]; `island` places the source in the
+/// platform's hardware partition (x86 host, IXP, accelerator), which the
+/// report's per-island dispatch counts fold by.
+struct SourceSpec {
     /// Short stable name (the report's `events_by_source` key).
-    pub name: &'static str,
-    /// PDES island index ([`crate::pdes::X86_ISLAND`] etc.).
-    pub island: usize,
+    name: &'static str,
+    /// Island index ([`X86_ISLAND`] etc.).
+    island: usize,
     /// Dispatches this source's due event at `t` (consumes the head and
     /// absorbs whatever it produces).
-    pub dispatch: fn(&mut Platform, Nanos),
+    dispatch: fn(&mut Platform, Nanos),
 }
 
 /// The platform's event sources, in horizon-bit order. The dispatch
 /// order at equal timestamps is the array order (lowest index wins) —
 /// changing this table's order changes committed artifacts.
-pub(crate) const SOURCES: [SourceSpec; horizon::NSRC] = [
-    SourceSpec { name: "queue", island: pdes::X86_ISLAND, dispatch: Platform::dispatch_queue },
-    SourceSpec { name: "sched", island: pdes::X86_ISLAND, dispatch: Platform::dispatch_sched },
-    SourceSpec { name: "ixp", island: pdes::IXP_ISLAND, dispatch: Platform::dispatch_ixp },
-    SourceSpec { name: "link", island: pdes::X86_ISLAND, dispatch: Platform::dispatch_link },
-    SourceSpec { name: "coord-mbx", island: pdes::X86_ISLAND, dispatch: Platform::dispatch_coord_mbx },
-    SourceSpec { name: "ack-mbx", island: pdes::X86_ISLAND, dispatch: Platform::dispatch_ack_mbx },
-    SourceSpec { name: "retx", island: pdes::X86_ISLAND, dispatch: Platform::dispatch_retx },
-    SourceSpec { name: "accel", island: pdes::ACCEL_ISLAND, dispatch: Platform::dispatch_accel },
-    SourceSpec { name: "accel-mbx", island: pdes::ACCEL_ISLAND, dispatch: Platform::dispatch_accel_mbx },
+const SOURCES: [SourceSpec; horizon::NSRC] = [
+    SourceSpec { name: "queue", island: X86_ISLAND, dispatch: Platform::dispatch_queue },
+    SourceSpec { name: "sched", island: X86_ISLAND, dispatch: Platform::dispatch_sched },
+    SourceSpec { name: "ixp", island: IXP_ISLAND, dispatch: Platform::dispatch_ixp },
+    SourceSpec { name: "link", island: X86_ISLAND, dispatch: Platform::dispatch_link },
+    SourceSpec { name: "coord-mbx", island: X86_ISLAND, dispatch: Platform::dispatch_coord_mbx },
+    SourceSpec { name: "ack-mbx", island: X86_ISLAND, dispatch: Platform::dispatch_ack_mbx },
+    SourceSpec { name: "retx", island: X86_ISLAND, dispatch: Platform::dispatch_retx },
+    SourceSpec { name: "accel", island: ACCEL_ISLAND, dispatch: Platform::dispatch_accel },
+    SourceSpec { name: "accel-mbx", island: ACCEL_ISLAND, dispatch: Platform::dispatch_accel_mbx },
 ];
+
+/// Events the master loop dispatched per source, indexed like
+/// [`SOURCES`]; the island and total counts fold from these.
+#[derive(Debug, Clone, Copy, Default)]
+struct DispatchCounts([u64; horizon::NSRC]);
+
+impl DispatchCounts {
+    /// Total events dispatched.
+    fn events(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// The per-source report block, in registry order.
+    fn source_events(&self) -> Vec<SourceEvents> {
+        SOURCES
+            .iter()
+            .zip(self.0)
+            .map(|(spec, events)| SourceEvents {
+                name: spec.name,
+                island: ISLAND_NAMES[spec.island],
+                events,
+            })
+            .collect()
+    }
+
+    /// The per-island report block.
+    fn island_events(&self) -> IslandEvents {
+        let mut by_island = [0; ISLAND_NAMES.len()];
+        for (spec, n) in SOURCES.iter().zip(self.0) {
+            by_island[spec.island] += n;
+        }
+        IslandEvents {
+            x86: by_island[X86_ISLAND],
+            ixp: by_island[IXP_ISLAND],
+            accel: by_island[ACCEL_ISLAND],
+        }
+    }
+}
 
 /// The fully wired two-island platform. Construct with
 /// [`PlatformBuilder`](crate::PlatformBuilder), then call [`run`](Self::run).
@@ -486,8 +533,6 @@ pub struct Platform {
     /// nine virtual calls (one of which — the reliable sender's timer —
     /// is O(pending)).
     pub(crate) horizons: HorizonCache<{ horizon::NSRC }>,
-    /// Island worker threads used by [`run`](Self::run) (1 = serial).
-    pub(crate) island_threads: usize,
 }
 
 impl std::fmt::Debug for Platform {
@@ -610,15 +655,14 @@ impl Platform {
             scratch_take: Vec::new(),
             scratch_wire: Vec::new(),
             horizons: HorizonCache::new(),
-            island_threads: b.island_threads,
         }
     }
 
     /// Recomputes one source's horizon from scratch, through the
     /// source's [`Component`] face. The run loop calls this only for
-    /// dirty entries (and, at debug-build epoch barriers, to cross-check
-    /// every cached entry against the live sources).
-    pub(crate) fn fresh_horizon(&self, i: usize) -> Nanos {
+    /// dirty entries (and, in debug builds, to cross-check every cached
+    /// entry against the live sources).
+    fn fresh_horizon(&self, i: usize) -> Nanos {
         let t = match i {
             0 => Component::next_event_time(&self.q),
             1 => Component::next_event_time(&self.sched),
@@ -939,29 +983,13 @@ impl Platform {
     // Main loop
     // ------------------------------------------------------------------
 
-    /// Runs the simulation for `duration` and returns the measurements,
-    /// using the configured island-thread count (default 1 = serial).
+    /// Runs the simulation for `duration` and returns the measurements.
     ///
     /// Each iteration refreshes the dirty entries of the horizon cache —
     /// all O(1) reads: the queues keep a live head and the scheduler
     /// memoises its horizon — and dispatches the earliest source through
-    /// the [`SOURCES`] registry.
+    /// the `SOURCES` registry.
     pub fn run(&mut self, duration: Nanos) -> RunReport {
-        let threads = self.island_threads;
-        self.run_with(duration, threads)
-    }
-
-    /// [`run`](Self::run) with an explicit island worker-thread count.
-    ///
-    /// `island_threads = 1` is the serial master loop. With more
-    /// threads, the loop partitions the event sources into the three
-    /// scheduling islands (see [`crate::pdes`]), derives the
-    /// conservative epoch from the cross-island channel lookaheads, and
-    /// services island horizons on scoped worker threads at epoch
-    /// barriers. Dispatch order — and therefore every report, CSV and
-    /// trace — is bit-identical for any thread count; the determinism
-    /// suite asserts this across seeds, fault profiles and chaos plans.
-    pub fn run_with(&mut self, duration: Nanos, island_threads: usize) -> RunReport {
         let wall_start = std::time::Instant::now();
         let t_end = self.now + duration;
         self.run_end = t_end;
@@ -970,34 +998,27 @@ impl Platform {
         // Pre-run configuration (weights, alarms, repeated `run` calls)
         // may have moved any source; start from a full refresh.
         self.horizons.mark_all();
-        let stats = self.run_loop(t_end, island_threads.max(1));
+        let counts = self.run_loop(t_end);
         self.now = t_end;
         let mut evs = std::mem::take(&mut self.scratch_sched);
         self.sched.on_timer(t_end, &mut evs);
         self.absorb_sched_drain(&mut evs);
         self.scratch_sched = evs;
         let wall_micros = wall_start.elapsed().as_micros() as u64;
-        self.build_report(duration, stats, wall_micros)
+        self.build_report(duration, counts, wall_micros)
     }
 
-    /// The master event loop, shared by the serial and parallel paths.
+    /// The master event loop.
     ///
     /// The loop's invariants:
     /// * every cached horizon whose dirty bit is clear equals a
-    ///   from-scratch recompute (checked at debug-build epoch barriers);
+    ///   from-scratch recompute (checked on every iteration in debug
+    ///   builds);
     /// * the earliest horizon is dispatched next, lowest source index
     ///   breaking timestamp ties (the [`SOURCES`] order);
     /// * no source advances past another source's horizon.
-    ///
-    /// Epoch barriers land on multiples of the conservative lookahead
-    /// (the minimum cross-island channel latency): between two barriers
-    /// no island can affect another island's horizon through a channel,
-    /// so cross-island horizon refreshes can be serviced concurrently by
-    /// the island workers without changing any cached value.
-    fn run_loop(&mut self, t_end: Nanos, threads: usize) -> pdes::PdesStats {
-        let plan = self.lookahead_plan();
-        let mut stats = pdes::PdesStats::new(plan.epoch, threads);
-        let mut next_barrier = pdes::next_boundary(self.now, plan.epoch);
+    fn run_loop(&mut self, t_end: Nanos) -> DispatchCounts {
+        let mut counts = DispatchCounts::default();
         loop {
             let mut d = self.horizons.take_dirty();
             while d != 0 {
@@ -1006,40 +1027,26 @@ impl Platform {
                 let h = self.fresh_horizon(i);
                 self.horizons.set(i, h);
             }
+            #[cfg(debug_assertions)]
+            self.debug_check_horizons();
             let (t, src) = self.horizons.earliest();
             if src == horizon::NSRC || t > t_end {
                 break;
             }
-            if t >= next_barrier {
-                // Conservative epoch barrier. Idle epochs are coalesced:
-                // the next barrier is aligned to the epoch grid at or
-                // before the next event, so a quiet simulated second
-                // costs one crossing, not latency/epoch of them.
-                stats.sync_points += 1;
-                #[cfg(debug_assertions)]
-                self.debug_check_horizons();
-                if threads > 1 && stats.sync_points.is_multiple_of(pdes::SERVICE_INTERVAL) {
-                    self.service_islands_parallel(threads);
-                }
-                next_barrier = pdes::next_boundary(t, plan.epoch);
-            }
             self.now = t;
-            stats.by_source[src] += 1;
+            counts.0[src] += 1;
             // Dispatching a source always perturbs it (its head event is
             // consumed), so its entry is unconditionally dirty; anything
             // else the handler touches marks itself at the mutation site.
             self.horizons.mark(1 << src as u32);
             (SOURCES[src].dispatch)(self, t);
         }
-        stats
+        counts
     }
 
     /// Debug-build invariant sweep: every cached horizon must equal a
-    /// from-scratch recompute. PR 5 ran this on every loop iteration,
-    /// which made debug runs feel quadratic on long simulations; it now
-    /// runs once per conservative epoch barrier — the same invariant
-    /// (a missing dirty mark still trips, at the following barrier at
-    /// the latest) at a bounded amortized cost.
+    /// from-scratch recompute, so a mutation site missing its
+    /// `horizons.mark` call trips on the very next iteration.
     #[cfg(debug_assertions)]
     fn debug_check_horizons(&self) {
         for (i, spec) in SOURCES.iter().enumerate() {
@@ -1146,14 +1153,6 @@ impl Platform {
             self.handle_accel_delivery(m.as_bytes());
         }
         self.scratch_accel_mbx = msgs;
-    }
-
-    /// Overrides the island worker-thread count for subsequent
-    /// [`run`](Self::run) calls (the builder knob
-    /// [`PlatformBuilder::island_threads`] sets the initial value; the
-    /// bench harness sets this from `--island-threads`).
-    pub fn set_island_threads(&mut self, threads: usize) {
-        self.island_threads = threads.max(1);
     }
 
     fn start_workload(&mut self) {
@@ -1928,10 +1927,10 @@ impl Platform {
     fn build_report(
         &mut self,
         duration: Nanos,
-        stats: pdes::PdesStats,
+        counts: DispatchCounts,
         wall_micros: u64,
     ) -> RunReport {
-        let events = stats.events();
+        let events = counts.events();
         let snap = self.sched.usage_snapshot();
         let mut cpu = Vec::new();
         let mut total = 0.0;
@@ -2113,8 +2112,8 @@ impl Platform {
                     0.0
                 },
             },
-            events_by_island: stats.island_events(),
-            events_by_source: stats.source_events(),
+            events_by_island: counts.island_events(),
+            events_by_source: counts.source_events(),
         }
     }
 
@@ -2154,5 +2153,27 @@ mod tests {
         assert!(matches!(slab.remove(b), Some(Ctx::DriverService)));
         assert!(slab.remove(u64::MAX).is_none(), "unknown slot");
         assert_eq!(slab.slots.len(), 2, "grows only to the bursts in flight");
+    }
+
+    /// The per-iteration debug sweep catches a cached horizon that moved
+    /// without its dirty mark, and names the stale source.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "stale cached horizon for source `queue`")]
+    fn debug_sweep_trips_on_a_missing_dirty_mark() {
+        use crate::config::RubisScenario;
+        let mut sim = PlatformBuilder::new().seed(3).build_rubis(RubisScenario::read_write_mix(4));
+        sim.run(Nanos::from_millis(50));
+        // Bring every cached entry up to date, then corrupt the master
+        // queue's entry without marking it dirty.
+        sim.horizons.take_dirty();
+        for i in 0..horizon::NSRC {
+            let h = sim.fresh_horizon(i);
+            sim.horizons.set(i, h);
+        }
+        assert_ne!(sim.horizons.get(0), Nanos::ZERO, "queue has pending events");
+        sim.horizons.set(0, Nanos::ZERO);
+        let t_end = sim.now + Nanos::from_millis(50);
+        sim.run_loop(t_end);
     }
 }
