@@ -5,8 +5,9 @@
 //! [--seed S] [SELECTION]`
 //!
 //! * `SELECTION` — `all` (default), an experiment id (`experiments list`
-//!   prints them), or one of the groups `fig4`, `fig7`, `ablations`,
-//!   `extensions`, `fleet`.
+//!   prints them), one of the groups `fig4`, `ablations` (A1–A6),
+//!   `extensions`, `inference`, `energy`, `fleet`, or one of the short
+//!   aliases `i1`, `i2`, `a1` (price of anarchy), `e1`, `e2`, `f1`, `f2`.
 //! * `--jobs N` — fan independent experiments across N worker threads
 //!   (default: `ARCH_JOBS` or the machine's available parallelism).
 //!   Output is byte-identical to `--jobs 1`.
@@ -42,12 +43,14 @@ fn selection(which: &str) -> Option<Vec<&'static str>> {
     match which {
         "all" => Some(ids.to_vec()),
         "fig4" => Some(vec!["fig4", "fig4_browsing"]),
-        "ablations" => Some(
-            ids.iter()
-                .copied()
-                .filter(|id| id.starts_with("a") && id.chars().nth(1).is_some_and(|c| c.is_ascii_digit()))
-                .collect(),
-        ),
+        "ablations" => Some(vec![
+            "a1_channel_latency",
+            "a2_hysteresis",
+            "a3_notification",
+            "a4_ixp_threads",
+            "a5_trigger_rate",
+            "a6_accounting_mode",
+        ]),
         "extensions" => Some(vec!["p1_power_capping", "s1_fabric_scalability"]),
         "inference" => Some(vec!["i1_inference_batching", "i2_batch_preemption"]),
         "i1" => Some(vec!["i1_inference_batching"]),
@@ -93,7 +96,7 @@ fn main() {
     let which = rest.first().map(String::as_str).unwrap_or("all");
     if which == "list" {
         println!(
-            "available: all ablations extensions {}",
+            "available: all fig4 ablations extensions inference energy fleet {}",
             bench::experiment_ids().join(" ")
         );
         return;
@@ -238,5 +241,33 @@ fn main() {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::selection;
+
+    #[test]
+    fn ablations_are_exactly_a1_to_a6() {
+        let ablations = selection("ablations").unwrap();
+        assert_eq!(ablations.len(), 6);
+        assert!(!ablations.contains(&"a1_price_of_anarchy"));
+        assert_eq!(selection("a1").unwrap(), ["a1_price_of_anarchy"]);
+    }
+
+    #[test]
+    fn every_group_and_alias_names_known_experiments() {
+        let ids = bench::experiment_ids();
+        assert_eq!(selection("all").unwrap(), ids);
+        for which in [
+            "fig4", "ablations", "extensions", "inference", "energy", "fleet", "i1", "i2", "a1",
+            "e1", "e2", "f1", "f2",
+        ] {
+            let sel = selection(which).unwrap_or_else(|| panic!("`{which}` is not accepted"));
+            assert!(!sel.is_empty() && sel.iter().all(|id| ids.contains(id)), "{which}: {sel:?}");
+        }
+        assert_eq!(selection("fig7").unwrap(), ["fig7"]);
+        assert!(selection("a7").is_none());
     }
 }

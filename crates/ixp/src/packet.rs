@@ -71,7 +71,8 @@ pub enum AppTag {
 /// A network packet traversing the platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
-    /// Platform-unique packet id (assigned by the traffic source).
+    /// Packet id, assigned by the traffic source and never interpreted by
+    /// the IXP (a retransmitted copy may reuse its original's id).
     pub id: u64,
     /// Destination VM index (guest domain the packet is addressed to);
     /// the Rx flow-classification key.

@@ -331,7 +331,6 @@ pub struct PlatformBuilder {
     pub(crate) policy: PolicyKind,
     pub(crate) coord_latency: Nanos,
     pub(crate) notify: NotifyMode,
-    pub(crate) sample_period: Nanos,
     pub(crate) costs: HostCosts,
     pub(crate) ixp_overrides: Option<IxpConfig>,
     pub(crate) policy_weights: Option<(i32, i32)>,
@@ -365,7 +364,6 @@ impl PlatformBuilder {
             notify: NotifyMode::Interrupt {
                 period: Nanos::from_micros(100),
             },
-            sample_period: Nanos::from_secs(1),
             costs: HostCosts::default(),
             ixp_overrides: None,
             policy_weights: None,
@@ -430,12 +428,6 @@ impl PlatformBuilder {
     /// (ablation A3).
     pub fn notify_mode(mut self, notify: NotifyMode) -> Self {
         self.notify = notify;
-        self
-    }
-
-    /// Sets the time-series sampling period.
-    pub fn sample_period(mut self, period: Nanos) -> Self {
-        self.sample_period = period;
         self
     }
 

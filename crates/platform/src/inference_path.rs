@@ -10,105 +10,72 @@
 //! both islands' queueing *and* the batch-forming delay the Tune knob
 //! controls.
 
-use crate::world::{horizon, Ctx, Ev, InfReqState, Platform};
+use crate::world::{horizon, Ctx, Ev, Platform};
 use accel::{AccelRequest, TenantId};
-use ixp::{AppTag, Packet};
+use simcore::Nanos;
 use xsched::{Burst, WakeMode};
+
+/// What serving one inference request needs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Infer {
+    /// Tenant index into `tenant_vms` / the model's tenant table.
+    pub tenant: usize,
+    /// Sampled accelerator compute cost, stable across retransmissions.
+    pub cost: Nanos,
+}
 
 impl Platform {
     /// An open-loop tenant source emits its next request and immediately
     /// schedules the one after it (arrivals never self-throttle).
     pub(crate) fn inference_send(&mut self, tenant: u32) {
-        let now = self.now;
-        let wire = self.costs.wire_latency;
-        let rto = self.costs.rto_initial;
-        let run_end = self.run_end;
         let Some(inf) = self.inf.as_mut() else { return };
         let t = tenant as usize;
         let cost = inf.model.compute_cost(t);
-        let vm = inf.tenant_vms[t];
-        let pkt = inf.model.request_packet(t, vm);
-        let req = pkt.id;
-        inf.pkt_to_req.insert(pkt.id, req);
-        inf.reqs.insert(
-            req,
-            InfReqState { tenant: t, start: now, attempt: 0, in_service: false, cost },
-        );
+        let pkt = inf.model.request_packet(t, inf.tenant_vms[t]);
+        inf.reqs.open(pkt.id, self.now, Infer { tenant: t, cost });
         let gap = inf.model.next_gap(t);
-        self.horizons.mark(horizon::QUEUE);
-        self.q.schedule(now + wire, Ev::WireArrive(pkt));
-        self.q.schedule(now + rto, Ev::Rto { req, attempt: 0 });
-        let next = now + gap;
-        if next <= run_end {
+        self.transmit(pkt.id, 0, pkt);
+        let next = self.now + gap;
+        if next <= self.run_end {
             self.q.schedule(next, Ev::ClientSend(tenant));
         }
     }
 
-    /// A tenant client's retransmission timer fired: if the request is
-    /// still outstanding, resend it with exponential backoff.
+    /// A tenant client's retransmission timer fired: resend if the
+    /// request is still waiting on that attempt.
     pub(crate) fn inference_rto(&mut self, req: u64, attempt: u32) {
-        let now = self.now;
-        let wire = self.costs.wire_latency;
-        let rto = self.costs.rto_initial;
         let Some(inf) = self.inf.as_mut() else { return };
-        let Some(state) = inf.reqs.get_mut(&req) else { return };
-        if state.attempt != attempt || state.in_service {
-            return;
-        }
-        state.attempt += 1;
-        let next_attempt = state.attempt;
-        let t = state.tenant;
-        let vm = inf.tenant_vms[t];
-        let pkt = inf.model.request_packet(t, vm);
-        inf.pkt_to_req.insert(pkt.id, req);
-        self.horizons.mark(horizon::QUEUE);
-        self.q.schedule(now + wire, Ev::WireArrive(pkt));
-        let backoff = rto * (1u64 << next_attempt.min(4));
-        self.q.schedule(now + backoff, Ev::Rto { req, attempt: next_attempt });
+        let Some((attempt, job)) = inf.reqs.retransmit(req, attempt) else { return };
+        let pkt = inf.model.request_packet(job.tenant, inf.tenant_vms[job.tenant]);
+        self.transmit(req, attempt, pkt);
     }
 
     /// A classified inference request reached its tenant's serving VM:
     /// admit it into the runtime's submission queue (bounded by the same
     /// connector cap the RUBiS tiers use) and start the DMA into the
     /// accelerator.
-    pub(crate) fn inference_request_arrived(&mut self, vm: u32, pkt: Packet) {
-        let AppTag::Inference { .. } = pkt.app else { return };
-        let dma = self.accel_dma;
-        let now = self.now;
-        let Some(slot) = self.slot_by_vm(vm) else {
-            self.consume_rx(vm, 1);
-            return;
-        };
-        let over_cap = self.vms[slot].pending >= self.costs.tier_q_cap;
+    pub(crate) fn inference_request_arrived(&mut self, vm: u32, req: u64) {
+        let Some(slot) = self.slot_by_vm(vm) else { return };
         let Some(inf) = self.inf.as_mut() else {
             self.consume_rx(vm, 1);
             return;
         };
-        let Some(req) = inf.pkt_to_req.remove(&pkt.id) else {
-            // Stale duplicate of an already-answered request.
-            self.consume_rx(vm, 1);
-            return;
-        };
-        let Some(state) = inf.reqs.get_mut(&req) else {
-            self.consume_rx(vm, 1);
-            return;
-        };
-        if state.in_service {
-            // Original and retransmission both survived; discard the copy.
+        if inf.reqs.arrive(req).is_none() {
+            // A stale or duplicate copy: discard it.
             self.consume_rx(vm, 1);
             return;
         }
-        if over_cap {
+        if self.vms[slot].pending >= self.costs.tier_q_cap {
             // Runtime submission queue overflow: the client retransmits.
+            inf.reqs.requeue(req);
             self.guest_drops += 1;
             self.consume_rx(vm, 1);
             return;
         }
-        state.in_service = true;
         self.vms[slot].pending += 1;
         self.consume_rx(vm, 1);
         self.horizons.mark(horizon::QUEUE);
-        self.q.schedule(now + dma, Ev::AccelDma { req });
+        self.q.schedule(self.now + self.accel_dma, Ev::AccelDma { req });
     }
 
     /// The DMA into the accelerator finished: submit to the tenant's
@@ -117,9 +84,7 @@ impl Platform {
     pub(crate) fn accel_dma_done(&mut self, req: u64) {
         let now = self.now;
         let Some(inf) = self.inf.as_mut() else { return };
-        let Some(state) = inf.reqs.get_mut(&req) else { return };
-        let t = state.tenant;
-        let cost = state.cost;
+        let Some(Infer { tenant: t, cost }) = inf.reqs.get(req) else { return };
         let tenant = inf.accel_tenants[t];
         let bytes = inf.model.model_of(t).input_bytes as u64;
         let vm = inf.tenant_vms[t];
@@ -128,9 +93,7 @@ impl Platform {
         let accepted = acc.submit(now, AccelRequest { id: req, tenant, cost, bytes });
         if !accepted {
             if let Some(inf) = self.inf.as_mut() {
-                if let Some(state) = inf.reqs.get_mut(&req) {
-                    state.in_service = false; // the RTO will resend
-                }
+                inf.reqs.requeue(req);
             }
             if let Some(slot) = self.slot_by_vm(vm) {
                 self.vms[slot].pending = self.vms[slot].pending.saturating_sub(1);
@@ -146,7 +109,7 @@ impl Platform {
         req: u64,
         tenant: TenantId,
         _batch_size: u32,
-        queued: simcore::Nanos,
+        queued: Nanos,
     ) {
         let Some(inf) = self.inf.as_mut() else { return };
         let Some(idx) = inf.accel_tenants.iter().position(|t| *t == tenant) else {
@@ -154,7 +117,7 @@ impl Platform {
         };
         let name = inf.model.config().tenants[idx].name;
         inf.queue_delays.record(name, queued);
-        if !inf.reqs.contains_key(&req) {
+        if inf.reqs.get(req).is_none() {
             return;
         }
         let post = inf.model.post_cost(idx);
@@ -168,8 +131,8 @@ impl Platform {
     /// its submission-queue slot) and Dom0 bridges the response out.
     pub(crate) fn inference_post_done(&mut self, req: u64) {
         let Some(inf) = self.inf.as_ref() else { return };
-        let Some(state) = inf.reqs.get(&req) else { return };
-        let vm = inf.tenant_vms[state.tenant];
+        let Some(job) = inf.reqs.get(req) else { return };
+        let vm = inf.tenant_vms[job.tenant];
         if let Some(slot) = self.slot_by_vm(vm) {
             self.vms[slot].pending = self.vms[slot].pending.saturating_sub(1);
         }
@@ -183,31 +146,16 @@ impl Platform {
     /// IXP Tx pipeline.
     pub(crate) fn inference_resp_out(&mut self, req: u64) {
         let Some(inf) = self.inf.as_mut() else { return };
-        let Some(state) = inf.reqs.get(&req) else { return };
-        let t = state.tenant;
-        let resp = inf.model.response_packet(t, u32::MAX);
-        inf.resp_map.insert(resp.id, req);
-        let now = self.now;
-        self.horizons.mark(horizon::IXP);
-        let evs = self.ixp.tx_from_host(now, resp);
-        self.absorb_ixp(evs);
+        let Some(job) = inf.reqs.get(req) else { return };
+        let resp = inf.model.response_packet(job.tenant, u32::MAX);
+        self.send_response(req, resp);
     }
 
-    /// A packet left on the wire: if it is an inference response,
-    /// complete the request at the client.
-    pub(crate) fn inference_wire_tx(&mut self, pkt: Packet) {
-        let now = self.now;
-        let wire = self.costs.wire_latency;
+    /// A response left on the wire: complete the request at its client.
+    pub(crate) fn inference_delivered(&mut self, req: u64) {
         let Some(inf) = self.inf.as_mut() else { return };
-        let Some(req) = inf.resp_map.remove(&pkt.id) else { return };
-        let Some(state) = inf.reqs.remove(&req) else { return };
-        let t_client = now + wire;
-        let latency = t_client.saturating_sub(state.start);
-        let name = inf.model.config().tenants[state.tenant].name;
-        self.responses.record(name, latency);
-        if let Some(e) = self.energy.as_mut() {
-            e.window.record(name, latency);
-        }
-        self.sessions.request_completed();
+        let Some(done) = inf.reqs.complete(req) else { return };
+        let name = inf.model.config().tenants[done.work.tenant].name;
+        self.record_response(name, done.start);
     }
 }

@@ -43,6 +43,7 @@ mod config;
 mod inference_path;
 mod media;
 mod report;
+mod requests;
 mod rubis_path;
 mod trace_event;
 mod world;

@@ -11,6 +11,10 @@ pub struct RubisReport {
     pub responses: ResponseStats,
     /// Completed requests.
     pub completed: u64,
+    /// Requests opened by clients (RUBiS or inference).
+    pub offered: u64,
+    /// Opened requests still unanswered when the run ended.
+    pub outstanding: u64,
     /// Requests per second over the run.
     pub throughput: f64,
     /// User sessions completed.

@@ -20,15 +20,18 @@ use metrics::{platform_efficiency, ResponseStats, SessionStats};
 use pcie::{HostLink, Mailbox, PcieEvent};
 use power::{CpuPowerModel, DomainSample, DvfsState, IxpPowerModel, PowerGovernor};
 use simcore::stats::Series;
+use crate::inference_path::Infer;
+use crate::requests::ClientTable;
+use crate::rubis_path::Http;
 use crate::trace_event::TraceEvent;
 use simcore::trace::TraceBuffer;
-use simcore::{Component, EventQueue, HorizonCache, IdMap, Nanos, SimRng};
+use simcore::{Component, EventQueue, HorizonCache, Nanos, SimRng};
 use simtest::chaos::ChaosPlan;
 use std::collections::{BTreeMap, VecDeque};
 use workloads::adversary::Adversary;
 use workloads::inference::InferenceModel;
 use workloads::mplayer::{Player, Source};
-use workloads::rubis::{RequestType, RubisModel, Tier, TierDemands};
+use workloads::rubis::{RubisModel, Tier};
 use xsched::{Burst, CreditScheduler, DomId, SchedConfig, SchedEvent, WakeMode};
 
 /// The x86 island's coordination identity.
@@ -65,18 +68,21 @@ const WAY_WATTS: f64 = 0.6;
 /// Modelled memory-subsystem watts at a 100% bandwidth share.
 const MEMBW_WATTS: f64 = 8.0;
 
+/// The measurement sampling period.
+const SAMPLE_PERIOD: Nanos = Nanos::from_secs(1);
+
 /// Master-queue events (workload pacing and sampling).
 #[derive(Debug)]
 pub(crate) enum Ev {
     /// A packet reaches the IXP's wire-side receive port.
     WireArrive(Packet),
-    /// A RUBiS client issues its next request.
+    /// A RUBiS client or inference tenant issues its next request.
     ClientSend(u32),
     /// The streaming server emits the next frame of a stream.
     FrameGen(usize),
     /// Dom0's background load resumes after an idle gap.
     BackgroundKick,
-    /// A RUBiS client's retransmission timer fires.
+    /// A request's retransmission timer fires.
     Rto { req: u64, attempt: u32 },
     /// A guest-accepted inference request finishes its DMA into the
     /// accelerator's submission queue.
@@ -193,20 +199,6 @@ pub(crate) struct VmSlot {
     pub pending: u32,
 }
 
-#[derive(Debug)]
-pub(crate) struct ReqState {
-    pub rt: &'static RequestType,
-    pub demands: TierDemands,
-    pub client: u32,
-    pub start: Nanos,
-    /// Current transmission attempt (0 = original send).
-    pub attempt: u32,
-    /// A burst chain for this request is active in the tiers (guards
-    /// against duplicate processing when a retransmitted copy arrives
-    /// while the original is still being serviced).
-    pub in_service: bool,
-}
-
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ClientState {
     pub session_start: Nanos,
@@ -216,9 +208,7 @@ pub(crate) struct ClientState {
 #[derive(Debug)]
 pub(crate) struct RubisState {
     pub model: RubisModel,
-    pub reqs: IdMap<u64, ReqState>,
-    pub resp_map: IdMap<u64, u64>,
-    pub pkt_to_req: IdMap<u64, u64>,
+    pub reqs: ClientTable<Http>,
     pub clients: Vec<ClientState>,
     pub web_vm: u32,
     pub app_vm: u32,
@@ -226,27 +216,9 @@ pub(crate) struct RubisState {
 }
 
 #[derive(Debug)]
-pub(crate) struct InfReqState {
-    /// Tenant index into `tenant_vms` / the model's tenant table.
-    pub tenant: usize,
-    pub start: Nanos,
-    /// Current transmission attempt (0 = original send).
-    pub attempt: u32,
-    /// The request is past guest admission and owned by the DMA/accel
-    /// pipeline (guards duplicate retransmitted copies).
-    pub in_service: bool,
-    /// Sampled accelerator compute cost, stable across retransmissions.
-    pub cost: Nanos,
-}
-
-#[derive(Debug)]
 pub(crate) struct InferenceState {
     pub model: InferenceModel,
-    pub reqs: IdMap<u64, InfReqState>,
-    /// Response packet id → request id.
-    pub resp_map: IdMap<u64, u64>,
-    /// Request packet id → request id (one entry per transmission).
-    pub pkt_to_req: IdMap<u64, u64>,
+    pub reqs: ClientTable<Infer>,
     /// Tenant index → guest VM index.
     pub tenant_vms: Vec<u32>,
     /// Tenant index → accelerator-side queue identity.
@@ -477,7 +449,6 @@ pub struct Platform {
     pub(crate) hog_chunk: Nanos,
     pub(crate) overrate: f64,
     pub(crate) costs: HostCosts,
-    pub(crate) sample_period: Nanos,
     pub(crate) run_end: Nanos,
     pub(crate) driver_pending: bool,
     /// Coordination messages awaiting their Dom0 apply burst. Applications
@@ -616,7 +587,6 @@ impl Platform {
             hog_chunk: Nanos::from_millis(20),
             overrate: 1.0,
             costs: b.costs,
-            sample_period: b.sample_period,
             run_end: Nanos::MAX,
             driver_pending: false,
             coord_pending: VecDeque::new(),
@@ -763,9 +733,7 @@ impl Platform {
             .collect();
         p.rubis = Some(RubisState {
             model,
-            reqs: IdMap::default(),
-            resp_map: IdMap::default(),
-            pkt_to_req: IdMap::default(),
+            reqs: ClientTable::default(),
             clients,
             web_vm: 1,
             app_vm: 2,
@@ -876,9 +844,7 @@ impl Platform {
         };
         p.inf = Some(InferenceState {
             model,
-            reqs: IdMap::default(),
-            resp_map: IdMap::default(),
-            pkt_to_req: IdMap::default(),
+            reqs: ClientTable::default(),
             tenant_vms,
             accel_tenants,
             queue_delays: ResponseStats::new(),
@@ -993,7 +959,7 @@ impl Platform {
         let wall_start = std::time::Instant::now();
         let t_end = self.now + duration;
         self.run_end = t_end;
-        self.q.schedule(self.now + self.sample_period, Ev::Sample);
+        self.q.schedule(self.now + SAMPLE_PERIOD, Ev::Sample);
         self.start_workload();
         // Pre-run configuration (weights, alarms, repeated `run` calls)
         // may have moved any source; start from a full refresh.
@@ -1801,8 +1767,8 @@ impl Platform {
 
     fn route_into_guest(&mut self, vm: u32, pkt: Packet) {
         match pkt.app {
-            AppTag::Http { .. } => self.rubis_request_arrived(vm, pkt),
-            AppTag::Inference { .. } => self.inference_request_arrived(vm, pkt),
+            AppTag::Http { .. } => self.rubis_request_arrived(vm, pkt.id),
+            AppTag::Inference { .. } => self.inference_request_arrived(vm, pkt.id),
             AppTag::InferenceResponse { .. } => {
                 // Responses leave through the IXP; one arriving at a guest
                 // is a routing artifact. Release the window unit.
@@ -1836,7 +1802,7 @@ impl Platform {
         for (dom, usage) in snap.iter() {
             let cum = usage.running();
             let prev = self.cpu_prev.get(&dom).copied().unwrap_or(Nanos::ZERO);
-            let pct = (cum.saturating_sub(prev)) / self.sample_period * 100.0;
+            let pct = (cum.saturating_sub(prev)) / SAMPLE_PERIOD * 100.0;
             self.cpu_series.entry(dom).or_default().push(now, pct);
             self.cpu_prev.insert(dom, cum);
             total_pct += pct;
@@ -1862,7 +1828,7 @@ impl Platform {
         let util = (total_pct / 100.0 / self.ncpus as f64).clamp(0.0, 1.0);
         let window_pkts = self.delivered.saturating_sub(self.delivered_prev);
         self.delivered_prev = self.delivered;
-        let kpps = window_pkts as f64 / self.sample_period.as_secs_f64() / 1000.0;
+        let kpps = window_pkts as f64 / SAMPLE_PERIOD.as_secs_f64() / 1000.0;
         let cpu_w = match self.energy.as_ref() {
             Some(e) => {
                 let p = DvfsState::xeon_ladder()[e.applied.dvfs as usize];
@@ -1880,7 +1846,7 @@ impl Platform {
         // coordination channel, not a direct poke at the scheduler.
         let mut knob_msg = None;
         if let Some(e) = self.energy.as_mut() {
-            let secs = self.sample_period.as_secs_f64();
+            let secs = SAMPLE_PERIOD.as_secs_f64();
             e.cpu_joules += cpu_w * secs;
             e.ixp_joules += ixp_w * secs;
             e.residency[e.applied.dvfs as usize] += 1;
@@ -1918,9 +1884,9 @@ impl Platform {
             self.buffer_series
                 .push(now, self.ixp.flow_queue_bytes(flow) as f64);
         }
-        if now + self.sample_period <= self.run_end {
+        if now + SAMPLE_PERIOD <= self.run_end {
             self.horizons.mark(horizon::QUEUE);
-            self.q.schedule(now + self.sample_period, Ev::Sample);
+            self.q.schedule(now + SAMPLE_PERIOD, Ev::Sample);
         }
     }
 
@@ -1951,9 +1917,16 @@ impl Platform {
             });
         }
         let throughput = self.sessions.throughput(duration);
+        let (offered, outstanding) = match (&self.rubis, &self.inf) {
+            (Some(r), _) => r.reqs.counts(),
+            (_, Some(inf)) => inf.reqs.counts(),
+            _ => (0, 0),
+        };
         let rubis = RubisReport {
             responses: std::mem::take(&mut self.responses),
             completed: self.sessions.requests(),
+            offered,
+            outstanding,
             throughput,
             sessions: self.sessions.sessions(),
             avg_session_secs: self.sessions.avg_session_secs(),
@@ -2153,6 +2126,22 @@ mod tests {
         assert!(matches!(slab.remove(b), Some(Ctx::DriverService)));
         assert!(slab.remove(u64::MAX).is_none(), "unknown slot");
         assert_eq!(slab.slots.len(), 2, "grows only to the bursts in flight");
+    }
+
+    /// A request the web tier drops at its admission cap gives back its
+    /// receive-window unit, so every unit the web VM holds belongs to a
+    /// request queued or in service there.
+    #[test]
+    fn web_tier_admission_drops_release_their_rx_window_unit() {
+        use crate::config::RubisScenario;
+        let mut sim = PlatformBuilder::new()
+            .seed(11)
+            .queue_caps(8, 2)
+            .build_rubis(RubisScenario::read_write_mix(24));
+        let report = sim.run(Nanos::from_secs(120));
+        assert!(report.net.guest_drops > 0, "the tier cap never dropped a request");
+        let web = &sim.vms[sim.slot_by_vm(1).expect("web VM")];
+        assert_eq!(web.inflight_rx, web.pending, "leaked receive-window units");
     }
 
     /// The per-iteration debug sweep catches a cached horizon that moved

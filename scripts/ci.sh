@@ -46,6 +46,15 @@ print(f"    ok: {r['attempted']} {workload} operations, every digest pinned")
 EOF
 done
 
+echo "==> every pinned benchmark digest (--print-digests vs benchmark/digests.txt)"
+# The 2 s runs above reach only the first few seeds of each workload.
+# This replays all pinned operations (4 workloads x 64 seeds, about two
+# minutes) and fails on any digest that moved.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --print-digests \
+    | diff -u benchmark/digests.txt - \
+    || { echo "benchmark digests differ from benchmark/digests.txt" >&2; exit 1; }
+echo "    ok: every pinned benchmark digest reproduced"
+
 echo "==> bench smoke pass (SIMTEST_BENCH_MODE=smoke)"
 SIMTEST_BENCH_MODE=smoke cargo bench --offline -p bench
 
