@@ -14,20 +14,21 @@ fn main() {
     let n = 10; // samples per artifact (criterion used sample_size(10))
 
     let s = bench::SEED;
-    suite.bench_n("paper/fig2_rubis_baseline_minmax", n, || black_box(bench::fig2(s)));
-    suite.bench_n("paper/table1_avg_response", n, || black_box(bench::table1(s)));
-    suite.bench_n("paper/fig4_minmax_coordination", n, || black_box(bench::fig4(s)));
-    suite.bench_n("paper/table2_throughput", n, || black_box(bench::table2(s)));
-    suite.bench_n("paper/fig5_cpu_utilization", n, || black_box(bench::fig5(s)));
-    suite.bench_n("paper/fig6_mplayer_qos", n, || black_box(bench::fig6(s)));
-    suite.bench_n("paper/fig7_trigger_series", n, || black_box(bench::fig7(s)));
-    suite.bench_n("paper/table3_trigger_interference", n, || black_box(bench::table3(s)));
+    let cx = &mut bench::Runner::new();
+    suite.bench_n("paper/fig2_rubis_baseline_minmax", n, || black_box(bench::fig2(cx, s)));
+    suite.bench_n("paper/table1_avg_response", n, || black_box(bench::table1(cx, s)));
+    suite.bench_n("paper/fig4_minmax_coordination", n, || black_box(bench::fig4(cx, s)));
+    suite.bench_n("paper/table2_throughput", n, || black_box(bench::table2(cx, s)));
+    suite.bench_n("paper/fig5_cpu_utilization", n, || black_box(bench::fig5(cx, s)));
+    suite.bench_n("paper/fig6_mplayer_qos", n, || black_box(bench::fig6(cx, s)));
+    suite.bench_n("paper/fig7_trigger_series", n, || black_box(bench::fig7(cx, s)));
+    suite.bench_n("paper/table3_trigger_interference", n, || black_box(bench::table3(cx, s)));
 
-    suite.bench_n("ablations/a1_channel_latency", n, || black_box(bench::ablation_a1(s)));
-    suite.bench_n("ablations/a2_hysteresis", n, || black_box(bench::ablation_a2(s)));
-    suite.bench_n("ablations/a5_trigger_rate", n, || black_box(bench::ablation_a5(s)));
+    suite.bench_n("ablations/a1_channel_latency", n, || black_box(bench::ablation_a1(cx, s)));
+    suite.bench_n("ablations/a2_hysteresis", n, || black_box(bench::ablation_a2(cx, s)));
+    suite.bench_n("ablations/a5_trigger_rate", n, || black_box(bench::ablation_a5(cx, s)));
 
-    suite.bench_n("extensions/p1_power_capping", n, || black_box(bench::extension_p1(s)));
+    suite.bench_n("extensions/p1_power_capping", n, || black_box(bench::extension_p1(cx, s)));
     suite.bench_n("extensions/s1_fabric_scalability", n, || black_box(bench::extension_s1(s)));
 
     suite.finish();

@@ -15,14 +15,21 @@
 //!   clamped to 2..=64). Output for any fixed N is byte-identical across
 //!   `--jobs` values; ci.sh asserts this on a 2-shard fleet.
 //! * `--smoke[=SECS]` — cap every simulated run (default 5 simulated
-//!   seconds): a fast CI pass that keeps table shapes but not statistics.
+//!   seconds, at least 1): a fast CI pass that keeps table shapes but not
+//!   statistics.
 //! * `--seed S` — override the default deterministic seed.
+//!
+//! A flag value that does not parse, or a second `SELECTION`, exits 2.
 //!
 //! Besides the per-table CSVs this writes `results/BENCH_experiments.json`
 //! with the simulator-throughput block (events dispatched, wall µs,
-//! events/sec) and the deterministic per-island dispatch totals for the
-//! whole pass.
+//! events/sec), the deterministic per-island dispatch totals, the fleet
+//! totals and one `{id, events, run_wall_micros}` entry per experiment.
+//! Every experiment returns its own run ledger; the totals are their
+//! merge in submission order, so they are exact under any `--jobs`.
 
+use bench::{pool, RunLedger, Runner};
+use fleet::{BusStats, FleetReport};
 use metrics::Table;
 use simtest::json::Json;
 use std::fs;
@@ -67,33 +74,52 @@ fn selection(which: &str) -> Option<Vec<&'static str>> {
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = bench::pool::take_jobs_flag(&mut args);
-    if let Some(shards) = bench::pool::take_shards_flag(&mut args) {
-        bench::set_fleet_shards(shards);
+/// The parsed command line.
+struct Cli {
+    jobs: usize,
+    runner: Runner,
+    seed: u64,
+    which: String,
+}
+
+fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
+    let jobs = pool::take_jobs_flag(&mut args)?;
+    let mut runner = Runner::new();
+    if let Some(n) = pool::take_flag(&mut args, "--shards")? {
+        runner = runner.with_shards(n);
     }
-    let mut seed = bench::SEED;
-    let mut smoke: Option<u64> = None;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let seed = pool::take_flag(&mut args, "--seed")?.unwrap_or(bench::SEED);
+    let mut which: Option<String> = None;
+    for a in args {
         if a == "--smoke" {
-            smoke = Some(5);
+            runner = runner.with_smoke_cap(5);
         } else if let Some(v) = a.strip_prefix("--smoke=") {
-            smoke = Some(v.parse().unwrap_or(5));
-        } else if a == "--seed" {
-            seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(seed);
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = v.parse().unwrap_or(seed);
+            let secs = v.parse().map_err(|_| format!("--smoke: cannot parse '{v}'"))?;
+            runner = runner.with_smoke_cap(secs);
+        } else if let Some(first) = &which {
+            return Err(format!("one selection at a time, got '{first}' and '{a}'"));
         } else {
-            rest.push(a);
+            which = Some(a);
         }
     }
-    if let Some(secs) = smoke {
-        bench::set_smoke_cap_secs(secs);
-    }
-    let which = rest.first().map(String::as_str).unwrap_or("all");
+    Ok(Cli { jobs, runner, seed, which: which.unwrap_or_else(|| "all".into()) })
+}
+
+/// Sums `f` over every fleet report.
+fn sum(fleets: &[FleetReport], f: impl Fn(&FleetReport) -> u64) -> u64 {
+    fleets.iter().map(f).sum()
+}
+
+fn num(v: u64) -> Json {
+    Json::Num(v as f64)
+}
+
+fn main() {
+    let cli = parse_args(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        std::process::exit(2);
+    });
+    let (jobs, which) = (cli.jobs, cli.which.as_str());
     if which == "list" {
         println!(
             "available: all fig4 ablations extensions inference energy fleet {}",
@@ -107,14 +133,25 @@ fn main() {
     };
 
     let t0 = Instant::now();
-    bench::reset_sim_rate_totals();
-    let tables = bench::run_experiments(jobs, ids.clone(), seed);
+    let units = bench::run_experiments(&cli.runner, jobs, ids.clone(), cli.seed);
     let wall = t0.elapsed();
-    for (slug, table) in &tables {
-        emit(slug, table);
+    let mut total = RunLedger::default();
+    let mut slugs = Vec::new();
+    let mut per_experiment = Vec::new();
+    for (id, tables, ledger) in units {
+        for (slug, table) in &tables {
+            emit(slug, table);
+            slugs.push(Json::Str(slug.clone()));
+        }
+        per_experiment.push(Json::obj(vec![
+            ("id", Json::Str(id)),
+            ("events", num(ledger.events())),
+            ("run_wall_micros", num(ledger.wall_micros)),
+        ]));
+        total.merge(ledger);
     }
 
-    let (events, run_micros) = bench::sim_rate_totals();
+    let (events, run_micros, islands) = (total.events(), total.wall_micros, total.islands);
     let rate = if run_micros > 0 {
         events as f64 * 1e6 / run_micros as f64
     } else {
@@ -122,118 +159,111 @@ fn main() {
     };
     println!(
         "{} experiment table(s) regenerated in {:.2?} (jobs={jobs}); CSVs under results/",
-        tables.len(),
+        slugs.len(),
         wall
     );
     println!(
         "sim rate: {events} events in {:.2} s of simulator time ({rate:.0} events/s)",
         run_micros as f64 / 1e6
     );
-    let islands = bench::island_totals();
     println!(
         "islands: x86 {} ixp {} accel {}",
         islands.x86, islands.ixp, islands.accel
     );
-    let fleet = bench::fleet_totals();
-    if fleet.runs > 0 {
+
+    let fleets = &total.fleets;
+    let (offered, admitted, rejected) = fleets
+        .iter()
+        .map(FleetReport::sessions)
+        .fold((0, 0, 0), |(o, a, r), s| (o + s.0, a + s.1, r + s.2));
+    let bus = |f: fn(&BusStats) -> u64| sum(fleets, |r| f(&r.fleet_bus) + f(&r.rack_bus));
+    let (sent, delivered, late) = (bus(|b| b.frames_sent), bus(|b| b.delivered), bus(|b| b.late));
+    let tunes: [u64; 3] = std::array::from_fn(|level| sum(fleets, |r| r.tunes[level]));
+    let mut per_shard_events: Vec<u64> = Vec::new();
+    for s in fleets.iter().flat_map(|r| &r.per_shard) {
+        let i = s.shard as usize;
+        if per_shard_events.len() <= i {
+            per_shard_events.resize(i + 1, 0);
+        }
+        per_shard_events[i] += s.events;
+    }
+    let shard_slices = sum(fleets, |r| r.shards as u64 * r.slices as u64);
+    let fleet_events = sum(fleets, FleetReport::total_events);
+    if !fleets.is_empty() {
         println!(
-            "fleet: {} run(s), {} shard slices, {} events, sessions {}/{} admitted, \
-             bus {}/{} delivered ({} late), tunes {}/{}/{}",
-            fleet.runs,
-            fleet.shard_slices,
-            fleet.events,
-            fleet.admitted,
-            fleet.offered,
-            fleet.frames_sent,
-            fleet.delivered,
-            fleet.late,
-            fleet.tunes[0],
-            fleet.tunes[1],
-            fleet.tunes[2],
+            "fleet: {} run(s), {shard_slices} shard slices, {fleet_events} events, \
+             sessions {admitted}/{offered} admitted, bus {sent}/{delivered} delivered \
+             ({late} late), tunes {}/{}/{}",
+            fleets.len(),
+            tunes[0],
+            tunes[1],
+            tunes[2],
         );
     }
 
     let report = Json::obj(vec![
         ("schema", Json::Str("bench-experiments-v1".into())),
         ("selection", Json::Str(which.into())),
-        ("jobs", Json::Num(jobs as f64)),
-        ("seed", Json::Num(seed as f64)),
+        ("jobs", num(jobs as u64)),
+        ("seed", num(cli.seed)),
         (
             "smoke_cap_secs",
-            smoke.map(|s| Json::Num(s as f64)).unwrap_or(Json::Null),
+            cli.runner.smoke_cap_secs().map_or(Json::Null, num),
         ),
         (
             "experiments",
             Json::Arr(ids.iter().map(|id| Json::Str((*id).into())).collect()),
         ),
-        (
-            "tables",
-            Json::Arr(
-                tables
-                    .iter()
-                    .map(|(slug, _)| Json::Str(slug.clone()))
-                    .collect(),
-            ),
-        ),
+        ("tables", Json::Arr(slugs)),
         (
             "sim_rate",
             Json::obj(vec![
-                ("events", Json::Num(events as f64)),
-                ("run_wall_micros", Json::Num(run_micros as f64)),
+                ("events", num(events)),
+                ("run_wall_micros", num(run_micros)),
                 ("events_per_sec", Json::Num(rate)),
             ]),
         ),
         (
             "events_by_island",
             Json::obj(vec![
-                ("x86", Json::Num(islands.x86 as f64)),
-                ("ixp", Json::Num(islands.ixp as f64)),
-                ("accel", Json::Num(islands.accel as f64)),
+                ("x86", num(islands.x86)),
+                ("ixp", num(islands.ixp)),
+                ("accel", num(islands.accel)),
             ]),
         ),
         (
             "fleet",
             Json::obj(vec![
-                ("runs", Json::Num(fleet.runs as f64)),
-                ("shards", Json::Num(bench::fleet_shards() as f64)),
-                ("shard_slices", Json::Num(fleet.shard_slices as f64)),
-                ("events", Json::Num(fleet.events as f64)),
+                ("runs", num(fleets.len() as u64)),
+                ("shards", num(cli.runner.shards() as u64)),
+                ("shard_slices", num(shard_slices)),
+                ("events", num(fleet_events)),
                 (
                     "per_shard_events",
-                    Json::Arr(
-                        fleet
-                            .per_shard_events
-                            .iter()
-                            .map(|&e| Json::Num(e as f64))
-                            .collect(),
-                    ),
+                    Json::Arr(per_shard_events.into_iter().map(num).collect()),
                 ),
                 (
                     "sessions",
                     Json::obj(vec![
-                        ("offered", Json::Num(fleet.offered as f64)),
-                        ("admitted", Json::Num(fleet.admitted as f64)),
-                        ("rejected", Json::Num(fleet.rejected as f64)),
+                        ("offered", num(offered)),
+                        ("admitted", num(admitted)),
+                        ("rejected", num(rejected)),
                     ]),
                 ),
                 (
                     "bus",
                     Json::obj(vec![
-                        ("frames_sent", Json::Num(fleet.frames_sent as f64)),
-                        ("delivered", Json::Num(fleet.delivered as f64)),
-                        ("reordered", Json::Num(fleet.reordered as f64)),
-                        ("late", Json::Num(fleet.late as f64)),
+                        ("frames_sent", num(sent)),
+                        ("delivered", num(delivered)),
+                        ("reordered", num(bus(|b| b.reordered))),
+                        ("late", num(late)),
                     ]),
                 ),
-                (
-                    "tunes_by_level",
-                    Json::Arr(
-                        fleet.tunes.iter().map(|&t| Json::Num(t as f64)).collect(),
-                    ),
-                ),
+                ("tunes_by_level", Json::Arr(tunes.into_iter().map(num).collect())),
             ]),
         ),
-        ("wall_micros", Json::Num(wall.as_micros() as f64)),
+        ("per_experiment", Json::Arr(per_experiment)),
+        ("wall_micros", num(wall.as_micros() as u64)),
     ]);
     if fs::create_dir_all("results").is_ok() {
         let path = "results/BENCH_experiments.json";
@@ -246,7 +276,43 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::selection;
+    use super::{parse_args, selection};
+
+    fn parse(args: &[&str]) -> Result<super::Cli, String> {
+        parse_args(args.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn flags_parse_into_the_runner_settings() {
+        let cli = parse(&["--seed", "7", "--shards=3", "--smoke", "--jobs", "2", "fig2"]).unwrap();
+        assert_eq!((cli.jobs, cli.seed, cli.which.as_str()), (2, 7, "fig2"));
+        assert_eq!((cli.runner.shards(), cli.runner.smoke_cap_secs()), (3, Some(5)));
+        let cli = parse(&[]).unwrap();
+        assert_eq!((cli.seed, cli.which.as_str()), (bench::SEED, "all"));
+        assert_eq!((cli.runner.shards(), cli.runner.smoke_cap_secs()), (12, None));
+        assert_eq!(parse(&["--shards", "100"]).unwrap().runner.shards(), 64, "clamped");
+    }
+
+    #[test]
+    fn malformed_flags_and_extra_selections_are_rejected() {
+        for bad in [
+            &["--seed", "x7"][..],
+            &["--seed=x7"],
+            &["--shards", "abc"],
+            &["--smoke=zz"],
+            &["--jobs=many"],
+            &["fig2", "--seed"],
+            &["fig2", "table1"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn smoke_cap_is_recorded_as_applied() {
+        assert_eq!(parse(&["--smoke=0"]).unwrap().runner.smoke_cap_secs(), Some(1));
+        assert_eq!(parse(&["--smoke=3"]).unwrap().runner.smoke_cap_secs(), Some(3));
+    }
 
     #[test]
     fn ablations_are_exactly_a1_to_a6() {

@@ -93,7 +93,7 @@ fn fleet_probe(coordinated: bool) {
         BusConfig::perfect(Nanos::from_micros(100)),
         coordinated,
     );
-    let r = bench::run_fleet(cfg, 3, 20, 1);
+    let r = bench::run_fleet(&mut bench::Runner::new(), cfg, 3, 20, 1);
     println!(
         "== fleet {} (6 shards, depth 2)",
         if coordinated { "coordinated" } else { "uncoordinated" }

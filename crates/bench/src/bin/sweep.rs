@@ -40,7 +40,10 @@ fn run(policy: PolicyKind, c: Cfg, seed: u64) -> RubisOut {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = pool::take_jobs_flag(&mut args);
+    let jobs = pool::take_jobs_flag(&mut args).unwrap_or_else(|e| {
+        eprintln!("sweep: {e}");
+        std::process::exit(2);
+    });
     println!(
         "{:>4} {:>4} {:>3} {:>3} {:>3} {:>4} {:>4} | {:>5} {:>6} {:>6} {:>7} {:>5} | {:>5} {:>6} {:>6} {:>7} {:>5} | ratio",
         "hi", "lo", "rxw", "cap", "N", "thnk", "scl", "Xb", "meanB", "sdB", "maxB", "dropB",

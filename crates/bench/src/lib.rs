@@ -26,8 +26,6 @@ use platform::{
     RunReport,
 };
 use simcore::Nanos;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use workloads::session::SessionLoad;
 
 /// Default deterministic seed for headline runs.
@@ -43,95 +41,125 @@ pub const TRIGGER_SECS: u64 = 180;
 pub const INFER_SECS: u64 = 120;
 
 // ----------------------------------------------------------------------
-// Run plumbing: smoke cap and simulator-rate accounting
+// Run plumbing: settings in, run totals out
 // ----------------------------------------------------------------------
 
-static SMOKE_CAP_SECS: AtomicU64 = AtomicU64::new(u64::MAX);
-static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_WALL_MICROS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_X86_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_IXP_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ACCEL_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Caps every simulated run at `secs` simulated seconds. Smoke mode for
-/// CI and the determinism tests: the tables lose statistical meaning but
-/// keep their exact shape and determinism. `u64::MAX` restores full runs.
-pub fn set_smoke_cap_secs(secs: u64) {
-    SMOKE_CAP_SECS.store(secs.max(1), Ordering::Relaxed);
+/// What a set of [`Platform`] runs cost: simulator wall time, the
+/// deterministic per-island dispatch counts, and every fleet report.
+/// Each experiment unit fills its own ledger; the caller merges them in
+/// submission order, so the totals are exact under any `--jobs`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunLedger {
+    /// Wall microseconds spent inside `Platform::run`, summed over runs.
+    pub wall_micros: u64,
+    /// Events dispatched per island, summed over runs (fleet shards
+    /// included).
+    pub islands: platform::IslandEvents,
+    /// Every fleet run's report, in execution order.
+    pub fleets: Vec<FleetReport>,
 }
 
-fn sim_secs(n: u64) -> Nanos {
-    Nanos::from_secs(n.min(SMOKE_CAP_SECS.load(Ordering::Relaxed)))
-}
-
-/// Totals accumulated across every [`Platform`] run the experiments have
-/// executed in this process: `(events dispatched, wall microseconds)`.
-pub fn sim_rate_totals() -> (u64, u64) {
-    (
-        TOTAL_EVENTS.load(Ordering::Relaxed),
-        TOTAL_WALL_MICROS.load(Ordering::Relaxed),
-    )
-}
-
-/// Resets the [`sim_rate_totals`], [`island_totals`] and
-/// [`fleet_totals`] counters.
-pub fn reset_sim_rate_totals() {
-    TOTAL_EVENTS.store(0, Ordering::Relaxed);
-    TOTAL_WALL_MICROS.store(0, Ordering::Relaxed);
-    TOTAL_X86_EVENTS.store(0, Ordering::Relaxed);
-    TOTAL_IXP_EVENTS.store(0, Ordering::Relaxed);
-    TOTAL_ACCEL_EVENTS.store(0, Ordering::Relaxed);
-    for c in [
-        &FLEET_RUNS,
-        &FLEET_SHARD_SLICES,
-        &FLEET_EVENTS,
-        &FLEET_OFFERED,
-        &FLEET_ADMITTED,
-        &FLEET_REJECTED,
-        &FLEET_FRAMES_SENT,
-        &FLEET_DELIVERED,
-        &FLEET_REORDERED,
-        &FLEET_LATE,
-        &FLEET_TUNES_L0,
-        &FLEET_TUNES_L1,
-        &FLEET_TUNES_L2,
-    ] {
-        c.store(0, Ordering::Relaxed);
+impl RunLedger {
+    /// Events dispatched across every run (the islands' sum).
+    pub fn events(&self) -> u64 {
+        self.islands.x86 + self.islands.ixp + self.islands.accel
     }
-    FLEET_PER_SHARD_EVENTS.lock().unwrap().clear();
-}
 
-/// Deterministic per-island dispatch totals accumulated across every run.
-pub fn island_totals() -> platform::IslandEvents {
-    platform::IslandEvents {
-        x86: TOTAL_X86_EVENTS.load(Ordering::Relaxed),
-        ixp: TOTAL_IXP_EVENTS.load(Ordering::Relaxed),
-        accel: TOTAL_ACCEL_EVENTS.load(Ordering::Relaxed),
+    fn book(&mut self, r: &RunReport) {
+        self.wall_micros += r.sim_rate.wall_micros;
+        self.islands.accumulate(&r.events_by_island);
+    }
+
+    /// Folds `other` into this ledger; `other`'s fleets follow this one's.
+    pub fn merge(&mut self, other: RunLedger) {
+        self.wall_micros += other.wall_micros;
+        self.islands.accumulate(&other.islands);
+        self.fleets.extend(other.fleets);
     }
 }
 
-/// Every experiment run goes through here so the aggregate simulator
-/// throughput and per-island dispatch counts can be reported by the
-/// `experiments` binary.
-fn timed_run(sim: &mut Platform, duration: Nanos) -> RunReport {
-    let r = sim.run(duration);
-    TOTAL_EVENTS.fetch_add(r.sim_rate.events, Ordering::Relaxed);
-    TOTAL_WALL_MICROS.fetch_add(r.sim_rate.wall_micros, Ordering::Relaxed);
-    TOTAL_X86_EVENTS.fetch_add(r.events_by_island.x86, Ordering::Relaxed);
-    TOTAL_IXP_EVENTS.fetch_add(r.events_by_island.ixp, Ordering::Relaxed);
-    TOTAL_ACCEL_EVENTS.fetch_add(r.events_by_island.accel, Ordering::Relaxed);
-    r
+/// The harness's run context: the two settings every experiment reads
+/// (smoke cap and fleet shard count) and the [`RunLedger`] its runs fill.
+#[derive(Debug, Clone)]
+pub struct Runner {
+    smoke_cap_secs: u64,
+    shards: u16,
+    /// Totals of the runs made through this runner.
+    pub ledger: RunLedger,
 }
 
-fn run_rubis(policy: PolicyKind, scenario: RubisScenario, seed: u64) -> RunReport {
+impl Default for Runner {
+    fn default() -> Self {
+        Runner { smoke_cap_secs: u64::MAX, shards: 12, ledger: RunLedger::default() }
+    }
+}
+
+impl Runner {
+    /// Full-length runs on the default 12-shard fleet, empty ledger.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Caps every simulated run at `secs` (at least 1) simulated
+    /// seconds. Smoke mode for CI and the determinism tests: the tables
+    /// lose statistical meaning but keep their exact shape and
+    /// determinism.
+    pub fn with_smoke_cap(mut self, secs: u64) -> Self {
+        self.smoke_cap_secs = secs.max(1);
+        self
+    }
+
+    /// Sets the fleet experiments' shard count, clamped to 2..=64
+    /// (rebalancing needs a pair, and the ncpus/load cycles repeat every
+    /// 3 shards).
+    pub fn with_shards(mut self, n: u16) -> Self {
+        self.shards = n.clamp(2, 64);
+        self
+    }
+
+    /// The effective smoke cap in simulated seconds; `None` for full runs.
+    pub fn smoke_cap_secs(&self) -> Option<u64> {
+        (self.smoke_cap_secs != u64::MAX).then_some(self.smoke_cap_secs)
+    }
+
+    /// The fleet experiments' shard count (default 12).
+    pub fn shards(&self) -> u16 {
+        self.shards
+    }
+
+    /// The same settings with an empty ledger.
+    pub fn fresh(&self) -> Self {
+        Runner { ledger: RunLedger::default(), ..*self }
+    }
+
+    fn capped(&self, secs: u64) -> Nanos {
+        Nanos::from_secs(secs.min(self.smoke_cap_secs))
+    }
+
+    /// Runs `sim` for `secs` simulated seconds (smoke-capped) and books
+    /// the report into the ledger.
+    pub fn run(&mut self, sim: &mut Platform, secs: u64) -> RunReport {
+        let r = sim.run(self.capped(secs));
+        self.ledger.book(&r);
+        r
+    }
+}
+
+fn run_rubis(
+    cx: &mut Runner,
+    policy: PolicyKind,
+    scenario: RubisScenario,
+    seed: u64,
+) -> RunReport {
     let mut sim = PlatformBuilder::new()
         .seed(seed)
         .policy(policy)
         .build_rubis(scenario);
-    timed_run(&mut sim, sim_secs(RUBIS_SECS))
+    cx.run(&mut sim, RUBIS_SECS)
 }
 
 fn run_rubis_faulty(
+    cx: &mut Runner,
     policy: PolicyKind,
     scenario: RubisScenario,
     seed: u64,
@@ -146,7 +174,7 @@ fn run_rubis_faulty(
         b = b.reliable_delivery(cfg);
     }
     let mut sim = b.build_rubis(scenario);
-    timed_run(&mut sim, sim_secs(RUBIS_SECS))
+    cx.run(&mut sim, RUBIS_SECS)
 }
 
 /// Unweighted average of the per-request-type mean response times — the
@@ -182,8 +210,8 @@ fn yesno(b: bool) -> String {
 
 /// Figure 2: variation in minimum–maximum response latencies under the
 /// bid/browse/sell mix with no coordination.
-pub fn fig2(seed: u64) -> Table {
-    let r = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn fig2(cx: &mut Runner, seed: u64) -> Table {
+    let r = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
     let mut t = Table::new(
         "Figure 2 — RUBiS min-max response latencies, no coordination (ms)",
         &["Request Type", "min", "max", "mean", "sd", "p95", "p99"],
@@ -209,9 +237,10 @@ pub fn fig2(seed: u64) -> Table {
 // ----------------------------------------------------------------------
 
 /// Table 1: per-type average response times, baseline vs coordinated.
-pub fn table1(seed: u64) -> Table {
-    let base = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn table1(cx: &mut Runner, seed: u64) -> Table {
+    let base = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
     let coord = run_rubis(
+        cx,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
         seed,
@@ -249,9 +278,10 @@ pub fn table1(seed: u64) -> Table {
 /// Figure 4: min–max response times with and without coordination
 /// (read-write mix). The paper's headline: coordination alleviates peak
 /// latencies and reduces per-type standard deviation.
-pub fn fig4(seed: u64) -> Table {
-    let base = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn fig4(cx: &mut Runner, seed: u64) -> Table {
+    let base = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
     let coord = run_rubis(
+        cx,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
         seed,
@@ -288,13 +318,14 @@ pub fn fig4(seed: u64) -> Table {
 
 /// Figure 4's footnote experiment: under the pure browsing mix (no
 /// read-write transitions) coordination should win for every type.
-pub fn fig4_browsing(seed: u64) -> Table {
+pub fn fig4_browsing(cx: &mut Runner, seed: u64) -> Table {
     // Moderate load: the browsing mix is web-heavy, and the paper's point
     // is that without read/write transitions the coordination regime is
     // always right — best visible when the web tier is not pinned at
     // saturation.
-    let base = run_rubis(PolicyKind::None, RubisScenario::browsing_mix(12), seed);
+    let base = run_rubis(cx, PolicyKind::None, RubisScenario::browsing_mix(12), seed);
     let coord = run_rubis(
+        cx,
         PolicyKind::RequestType,
         RubisScenario::browsing_mix(12),
         seed,
@@ -322,9 +353,10 @@ pub fn fig4_browsing(seed: u64) -> Table {
 // ----------------------------------------------------------------------
 
 /// Table 2: RUBiS throughput results.
-pub fn table2(seed: u64) -> Table {
-    let base = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn table2(cx: &mut Runner, seed: u64) -> Table {
+    let base = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
     let coord = run_rubis(
+        cx,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
         seed,
@@ -372,9 +404,10 @@ pub fn table2(seed: u64) -> Table {
 
 /// Figure 5: RUBiS CPU utilization per component (percent of one pCPU),
 /// baseline vs coordinated, with the user/system split of §3.1.
-pub fn fig5(seed: u64) -> Table {
-    let base = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn fig5(cx: &mut Runner, seed: u64) -> Table {
+    let base = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
     let coord = run_rubis(
+        cx,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
         seed,
@@ -422,7 +455,7 @@ pub fn fig5(seed: u64) -> Table {
 
 /// Figure 6: achieved frame rates under the paper's three weight
 /// configurations (256-256, 384-512, 384-640 with tandem IXP threads).
-pub fn fig6(seed: u64) -> Table {
+pub fn fig6(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "Figure 6 — MPlayer video-stream QoS (frames/s; targets: dom1=20, dom2=25)",
         &["Weights", "Dom1 fps", "meets", "Dom2 fps", "meets"],
@@ -439,7 +472,7 @@ pub fn fig6(seed: u64) -> Table {
             // servicing Domain-2's receive queue in tandem.
             sim.set_flow_threads_by_vm(2, 4);
         }
-        let r = timed_run(&mut sim, sim_secs(RUBIS_SECS));
+        let r = cx.run(&mut sim, RUBIS_SECS);
         let d1 = r.player("dom1").expect("dom1 report");
         let d2 = r.player("dom2").expect("dom2 report");
         t.row_owned(vec![
@@ -460,14 +493,14 @@ pub fn fig6(seed: u64) -> Table {
 /// Figure 7: the trigger run's time series — boosted domain CPU
 /// utilization and IXP buffer occupancy, sampled once per second.
 /// Returns (series table, summary table).
-pub fn fig7(seed: u64) -> (Table, Table) {
+pub fn fig7(cx: &mut Runner, seed: u64) -> (Table, Table) {
     let mut runs = Vec::new();
     for policy in [PolicyKind::None, PolicyKind::BufferTrigger] {
         let mut sim = PlatformBuilder::new()
             .seed(seed)
             .policy(policy)
             .build_mplayer(MplayerScenario::trigger_setup());
-        runs.push(timed_run(&mut sim, sim_secs(TRIGGER_SECS)));
+        runs.push(cx.run(&mut sim, TRIGGER_SECS));
     }
     let (base, coord) = (&runs[0], &runs[1]);
     let mut series = Table::new(
@@ -531,14 +564,14 @@ pub fn fig7(seed: u64) -> (Table, Table) {
 
 /// Table 3: trigger interference — the boosted network player gains,
 /// the colocated local-disk player pays.
-pub fn table3(seed: u64) -> Table {
+pub fn table3(cx: &mut Runner, seed: u64) -> Table {
     let mut results = Vec::new();
     for policy in [PolicyKind::None, PolicyKind::BufferTrigger] {
         let mut sim = PlatformBuilder::new()
             .seed(seed)
             .policy(policy)
             .build_mplayer(MplayerScenario::trigger_setup());
-        results.push(timed_run(&mut sim, sim_secs(TRIGGER_SECS)));
+        results.push(cx.run(&mut sim, TRIGGER_SECS));
     }
     let (base, coord) = (&results[0], &results[1]);
     let mut t = Table::new(
@@ -565,7 +598,7 @@ pub fn table3(seed: u64) -> Table {
 
 /// A1: coordination-channel latency sweep (PCIe mailbox vs QPI/HTX-class
 /// integration, §3.3 "Hardware considerations").
-pub fn ablation_a1(seed: u64) -> Table {
+pub fn ablation_a1(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A1 — coordination channel latency vs response-time damage",
         &["one-way latency", "mean (ms)", "sd (ms)", "max (ms)", "drops"],
@@ -576,7 +609,7 @@ pub fn ablation_a1(seed: u64) -> Table {
             .policy(PolicyKind::RequestType)
             .coord_latency(Nanos::from_micros(us))
             .build_rubis(RubisScenario::read_write_mix(24));
-        let r = timed_run(&mut sim, sim_secs(RUBIS_SECS));
+        let r = cx.run(&mut sim, RUBIS_SECS);
         let o = r.rubis.responses.overall().clone();
         t.row_owned(vec![
             format!("{us} us"),
@@ -591,7 +624,7 @@ pub fn ablation_a1(seed: u64) -> Table {
 
 /// A2: per-request regime switching vs the hysteresis extension the paper
 /// defers to future work.
-pub fn ablation_a2(seed: u64) -> Table {
+pub fn ablation_a2(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A2 — per-request coordination vs hysteresis damping",
         &["Policy", "X (req/s)", "mean", "sd", "max", "msgs", "drops"],
@@ -601,7 +634,7 @@ pub fn ablation_a2(seed: u64) -> Table {
         ("per-request", PolicyKind::RequestType),
         ("hysteresis", PolicyKind::RequestTypeHysteresis),
     ] {
-        let r = run_rubis(policy, RubisScenario::read_write_mix(24), seed);
+        let r = run_rubis(cx, policy, RubisScenario::read_write_mix(24), seed);
         let o = r.rubis.responses.overall().clone();
         t.row_owned(vec![
             label.into(),
@@ -618,7 +651,7 @@ pub fn ablation_a2(seed: u64) -> Table {
 
 /// A3: messaging-driver notification policy — interrupt moderation period
 /// sweep vs Dom0 polling.
-pub fn ablation_a3(seed: u64) -> Table {
+pub fn ablation_a3(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A3 — host notification policy vs response times",
         &["Notify mode", "mean (ms)", "sd (ms)", "max (ms)"],
@@ -646,7 +679,7 @@ pub fn ablation_a3(seed: u64) -> Table {
             .policy(PolicyKind::RequestType)
             .notify_mode(mode)
             .build_rubis(RubisScenario::read_write_mix(24));
-        let r = timed_run(&mut sim, sim_secs(RUBIS_SECS));
+        let r = cx.run(&mut sim, RUBIS_SECS);
         let o = r.rubis.responses.overall().clone();
         t.row_owned(vec![label, fmt(o.mean()), fmt(o.std_dev()), fmt(o.max())]);
     }
@@ -655,7 +688,7 @@ pub fn ablation_a3(seed: u64) -> Table {
 
 /// A4: IXP per-flow dequeue-thread assignment vs delivered throughput
 /// (the §2.1 claim that thread tuning controls per-VM ingress bandwidth).
-pub fn ablation_a4(seed: u64) -> Table {
+pub fn ablation_a4(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A4 — IXP flow threads vs delivered ingress bandwidth",
         &["threads", "delivered pkts", "fps dom1", "IXP buffer mean (bytes)"],
@@ -673,7 +706,7 @@ pub fn ablation_a4(seed: u64) -> Table {
             .seed(seed)
             .ixp_config(ixp_cfg)
             .build_mplayer(MplayerScenario::trigger_setup());
-        let r = timed_run(&mut sim, sim_secs(60));
+        let r = cx.run(&mut sim, 60);
         t.row_owned(vec![
             threads.to_string(),
             r.net.delivered.to_string(),
@@ -687,7 +720,7 @@ pub fn ablation_a4(seed: u64) -> Table {
 }
 
 /// A5: trigger rate limiting — the interference/gain trade-off of Table 3.
-pub fn ablation_a5(seed: u64) -> Table {
+pub fn ablation_a5(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A5 — trigger rate limit vs gain and interference",
         &["max triggers/s", "triggers", "dom1 fps", "dom2 fps"],
@@ -698,7 +731,7 @@ pub fn ablation_a5(seed: u64) -> Table {
             .policy(PolicyKind::BufferTrigger)
             .trigger_rate_limit(rate)
             .build_mplayer(MplayerScenario::trigger_setup());
-        let r = timed_run(&mut sim, sim_secs(TRIGGER_SECS));
+        let r = cx.run(&mut sim, TRIGGER_SECS);
         let label = if rate > 1e6 {
             "unlimited".into()
         } else {
@@ -722,7 +755,7 @@ pub fn ablation_a5(seed: u64) -> Table {
 /// Xen 3.x's tick-sampled debits (which deterministic sub-tick workloads
 /// dodge). Shows how much of the coordination story depends on the
 /// accounting substrate.
-pub fn ablation_a6(seed: u64) -> Table {
+pub fn ablation_a6(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A6 — credit accounting mode vs RUBiS outcomes",
         &["Accounting", "Policy", "X (req/s)", "mean (ms)", "sd (ms)", "drops"],
@@ -735,7 +768,7 @@ pub fn ablation_a6(seed: u64) -> Table {
                 .policy(policy)
                 .precise_accounting(precise)
                 .build_rubis(RubisScenario::read_write_mix(24));
-            let r = timed_run(&mut sim, sim_secs(RUBIS_SECS));
+            let r = cx.run(&mut sim, RUBIS_SECS);
             let o = r.rubis.responses.overall().clone();
             t.row_owned(vec![
                 acct_label.into(),
@@ -756,7 +789,7 @@ pub fn ablation_a6(seed: u64) -> Table {
 /// first) preserves stream QoS, while per-tile biggest-consumer capping
 /// destroys the high-rate stream's frame rate — and, because the elastic
 /// background absorbs the freed cycles, saves almost no power.
-pub fn extension_p1(seed: u64) -> Table {
+pub fn extension_p1(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "P1 — platform power capping: coordinated vs per-tile victim choice",
         &["Config", "mean W", "max W", "dom1 fps", "dom2 fps", "cap actions"],
@@ -767,7 +800,7 @@ pub fn extension_p1(seed: u64) -> Table {
             b = b.power_cap(w, s);
         }
         let mut sim = b.build_mplayer(MplayerScenario::figure6(384, 512));
-        let r = timed_run(&mut sim, sim_secs(120));
+        let r = cx.run(&mut sim, 120);
         t.row_owned(vec![
             label.into(),
             format!("{:.1}", r.power.mean_watts),
@@ -862,8 +895,9 @@ pub fn extension_s1(seed: u64) -> Table {
 }
 
 /// Coordination overhead counters from a coordinated RUBiS run.
-pub fn coordination_overhead(seed: u64) -> Table {
+pub fn coordination_overhead(cx: &mut Runner, seed: u64) -> Table {
     let r = run_rubis(
+        cx,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
         seed,
@@ -910,7 +944,7 @@ pub fn coordination_overhead(seed: u64) -> Table {
 /// single run's mean moves several percent with the fault draws alone;
 /// every cell averages `R1_SEEDS` independent seeds to isolate the loss
 /// effect from that noise. Counter columns are per-run means.
-pub fn reliability_r1(seed: u64) -> Table {
+pub fn reliability_r1(cx: &mut Runner, seed: u64) -> Table {
     const R1_SEEDS: u64 = 5;
     let scenario = RubisScenario::read_write_mix(24);
     let mut t = Table::new(
@@ -933,9 +967,10 @@ pub fn reliability_r1(seed: u64) -> Table {
         let (mut b, mut f, mut a) = (0.0, 0.0, 0.0);
         let (mut drops, mut retx, mut gave_up, mut degraded) = (0u64, 0u64, 0u64, 0.0f64);
         for s in seed..seed + R1_SEEDS {
-            let base = run_rubis_faulty(PolicyKind::None, scenario, s, profile, None);
-            let ff = run_rubis_faulty(PolicyKind::RequestType, scenario, s, profile, None);
+            let base = run_rubis_faulty(cx, PolicyKind::None, scenario, s, profile, None);
+            let ff = run_rubis_faulty(cx, PolicyKind::RequestType, scenario, s, profile, None);
             let ack = run_rubis_faulty(
+                cx,
                 PolicyKind::RequestType,
                 scenario,
                 s,
@@ -978,7 +1013,7 @@ pub fn reliability_r1(seed: u64) -> Table {
 /// R2: ack/retry vs. fire-and-forget under combined loss, jitter, and
 /// duplication — the full fault profile rather than R1's pure loss — with
 /// the delivery-layer counters that explain the difference.
-pub fn reliability_r2(seed: u64) -> Table {
+pub fn reliability_r2(cx: &mut Runner, seed: u64) -> Table {
     let scenario = RubisScenario::read_write_mix(24);
     let faults = FaultProfile::none()
         .with_drop(0.10)
@@ -1005,7 +1040,7 @@ pub fn reliability_r2(seed: u64) -> Table {
         ("ack/retry, faulty channel", faults, Some(ReliableConfig::default())),
     ];
     for (name, profile, reliable) in variants {
-        let r = run_rubis_faulty(PolicyKind::RequestType, scenario, seed, profile, reliable);
+        let r = run_rubis_faulty(cx, PolicyKind::RequestType, scenario, seed, profile, reliable);
         t.row_owned(vec![
             name.to_owned(),
             fmt(mean_response_ms(&r)),
@@ -1027,6 +1062,7 @@ pub fn reliability_r2(seed: u64) -> Table {
 // ----------------------------------------------------------------------
 
 fn run_rubis_adversarial(
+    cx: &mut Runner,
     policy: PolicyKind,
     scenario: RubisScenario,
     seed: u64,
@@ -1041,7 +1077,7 @@ fn run_rubis_adversarial(
         b = b.coord_defenses(cfg);
     }
     let mut sim = b.build_rubis(scenario);
-    timed_run(&mut sim, sim_secs(RUBIS_SECS))
+    cx.run(&mut sim, RUBIS_SECS)
 }
 
 /// The strategy mix for `n` adversarial tenants: inflater, spammer,
@@ -1083,7 +1119,7 @@ fn adversary_mix(n: usize) -> Vec<AdversarySpec> {
 /// Adversarial congestion is heavy-tailed, so every cell averages
 /// `A1_SEEDS` independent seeds; counter columns are per-run means from
 /// the defended runs.
-pub fn anarchy_a1(seed: u64) -> Table {
+pub fn anarchy_a1(cx: &mut Runner, seed: u64) -> Table {
     const A1_SEEDS: u64 = 3;
     let scenario = RubisScenario::read_write_mix(24);
     let mut t = Table::new(
@@ -1102,7 +1138,7 @@ pub fn anarchy_a1(seed: u64) -> Table {
         ],
     );
     let honest: f64 = (seed..seed + A1_SEEDS)
-        .map(|s| mean_response_ms(&run_rubis(PolicyKind::RequestType, scenario, s)))
+        .map(|s| mean_response_ms(&run_rubis(cx, PolicyKind::RequestType, scenario, s)))
         .sum::<f64>()
         / A1_SEEDS as f64;
     for n in [0usize, 1, 2, 4] {
@@ -1115,16 +1151,18 @@ pub fn anarchy_a1(seed: u64) -> Table {
         let (mut throttled, mut discounted) = (0u64, 0u64);
         for s in seed..seed + A1_SEEDS {
             load += mean_response_ms(&run_rubis_adversarial(
+                cx,
                 PolicyKind::RequestType,
                 scenario,
                 s,
                 &well_behaved,
                 None,
             ));
-            let noncoop = run_rubis_adversarial(PolicyKind::None, scenario, s, &advs, None);
+            let noncoop = run_rubis_adversarial(cx, PolicyKind::None, scenario, s, &advs, None);
             let coord =
-                run_rubis_adversarial(PolicyKind::RequestType, scenario, s, &advs, None);
+                run_rubis_adversarial(cx, PolicyKind::RequestType, scenario, s, &advs, None);
             let defended = run_rubis_adversarial(
+                cx,
                 PolicyKind::RequestType,
                 scenario,
                 s,
@@ -1161,12 +1199,17 @@ pub fn anarchy_a1(seed: u64) -> Table {
 // Inference — the third scheduling island
 // ----------------------------------------------------------------------
 
-fn run_inference(policy: PolicyKind, scenario: InferenceScenario, seed: u64) -> RunReport {
+fn run_inference(
+    cx: &mut Runner,
+    policy: PolicyKind,
+    scenario: InferenceScenario,
+    seed: u64,
+) -> RunReport {
     let mut sim = PlatformBuilder::new()
         .seed(seed)
         .policy(policy)
         .build_inference(scenario);
-    timed_run(&mut sim, sim_secs(INFER_SECS))
+    cx.run(&mut sim, INFER_SECS)
 }
 
 /// I1: coordinated vs uncoordinated batch tuning under a mixed-SLA tenant
@@ -1174,10 +1217,10 @@ fn run_inference(policy: PolicyKind, scenario: InferenceScenario, seed: u64) -> 
 /// small batches and larger queue weights (and batch tenants the other
 /// way); the claim is the Figure 4 shape transplanted to the third
 /// island — latency-tenant p99 drops without giving up batch goodput.
-pub fn inference_i1(seed: u64) -> Table {
+pub fn inference_i1(cx: &mut Runner, seed: u64) -> Table {
     let scenario = InferenceScenario::mixed_tenants();
-    let base = run_inference(PolicyKind::None, scenario.clone(), seed);
-    let coord = run_inference(PolicyKind::InferenceBatch, scenario, seed);
+    let base = run_inference(cx, PolicyKind::None, scenario.clone(), seed);
+    let coord = run_inference(cx, PolicyKind::InferenceBatch, scenario, seed);
     let mut t = Table::new(
         "I1 — coordinated batch tuning on the accelerator island",
         &[
@@ -1218,10 +1261,10 @@ pub fn inference_i1(seed: u64) -> Table {
 /// tenant raises a Trigger that preempts the forming batch; the gain is
 /// the alarmed tenant's tail, the cost is the colocated batch tenants'
 /// batch efficiency.
-pub fn inference_i2(seed: u64) -> Table {
+pub fn inference_i2(cx: &mut Runner, seed: u64) -> Table {
     let scenario = InferenceScenario::trigger_setup();
-    let base = run_inference(PolicyKind::None, scenario.clone(), seed);
-    let coord = run_inference(PolicyKind::BufferTrigger, scenario, seed);
+    let base = run_inference(cx, PolicyKind::None, scenario.clone(), seed);
+    let coord = run_inference(cx, PolicyKind::BufferTrigger, scenario, seed);
     let mut t = Table::new(
         "I2 — trigger-based batch preemption vs colocated cost",
         &["Metric", "no-coord", "coord-trigger", "% change"],
@@ -1309,6 +1352,7 @@ fn worst_p99_ms(r: &RunReport) -> f64 {
 /// One energy arm: RUBiS under the RequestType policy with the given
 /// energy dimension and (optionally) a power cap on top.
 fn run_rubis_energy(
+    cx: &mut Runner,
     scenario: RubisScenario,
     seed: u64,
     energy: EnergyConfig,
@@ -1322,7 +1366,7 @@ fn run_rubis_energy(
         b = b.power_cap(w, s);
     }
     let mut sim = b.build_rubis(scenario);
-    timed_run(&mut sim, sim_secs(RUBIS_SECS))
+    cx.run(&mut sim, RUBIS_SECS)
 }
 
 /// Seed-averaged accounting for one energy arm. `p99_ms` is the *worst*
@@ -1342,6 +1386,7 @@ struct EnergyArm {
 }
 
 fn energy_arm(
+    cx: &mut Runner,
     scenario: RubisScenario,
     seed: u64,
     energy: EnergyConfig,
@@ -1360,7 +1405,7 @@ fn energy_arm(
         final_membw: 0,
     };
     for s in seed..seed + E_SEEDS {
-        let r = run_rubis_energy(scenario, s, energy, cap.clone());
+        let r = run_rubis_energy(cx, scenario, s, energy, cap.clone());
         let secs = r.duration.as_secs_f64().max(1e-9);
         a.joules += r.energy.total_joules();
         a.mean_watts += r.energy.total_joules() / secs;
@@ -1396,7 +1441,7 @@ fn energy_arm(
 /// latency. The coordinated arm walks the DVFS/cache/bandwidth lattice
 /// downward only while the worst per-tenant p99 holds under the target,
 /// backing off on violations — energy falls *and* the constraint holds.
-pub fn energy_e1(seed: u64) -> Table {
+pub fn energy_e1(cx: &mut Runner, seed: u64) -> Table {
     let scenario = RubisScenario::read_write_mix(E_CLIENTS);
     let mut t = Table::new(
         "E1 — energy under a p99 QoS target: coordinated knobs vs uncoordinated capping",
@@ -1423,7 +1468,7 @@ pub fn energy_e1(seed: u64) -> Table {
     };
     row(
         "no management",
-        energy_arm(scenario, seed, EnergyConfig::frozen(E_TARGET_MS), None),
+        energy_arm(cx, scenario, seed, EnergyConfig::frozen(E_TARGET_MS), None),
     );
     // Two capping arms bracket the coordinated one: a mild cap that
     // happens to hold the tail but barely saves energy, and a cap sized
@@ -1432,6 +1477,7 @@ pub fn energy_e1(seed: u64) -> Table {
     row(
         "uncoordinated cap 105W",
         energy_arm(
+            cx,
             scenario,
             seed,
             EnergyConfig::frozen(E_TARGET_MS),
@@ -1441,6 +1487,7 @@ pub fn energy_e1(seed: u64) -> Table {
     row(
         "uncoordinated cap 90W",
         energy_arm(
+            cx,
             scenario,
             seed,
             EnergyConfig::frozen(E_TARGET_MS),
@@ -1449,7 +1496,7 @@ pub fn energy_e1(seed: u64) -> Table {
     );
     row(
         "coordinated energy",
-        energy_arm(scenario, seed, EnergyConfig::coordinated(E_TARGET_MS), None),
+        energy_arm(cx, scenario, seed, EnergyConfig::coordinated(E_TARGET_MS), None),
     );
     t
 }
@@ -1463,7 +1510,7 @@ pub fn energy_e1(seed: u64) -> Table {
 /// alone strands the uncore power the cache/bandwidth knobs reclaim (and
 /// vice versa), so the coordinated walk settles at lower power than any
 /// single axis can reach — under the same p99 constraint.
-pub fn energy_e2(seed: u64) -> Table {
+pub fn energy_e2(cx: &mut Runner, seed: u64) -> Table {
     let scenario = RubisScenario::read_write_mix(E_CLIENTS);
     let mut t = Table::new(
         "E2 — knob ablation at iso-QoS: each axis alone vs coordinated",
@@ -1479,7 +1526,7 @@ pub fn energy_e2(seed: u64) -> Table {
             "final membw %",
         ],
     );
-    let frozen = energy_arm(scenario, seed, EnergyConfig::frozen(E_TARGET_MS), None);
+    let frozen = energy_arm(cx, scenario, seed, EnergyConfig::frozen(E_TARGET_MS), None);
     let baseline_joules = frozen.joules;
     let mut row = |label: &str, a: EnergyArm| {
         let saved = if baseline_joules > 0.0 {
@@ -1502,19 +1549,19 @@ pub fn energy_e2(seed: u64) -> Table {
     row("frozen (all knobs pinned)", frozen);
     row(
         "dvfs only",
-        energy_arm(scenario, seed, EnergyConfig::dvfs_only(E_TARGET_MS), None),
+        energy_arm(cx, scenario, seed, EnergyConfig::dvfs_only(E_TARGET_MS), None),
     );
     row(
         "cache ways only",
-        energy_arm(scenario, seed, EnergyConfig::cache_only(E_TARGET_MS), None),
+        energy_arm(cx, scenario, seed, EnergyConfig::cache_only(E_TARGET_MS), None),
     );
     row(
         "membw share only",
-        energy_arm(scenario, seed, EnergyConfig::membw_only(E_TARGET_MS), None),
+        energy_arm(cx, scenario, seed, EnergyConfig::membw_only(E_TARGET_MS), None),
     );
     row(
         "coordinated (all three)",
-        energy_arm(scenario, seed, EnergyConfig::coordinated(E_TARGET_MS), None),
+        energy_arm(cx, scenario, seed, EnergyConfig::coordinated(E_TARGET_MS), None),
     );
     t
 }
@@ -1522,22 +1569,6 @@ pub fn energy_e2(seed: u64) -> Table {
 // ----------------------------------------------------------------------
 // F1 / F2 — fleet-scale sharded worlds
 // ----------------------------------------------------------------------
-
-static FLEET_SHARDS: AtomicU64 = AtomicU64::new(12);
-static FLEET_RUNS: AtomicU64 = AtomicU64::new(0);
-static FLEET_SHARD_SLICES: AtomicU64 = AtomicU64::new(0);
-static FLEET_EVENTS: AtomicU64 = AtomicU64::new(0);
-static FLEET_OFFERED: AtomicU64 = AtomicU64::new(0);
-static FLEET_ADMITTED: AtomicU64 = AtomicU64::new(0);
-static FLEET_REJECTED: AtomicU64 = AtomicU64::new(0);
-static FLEET_FRAMES_SENT: AtomicU64 = AtomicU64::new(0);
-static FLEET_DELIVERED: AtomicU64 = AtomicU64::new(0);
-static FLEET_REORDERED: AtomicU64 = AtomicU64::new(0);
-static FLEET_LATE: AtomicU64 = AtomicU64::new(0);
-static FLEET_TUNES_L0: AtomicU64 = AtomicU64::new(0);
-static FLEET_TUNES_L1: AtomicU64 = AtomicU64::new(0);
-static FLEET_TUNES_L2: AtomicU64 = AtomicU64::new(0);
-static FLEET_PER_SHARD_EVENTS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
 /// Simulated seconds per fleet slice (smoke-capped like every run).
 /// Sized with [`F1_SLICES`] so the full F1 sweep — one baseline plus
@@ -1549,98 +1580,6 @@ const F1_SLICE_SECS: u64 = 300;
 /// uniform caps for both arms, so the coordinated arm's benefit has to
 /// materialise — and be measured — over the remaining rounds.
 const F1_SLICES: u32 = 4;
-
-/// Overrides the shard count of the fleet experiments (`--shards N`);
-/// clamped to 2..=64 (rebalancing needs a pair, and the ncpus/load
-/// cycles repeat every 3 shards).
-pub fn set_fleet_shards(n: u16) {
-    FLEET_SHARDS.store(n.clamp(2, 64) as u64, Ordering::Relaxed);
-}
-
-/// The configured fleet shard count (default 12).
-pub fn fleet_shards() -> u16 {
-    FLEET_SHARDS.load(Ordering::Relaxed) as u16
-}
-
-/// Fleet-level totals accumulated across every fleet run in this
-/// process — the `fleet` block of `results/BENCH_experiments.json`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetTotals {
-    /// Fleet runs executed.
-    pub runs: u64,
-    /// Shard slices simulated (shards × slices, summed over runs).
-    pub shard_slices: u64,
-    /// Island events dispatched inside fleet shards.
-    pub events: u64,
-    /// Sessions offered at the admission doors.
-    pub offered: u64,
-    /// Sessions admitted.
-    pub admitted: u64,
-    /// Sessions rejected.
-    pub rejected: u64,
-    /// Envelope frames first-transmitted on the buses.
-    pub frames_sent: u64,
-    /// Envelopes delivered.
-    pub delivered: u64,
-    /// Deliveries the wire reordered.
-    pub reordered: u64,
-    /// Deliveries arriving a round late.
-    pub late: u64,
-    /// Cap moves by tree level (node group, rack, fleet root).
-    pub tunes: [u64; 3],
-    /// Per-shard event totals, indexed by shard id.
-    pub per_shard_events: Vec<u64>,
-}
-
-/// The fleet totals accumulated so far (reset by
-/// [`reset_sim_rate_totals`]).
-pub fn fleet_totals() -> FleetTotals {
-    FleetTotals {
-        runs: FLEET_RUNS.load(Ordering::Relaxed),
-        shard_slices: FLEET_SHARD_SLICES.load(Ordering::Relaxed),
-        events: FLEET_EVENTS.load(Ordering::Relaxed),
-        offered: FLEET_OFFERED.load(Ordering::Relaxed),
-        admitted: FLEET_ADMITTED.load(Ordering::Relaxed),
-        rejected: FLEET_REJECTED.load(Ordering::Relaxed),
-        frames_sent: FLEET_FRAMES_SENT.load(Ordering::Relaxed),
-        delivered: FLEET_DELIVERED.load(Ordering::Relaxed),
-        reordered: FLEET_REORDERED.load(Ordering::Relaxed),
-        late: FLEET_LATE.load(Ordering::Relaxed),
-        tunes: [
-            FLEET_TUNES_L0.load(Ordering::Relaxed),
-            FLEET_TUNES_L1.load(Ordering::Relaxed),
-            FLEET_TUNES_L2.load(Ordering::Relaxed),
-        ],
-        per_shard_events: FLEET_PER_SHARD_EVENTS.lock().unwrap().clone(),
-    }
-}
-
-fn record_fleet(r: &FleetReport) {
-    FLEET_RUNS.fetch_add(1, Ordering::Relaxed);
-    FLEET_SHARD_SLICES
-        .fetch_add(r.shards as u64 * r.slices as u64, Ordering::Relaxed);
-    FLEET_EVENTS.fetch_add(r.total_events(), Ordering::Relaxed);
-    let (o, a, rej) = r.sessions();
-    FLEET_OFFERED.fetch_add(o, Ordering::Relaxed);
-    FLEET_ADMITTED.fetch_add(a, Ordering::Relaxed);
-    FLEET_REJECTED.fetch_add(rej, Ordering::Relaxed);
-    for b in [&r.fleet_bus, &r.rack_bus] {
-        FLEET_FRAMES_SENT.fetch_add(b.frames_sent, Ordering::Relaxed);
-        FLEET_DELIVERED.fetch_add(b.delivered, Ordering::Relaxed);
-        FLEET_REORDERED.fetch_add(b.reordered, Ordering::Relaxed);
-        FLEET_LATE.fetch_add(b.late, Ordering::Relaxed);
-    }
-    FLEET_TUNES_L0.fetch_add(r.tunes[0], Ordering::Relaxed);
-    FLEET_TUNES_L1.fetch_add(r.tunes[1], Ordering::Relaxed);
-    FLEET_TUNES_L2.fetch_add(r.tunes[2], Ordering::Relaxed);
-    let mut per = FLEET_PER_SHARD_EVENTS.lock().unwrap();
-    if per.len() < r.per_shard.len() {
-        per.resize(r.per_shard.len(), 0);
-    }
-    for s in &r.per_shard {
-        per[s.shard as usize] += s.events;
-    }
-}
 
 /// The heterogeneous fleet the F-experiments run: ncpus cycle 3/2/1 and
 /// every shard's open-loop offered load exceeds the base admission cap
@@ -1680,21 +1619,28 @@ pub fn fleet_cfg(seed: u64, shards: u16, depth: u8, bus: BusConfig, coordinated:
 /// Runs one fleet: `slices` coordination rounds of `slice_secs` simulated
 /// seconds (smoke-capped), each round fanning the shard builds across
 /// `jobs` scoped pool threads and merging reports in shard order. The
-/// returned report is a pure function of `(cfg, slices, slice_secs)` —
-/// `jobs` must not affect a byte of it, which is exactly what F2 and the
-/// ci.sh byte-compare assert.
-pub fn run_fleet(cfg: FleetConfig, slices: u32, slice_secs: u64, jobs: usize) -> FleetReport {
+/// shard runs and the fleet report are booked into `cx`'s ledger on the
+/// calling thread. The returned report is a pure function of `(cfg,
+/// slices, slice_secs)` — `jobs` must not affect a byte of it, which is
+/// exactly what F2 and the ci.sh byte-compare assert.
+pub fn run_fleet(
+    cx: &mut Runner,
+    cfg: FleetConfig,
+    slices: u32,
+    slice_secs: u64,
+    jobs: usize,
+) -> FleetReport {
     let mut state = FleetState::new(cfg, fleet_plans(cfg.topo.shards));
     for slice in 0..slices {
-        let specs = state.specs(slice, sim_secs(slice_secs));
-        let reports = pool::parallel_map(jobs, specs, |spec| {
-            let mut sim = spec.build();
-            timed_run(&mut sim, spec.duration)
-        });
+        let specs = state.specs(slice, cx.capped(slice_secs));
+        let reports = pool::parallel_map(jobs, specs, |spec| spec.build().run(spec.duration));
+        for r in &reports {
+            cx.ledger.book(r);
+        }
         state.absorb(&reports);
     }
     let r = state.report();
-    record_fleet(&r);
+    cx.ledger.fleets.push(r.clone());
     r
 }
 
@@ -1738,8 +1684,8 @@ fn f1_buses(base_latency: Nanos) -> Vec<(&'static str, BusConfig)> {
 /// the cross-node bus slows and loses frames, and deeper trees hold
 /// most of their benefit because rack-local rebalancing never leaves
 /// the building.
-pub fn fleet_f1(seed: u64) -> Table {
-    let shards = fleet_shards();
+pub fn fleet_f1(cx: &mut Runner, seed: u64) -> Table {
+    let shards = cx.shards();
     let jobs = pool::default_jobs();
     let mut t = Table::new(
         "F1 — fleet coordination benefit vs tree depth x cross-node bus",
@@ -1759,6 +1705,7 @@ pub fn fleet_f1(seed: u64) -> Table {
         ],
     );
     let base = run_fleet(
+        cx,
         fleet_cfg(seed, shards, 1, BusConfig::perfect(Nanos::from_micros(100)), false),
         F1_SLICES,
         F1_SLICE_SECS,
@@ -1799,6 +1746,7 @@ pub fn fleet_f1(seed: u64) -> Table {
         row(bus_label, "-", "base", &base);
         for depth in 1..=3u8 {
             let r = run_fleet(
+                cx,
                 fleet_cfg(seed, shards, depth, bus, true),
                 F1_SLICES,
                 F1_SLICE_SECS,
@@ -1816,8 +1764,8 @@ pub fn fleet_f1(seed: u64) -> Table {
 /// same events, same sessions, same bus counters, bit for bit. The
 /// digest is over [`FleetReport::canonical`], which excludes every
 /// wall-clock and host-configuration field.
-pub fn fleet_f2(seed: u64) -> Table {
-    let shards = fleet_shards().min(6);
+pub fn fleet_f2(cx: &mut Runner, seed: u64) -> Table {
+    let shards = cx.shards().min(6);
     let bus = f1_buses(Nanos::from_micros(100))
         .pop()
         .expect("bus sweep is non-empty")
@@ -1830,7 +1778,7 @@ pub fn fleet_f2(seed: u64) -> Table {
     let runs = [("jobs=1", 1usize), ("jobs=4", 4), ("replay jobs=1", 1)];
     let mut first: Option<u64> = None;
     for (label, jobs) in runs {
-        let r = run_fleet(cfg, 2, 20, jobs);
+        let r = run_fleet(cx, cfg, 2, 20, jobs);
         let digest = r.digest();
         let reference = *first.get_or_insert(digest);
         let completed: u64 = r.per_shard.iter().map(|s| s.completed).sum();
@@ -1886,66 +1834,70 @@ pub fn experiment_ids() -> &'static [&'static str] {
     ]
 }
 
-/// Runs one experiment unit with the given seed, returning its `(slug,
-/// table)` pairs (slugs name the CSV files). `None` for an unknown id.
-pub fn run_experiment(id: &str, seed: u64) -> Option<Vec<(String, Table)>> {
+/// Runs one experiment unit with the given seed through `cx`, returning
+/// its `(slug, table)` pairs (slugs name the CSV files). `None` for an
+/// unknown id.
+pub fn run_experiment(cx: &mut Runner, id: &str, seed: u64) -> Option<Vec<(String, Table)>> {
     fn one(slug: &str, t: Table) -> Option<Vec<(String, Table)>> {
         Some(vec![(slug.to_owned(), t)])
     }
     match id {
-        "fig2" => one("fig2", fig2(seed)),
-        "table1" => one("table1", table1(seed)),
-        "fig4" => one("fig4", fig4(seed)),
-        "fig4_browsing" => one("fig4_browsing", fig4_browsing(seed)),
-        "table2" => one("table2", table2(seed)),
-        "fig5" => one("fig5", fig5(seed)),
-        "fig6" => one("fig6", fig6(seed)),
+        "fig2" => one("fig2", fig2(cx, seed)),
+        "table1" => one("table1", table1(cx, seed)),
+        "fig4" => one("fig4", fig4(cx, seed)),
+        "fig4_browsing" => one("fig4_browsing", fig4_browsing(cx, seed)),
+        "table2" => one("table2", table2(cx, seed)),
+        "fig5" => one("fig5", fig5(cx, seed)),
+        "fig6" => one("fig6", fig6(cx, seed)),
         "fig7" => {
-            let (series, summary) = fig7(seed);
+            let (series, summary) = fig7(cx, seed);
             Some(vec![
                 ("fig7_series".to_owned(), series),
                 ("fig7_summary".to_owned(), summary),
             ])
         }
-        "table3" => one("table3", table3(seed)),
-        "a1_channel_latency" => one("a1_channel_latency", ablation_a1(seed)),
-        "a2_hysteresis" => one("a2_hysteresis", ablation_a2(seed)),
-        "a3_notification" => one("a3_notification", ablation_a3(seed)),
-        "a4_ixp_threads" => one("a4_ixp_threads", ablation_a4(seed)),
-        "a5_trigger_rate" => one("a5_trigger_rate", ablation_a5(seed)),
-        "a6_accounting_mode" => one("a6_accounting_mode", ablation_a6(seed)),
-        "a1_price_of_anarchy" => one("a1_price_of_anarchy", anarchy_a1(seed)),
-        "p1_power_capping" => one("p1_power_capping", extension_p1(seed)),
+        "table3" => one("table3", table3(cx, seed)),
+        "a1_channel_latency" => one("a1_channel_latency", ablation_a1(cx, seed)),
+        "a2_hysteresis" => one("a2_hysteresis", ablation_a2(cx, seed)),
+        "a3_notification" => one("a3_notification", ablation_a3(cx, seed)),
+        "a4_ixp_threads" => one("a4_ixp_threads", ablation_a4(cx, seed)),
+        "a5_trigger_rate" => one("a5_trigger_rate", ablation_a5(cx, seed)),
+        "a6_accounting_mode" => one("a6_accounting_mode", ablation_a6(cx, seed)),
+        "a1_price_of_anarchy" => one("a1_price_of_anarchy", anarchy_a1(cx, seed)),
+        "p1_power_capping" => one("p1_power_capping", extension_p1(cx, seed)),
         "s1_fabric_scalability" => one("s1_fabric_scalability", extension_s1(seed)),
-        "r1_loss_sweep" => one("r1_loss_sweep", reliability_r1(seed)),
-        "r2_reliability" => one("r2_reliability", reliability_r2(seed)),
-        "i1_inference_batching" => one("i1_inference_batching", inference_i1(seed)),
-        "i2_batch_preemption" => one("i2_batch_preemption", inference_i2(seed)),
-        "e1_energy_qos" => one("e1_energy_qos", energy_e1(seed)),
-        "e2_energy_ablation" => one("e2_energy_ablation", energy_e2(seed)),
-        "f1_fleet_scale" => one("f1_fleet_scale", fleet_f1(seed)),
-        "f2_fleet_determinism" => one("f2_fleet_determinism", fleet_f2(seed)),
-        "overhead" => one("overhead", coordination_overhead(seed)),
+        "r1_loss_sweep" => one("r1_loss_sweep", reliability_r1(cx, seed)),
+        "r2_reliability" => one("r2_reliability", reliability_r2(cx, seed)),
+        "i1_inference_batching" => one("i1_inference_batching", inference_i1(cx, seed)),
+        "i2_batch_preemption" => one("i2_batch_preemption", inference_i2(cx, seed)),
+        "e1_energy_qos" => one("e1_energy_qos", energy_e1(cx, seed)),
+        "e2_energy_ablation" => one("e2_energy_ablation", energy_e2(cx, seed)),
+        "f1_fleet_scale" => one("f1_fleet_scale", fleet_f1(cx, seed)),
+        "f2_fleet_determinism" => one("f2_fleet_determinism", fleet_f2(cx, seed)),
+        "overhead" => one("overhead", coordination_overhead(cx, seed)),
         _ => None,
     }
 }
 
-/// Runs the given experiment units on up to `jobs` workers and returns
-/// their tables merged in submission order — byte-identical to a serial
-/// run with the same seed.
-pub fn run_experiments(jobs: usize, ids: Vec<&str>, seed: u64) -> Vec<(String, Table)> {
-    pool::parallel_map(jobs, ids, |id| {
-        run_experiment(id, seed).unwrap_or_else(|| panic!("unknown experiment id '{id}'"))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
+/// One experiment unit's output: its id, its `(slug, table)` pairs and
+/// the ledger of the runs it made.
+pub type UnitOutput = (String, Vec<(String, Table)>, RunLedger);
 
-/// Everything, in paper order, on one worker with the default seed.
-/// Returns `(slug, table)` pairs; slugs name the CSV files.
-pub fn all_experiments() -> Vec<(String, Table)> {
-    run_experiments(1, experiment_ids().to_vec(), SEED)
+/// Runs the given experiment units on up to `jobs` workers, each with
+/// `settings` and a fresh ledger, and returns them in submission order —
+/// tables and ledgers alike identical to a serial run with the same seed.
+pub fn run_experiments(
+    settings: &Runner,
+    jobs: usize,
+    ids: Vec<&str>,
+    seed: u64,
+) -> Vec<UnitOutput> {
+    pool::parallel_map(jobs, ids, |id| {
+        let mut cx = settings.fresh();
+        let tables = run_experiment(&mut cx, id, seed)
+            .unwrap_or_else(|| panic!("unknown experiment id '{id}'"));
+        (id.to_owned(), tables, cx.ledger)
+    })
 }
 
 #[cfg(test)]
@@ -1981,7 +1933,7 @@ mod tests {
 
     #[test]
     fn fig2_rows_have_ordered_summary_statistics() {
-        let t = fig2(SEED);
+        let t = fig2(&mut Runner::new(), SEED);
         assert!(!t.is_empty(), "fig2 reports at least one request type");
         for row in csv_rows(&t) {
             assert_eq!(row.len(), 7, "type,min,max,mean,sd,p95,p99");
@@ -1998,7 +1950,7 @@ mod tests {
 
     #[test]
     fn table3_change_column_matches_its_inputs() {
-        let t = table3(SEED);
+        let t = table3(&mut Runner::new(), SEED);
         let rows = csv_rows(&t);
         assert_eq!(rows.len(), 2, "one row per guest domain");
         for row in rows {

@@ -27,42 +27,37 @@ pub fn default_jobs() -> usize {
 
 /// Strips a `--jobs N` / `--jobs=N` flag from `args` and returns the
 /// requested worker count, falling back to [`default_jobs`].
-pub fn take_jobs_flag(args: &mut Vec<String>) -> usize {
-    let mut jobs = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--jobs=") {
-            jobs = v.parse::<usize>().ok();
-            args.remove(i);
-        } else if args[i] == "--jobs" && i + 1 < args.len() {
-            jobs = args[i + 1].parse::<usize>().ok();
-            args.drain(i..=i + 1);
-        } else {
-            i += 1;
-        }
-    }
-    jobs.map(|n| n.max(1)).unwrap_or_else(default_jobs)
+pub fn take_jobs_flag(args: &mut Vec<String>) -> Result<usize, String> {
+    Ok(take_flag::<usize>(args, "--jobs")?.map_or_else(default_jobs, |n| n.max(1)))
 }
 
-/// Strips a `--shards N` / `--shards=N` flag from `args` and returns the
-/// requested fleet shard count, if any. `None` leaves the fleet
-/// experiments on their default (12-shard) fleet; the value is clamped
-/// by `bench::set_fleet_shards`.
-pub fn take_shards_flag(args: &mut Vec<String>) -> Option<u16> {
-    let mut shards = None;
+/// Strips every `NAME V` / `NAME=V` occurrence from `args` and returns
+/// the last value parsed as `T` (`None` when the flag is absent). A value
+/// that does not parse, or a trailing `NAME` without one, is an error.
+pub fn take_flag<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    let mut value = None;
     let mut i = 0;
     while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--shards=") {
-            shards = v.parse::<u16>().ok();
+        let raw = if let Some(v) = args[i].strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
+            let v = v.to_owned();
             args.remove(i);
-        } else if args[i] == "--shards" && i + 1 < args.len() {
-            shards = args[i + 1].parse::<u16>().ok();
-            args.drain(i..=i + 1);
+            v
+        } else if args[i] == name {
+            if i + 1 == args.len() {
+                return Err(format!("{name} needs a value"));
+            }
+            args.remove(i);
+            args.remove(i)
         } else {
             i += 1;
-        }
+            continue;
+        };
+        value = Some(raw.parse().map_err(|_| format!("{name}: cannot parse '{raw}'"))?);
     }
-    shards
+    Ok(value)
 }
 
 /// Runs `f` over `items` on up to `jobs` worker threads and returns the
@@ -188,25 +183,33 @@ mod tests {
     fn jobs_flag_parsing() {
         let mut args: Vec<String> =
             ["a", "--jobs", "3", "b"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_jobs_flag(&mut args), 3);
+        assert_eq!(take_jobs_flag(&mut args), Ok(3));
         assert_eq!(args, ["a", "b"]);
         let mut args: Vec<String> = ["--jobs=5"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_jobs_flag(&mut args), 5);
+        assert_eq!(take_jobs_flag(&mut args), Ok(5));
         assert!(args.is_empty());
         let mut args: Vec<String> = ["--jobs=0"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_jobs_flag(&mut args), 1, "zero clamps to one");
+        assert_eq!(take_jobs_flag(&mut args), Ok(1), "zero clamps to one");
+        for bad in [&["--jobs=two"][..], &["--jobs", "-1"], &["all", "--jobs"]] {
+            let mut args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            assert!(take_jobs_flag(&mut args).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]
     fn shards_flag_parsing() {
         let mut args: Vec<String> =
             ["fleet", "--shards", "4"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_shards_flag(&mut args), Some(4));
+        assert_eq!(take_flag::<u16>(&mut args, "--shards"), Ok(Some(4)));
         assert_eq!(args, ["fleet"]);
         let mut args: Vec<String> = ["--shards=16"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_shards_flag(&mut args), Some(16));
+        assert_eq!(take_flag::<u16>(&mut args, "--shards"), Ok(Some(16)));
         assert!(args.is_empty());
         let mut args: Vec<String> = ["fleet"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_shards_flag(&mut args), None, "default is no override");
+        assert_eq!(take_flag::<u16>(&mut args, "--shards"), Ok(None), "default is no override");
+        // `--shardsx=3` is not the flag; it is left for the caller.
+        let mut args: Vec<String> = ["--shardsx=3"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(take_flag::<u16>(&mut args, "--shards"), Ok(None));
+        assert_eq!(args, ["--shardsx=3"]);
     }
 }

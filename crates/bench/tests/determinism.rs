@@ -1,6 +1,7 @@
 //! Serial vs parallel determinism of the experiment harness: with
-//! identical seeds, the merged experiment tables must be byte-identical
-//! whether the (independent) experiment units run on one worker or many.
+//! identical seeds, the merged experiment tables and every experiment's
+//! run ledger must be identical whether the (independent) experiment
+//! units run on one worker or many.
 //! Runs under a short smoke cap — determinism does not depend on the
 //! simulated duration.
 //!
@@ -9,20 +10,21 @@
 //! of chaos, across every island type — the chaos hooks must cost
 //! nothing (not even an RNG draw) when the schedule is empty.
 
-use metrics::Table;
+use bench::RunLedger;
 use platform::{
-    ChaosPlan, InferenceScenario, MplayerScenario, PlatformBuilder, PolicyKind, RubisScenario,
-    RunReport,
+    ChaosPlan, InferenceScenario, IslandEvents, MplayerScenario, PlatformBuilder, PolicyKind,
+    RubisScenario, RunReport,
 };
 use simcore::Nanos;
 use simtest::json::Json;
 
 /// Renders the merged tables the way the `experiments` binary persists
 /// them: a JSON array of `{slug, csv}` objects, in submission order.
-fn render(tables: &[(String, Table)]) -> String {
+fn render(units: &[bench::UnitOutput]) -> String {
     Json::Arr(
-        tables
+        units
             .iter()
+            .flat_map(|(_, tables, _)| tables)
             .map(|(slug, t)| {
                 Json::obj(vec![
                     ("slug", Json::Str(slug.clone())),
@@ -34,18 +36,41 @@ fn render(tables: &[(String, Table)]) -> String {
     .to_string()
 }
 
+/// A ledger's deterministic part: per-island events and each fleet's
+/// canonical report (wall time excluded).
+fn exact(ledger: &RunLedger) -> (IslandEvents, Vec<String>) {
+    (ledger.islands, ledger.fleets.iter().map(|f| f.canonical()).collect())
+}
+
 #[test]
 fn serial_and_parallel_experiments_are_byte_identical() {
-    bench::set_smoke_cap_secs(2);
+    let settings = bench::Runner::new().with_smoke_cap(2);
     let ids = bench::experiment_ids().to_vec();
     for seed in [bench::SEED, 7, 1234] {
-        let serial = render(&bench::run_experiments(1, ids.clone(), seed));
-        let parallel = render(&bench::run_experiments(4, ids.clone(), seed));
+        let serial_units = bench::run_experiments(&settings, 1, ids.clone(), seed);
+        let parallel_units = bench::run_experiments(&settings, 4, ids.clone(), seed);
+        let serial = render(&serial_units);
         assert_eq!(
-            serial, parallel,
+            serial,
+            render(&parallel_units),
             "seed {seed}: parallel run diverged from serial"
         );
         assert!(!serial.is_empty());
+
+        // Per-experiment ledgers are exact under --jobs 4 ...
+        let mut merged = RunLedger::default();
+        for ((id, _, s), (pid, _, p)) in serial_units.into_iter().zip(parallel_units) {
+            assert_eq!(id, pid, "seed {seed}: submission order");
+            assert_eq!(exact(&s), exact(&p), "seed {seed}: {id}'s ledger moved under --jobs 4");
+            merged.merge(p);
+        }
+        // ... and their merge is the whole pass run through one runner.
+        let mut whole = settings.fresh();
+        for id in &ids {
+            bench::run_experiment(&mut whole, id, seed).expect("registered id");
+        }
+        assert_eq!(exact(&merged), exact(&whole.ledger), "seed {seed}: merged totals");
+        assert!(merged.events() > 0 && merged.fleets.len() == 13, "seed {seed}");
     }
 }
 
@@ -300,5 +325,5 @@ fn registry_ids_are_unique_and_unknown_ids_are_rejected() {
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), ids.len(), "duplicate experiment id");
-    assert!(bench::run_experiment("no_such_experiment", 1).is_none());
+    assert!(bench::run_experiment(&mut bench::Runner::new(), "no_such_experiment", 1).is_none());
 }

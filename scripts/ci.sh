@@ -155,6 +155,27 @@ else:
     print("    no committed baseline rate; gate skipped")
 EOF
 rm -f "$baseline"
+python3 - "$report" <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+events = int(r["sim_rate"]["events"])
+isl = r["events_by_island"]
+if events != isl["x86"] + isl["ixp"] + isl["accel"]:
+    sys.exit(f"BENCH_experiments.json: sim_rate.events {events} != x86+ixp+accel {isl}")
+per = r["per_experiment"]
+if [p["id"] for p in per] != r["experiments"]:
+    sys.exit("BENCH_experiments.json: per_experiment ids differ from the selection")
+if events != sum(p["events"] for p in per):
+    sys.exit(f"BENCH_experiments.json: sim_rate.events {events} != sum of per_experiment events")
+fleet = r["fleet"]
+if fleet["events"] != sum(fleet["per_shard_events"]):
+    sys.exit("BENCH_experiments.json: fleet.events != sum of per_shard_events")
+s = fleet["sessions"]
+if s["offered"] != s["admitted"] + s["rejected"]:
+    sys.exit(f"BENCH_experiments.json: fleet sessions not conserved {s}")
+print(f"    ok: {events} events = islands = sum over {len(per)} experiments; "
+      f"fleet shards and sessions conserved")
+EOF
 
 echo "==> fault-injection smoke checks (r1/r2 reliability tables)"
 python3 - <<'EOF'

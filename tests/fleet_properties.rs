@@ -2,7 +2,8 @@
 //! contracts: Lamport-clock merge monotonicity, `(lamport, source)`
 //! tie-breaking, the cross-node envelope codec, and bit-identical
 //! same-seed replay of whole sharded fleets across worker counts
-//! (the CLI's `--jobs 1` vs `--jobs 4`).
+//! (the CLI's `--jobs 1` vs `--jobs 4`), with session conservation
+//! (offered = admitted + rejected) on every generated fleet.
 
 use archipelago::coord::{wire, CoordMsg, EntityId};
 use archipelago::fleet::{
@@ -201,9 +202,10 @@ fn same_seed_fleet_replays_bit_identically_across_jobs() {
         c.window = Nanos::from_millis(2);
         c
     };
-    let serial = bench::run_fleet(cfg(), 2, 3, 1);
-    let fanned = bench::run_fleet(cfg(), 2, 3, 4);
-    let replay = bench::run_fleet(cfg(), 2, 3, 1);
+    let cx = &mut bench::Runner::new();
+    let serial = bench::run_fleet(cx, cfg(), 2, 3, 1);
+    let fanned = bench::run_fleet(cx, cfg(), 2, 3, 4);
+    let replay = bench::run_fleet(cx, cfg(), 2, 3, 1);
     assert_eq!(serial.canonical(), fanned.canonical(), "jobs=1 vs jobs=4");
     assert_eq!(serial.canonical(), replay.canonical(), "jobs=1 vs replay");
     assert_eq!(serial.digest(), fanned.digest());
@@ -231,14 +233,23 @@ fn generated_topologies_replay_bit_identically_across_jobs() {
                 c.topo = FleetTopology::new(shape.shards, shape.depth, shape.rack_size);
                 c
             };
-            let serial = bench::run_fleet(cfg(), 1, 2, 1);
-            let fanned = bench::run_fleet(cfg(), 1, 2, 4);
+            let cx = &mut bench::Runner::new();
+            let serial = bench::run_fleet(cx, cfg(), 1, 2, 1);
+            let fanned = bench::run_fleet(cx, cfg(), 1, 2, 4);
             st_assert_eq!(
                 serial.canonical(),
                 fanned.canonical(),
                 "canonical report must not depend on the worker count"
             );
             st_assert_eq!(serial.digest(), fanned.digest());
+            // Session conservation: every session offered at a shard's
+            // door is either admitted or rejected, per shard and fleet-wide.
+            for s in &serial.per_shard {
+                st_assert_eq!(s.offered, s.admitted + s.rejected, "shard {}", s.shard);
+            }
+            let (offered, admitted, rejected) = serial.sessions();
+            st_assert!(offered > 0, "the fleet must see sessions");
+            st_assert_eq!(offered, admitted + rejected, "fleet-wide sessions");
             Ok(())
         },
     );
