@@ -92,7 +92,7 @@ fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
     let mut which: Option<String> = None;
     for a in args {
         if a == "--smoke" {
-            runner = runner.with_smoke_cap(5);
+            runner = runner.with_smoke_cap(bench::SMOKE_CAP_SECS);
         } else if let Some(v) = a.strip_prefix("--smoke=") {
             let secs = v.parse().map_err(|_| format!("--smoke: cannot parse '{v}'"))?;
             runner = runner.with_smoke_cap(secs);

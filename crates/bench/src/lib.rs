@@ -31,6 +31,10 @@ use workloads::session::SessionLoad;
 /// Default deterministic seed for headline runs.
 pub const SEED: u64 = 42;
 
+/// Simulated-seconds cap of `experiments --smoke` (the tables
+/// `results/DIGESTS` pins).
+pub const SMOKE_CAP_SECS: u64 = 5;
+
 /// Simulated duration of RUBiS runs.
 pub const RUBIS_SECS: u64 = 300;
 

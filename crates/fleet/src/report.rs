@@ -155,12 +155,7 @@ impl FleetReport {
     /// FNV-1a hash of [`Self::canonical`]: the value the F2 determinism
     /// columns compare across thread counts and replays.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.canonical().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        simcore::digest::fnv1a(self.canonical().as_bytes())
     }
 }
 

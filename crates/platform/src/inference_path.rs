@@ -10,7 +10,7 @@
 //! both islands' queueing *and* the batch-forming delay the Tune knob
 //! controls.
 
-use crate::world::{horizon, Ctx, Ev, Platform};
+use crate::world::{Ctx, Ev, Platform};
 use accel::{AccelRequest, TenantId};
 use simcore::Nanos;
 use xsched::{Burst, WakeMode};
@@ -35,10 +35,7 @@ impl Platform {
         inf.reqs.open(pkt.id, self.now, Infer { tenant: t, cost });
         let gap = inf.model.next_gap(t);
         self.transmit(pkt.id, 0, pkt);
-        let next = self.now + gap;
-        if next <= self.run_end {
-            self.q.schedule(next, Ev::ClientSend(tenant));
-        }
+        self.q.schedule(self.now + gap, Ev::ClientSend(tenant));
     }
 
     /// A tenant client's retransmission timer fired: resend if the
@@ -74,7 +71,6 @@ impl Platform {
         }
         self.vms[slot].pending += 1;
         self.consume_rx(vm, 1);
-        self.horizons.mark(horizon::QUEUE);
         self.q.schedule(self.now + self.accel_dma, Ev::AccelDma { req });
     }
 
@@ -88,7 +84,6 @@ impl Platform {
         let tenant = inf.accel_tenants[t];
         let bytes = inf.model.model_of(t).input_bytes as u64;
         let vm = inf.tenant_vms[t];
-        self.horizons.mark(horizon::ACCEL);
         let Some(acc) = self.accel.as_mut() else { return };
         let accepted = acc.submit(now, AccelRequest { id: req, tenant, cost, bytes });
         if !accepted {

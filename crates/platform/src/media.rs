@@ -7,7 +7,7 @@
 //! continuously ("fastest frame rate possible", as MPlayer's benchmark
 //! mode does).
 
-use crate::world::{horizon, Ctx, Ev, Platform};
+use crate::world::{Ctx, Ev, Platform};
 use ixp::Packet;
 use workloads::mplayer::{Source, MTU_BYTES};
 use xsched::{Burst, WakeMode};
@@ -18,9 +18,7 @@ impl Platform {
         let now = self.now;
         let wire = self.costs.wire_latency;
         let overrate = self.overrate;
-        let run_end = self.run_end;
         let Some(p) = self.players.get_mut(i) else { return };
-        self.horizons.mark(horizon::QUEUE);
         let spec = p.player.spec();
         let vm = p.vm_index;
         let mut remaining = spec.bytes_per_frame();
@@ -33,10 +31,7 @@ impl Platform {
             self.q.schedule(now + wire, Ev::WireArrive(pkt));
         }
         let interval = spec.frame_interval() * (1.0 / overrate);
-        let next = now + interval;
-        if next <= run_end {
-            self.q.schedule(next, Ev::FrameGen(i));
-        }
+        self.q.schedule(now + interval, Ev::FrameGen(i));
     }
 
     /// Stream data reached the guest: accumulate and queue decode work

@@ -4,7 +4,7 @@
 //! its response carry the request id as their packet id, so one map
 //! keyed by that id is a workload's whole bookkeeping.
 
-use crate::world::{horizon, Ev, Platform};
+use crate::world::{Ev, Platform};
 use ixp::{AppTag, Packet};
 use simcore::{IdMap, Nanos};
 
@@ -87,7 +87,6 @@ impl Platform {
     pub(crate) fn transmit(&mut self, req: u64, attempt: u32, mut pkt: Packet) {
         pkt.id = req;
         let now = self.now;
-        self.horizons.mark(horizon::QUEUE);
         self.q.schedule(now + self.costs.wire_latency, Ev::WireArrive(pkt));
         let rto = self.costs.rto_initial * (1u64 << attempt.min(4));
         self.q.schedule(now + rto, Ev::Rto { req, attempt });
@@ -96,7 +95,6 @@ impl Platform {
     /// Hands request `req`'s response to the IXP Tx pipeline.
     pub(crate) fn send_response(&mut self, req: u64, mut resp: Packet) {
         resp.id = req;
-        self.horizons.mark(horizon::IXP);
         let evs = self.ixp.tx_from_host(self.now, resp);
         self.absorb_ixp(evs);
     }

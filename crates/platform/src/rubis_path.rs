@@ -7,7 +7,7 @@
 //! burst), and its response leaves through the IXP Tx pipeline. Response
 //! time is measured client-to-client.
 
-use crate::world::{horizon, Ctx, Ev, Platform, RubisState};
+use crate::world::{Ctx, Ev, Platform, RubisState};
 use simcore::Nanos;
 use workloads::rubis::{RequestType, Tier, TierDemands};
 use xsched::{Burst, WakeMode};
@@ -173,10 +173,6 @@ impl Platform {
             c.done_in_session = 0;
             c.session_start = t_client + think;
         }
-        let next = t_client + think;
-        if next <= self.run_end {
-            self.horizons.mark(horizon::QUEUE);
-            self.q.schedule(next, Ev::ClientSend(client));
-        }
+        self.q.schedule(t_client + think, Ev::ClientSend(client));
     }
 }

@@ -25,7 +25,7 @@ use crate::requests::ClientTable;
 use crate::rubis_path::Http;
 use crate::trace_event::TraceEvent;
 use simcore::trace::TraceBuffer;
-use simcore::{Component, EventQueue, HorizonCache, Nanos, SimRng};
+use simcore::{Component, EventQueue, Nanos, SimRng, Tracked};
 use simtest::chaos::ChaosPlan;
 use std::collections::{BTreeMap, VecDeque};
 use workloads::adversary::Adversary;
@@ -304,25 +304,6 @@ pub(crate) struct CoordCounters {
     pub triggers_applied: u64,
 }
 
-/// Bit assignments for the master loop's cached event horizon. One bit
-/// per event source; a source's bit is marked in `Platform::horizons`
-/// (the [`simcore::HorizonCache`]) whenever code mutates that source's
-/// timing state, and the run loop refreshes only the marked entries
-/// before taking the min.
-pub(crate) mod horizon {
-    pub const QUEUE: u32 = 1 << 0;
-    pub const SCHED: u32 = 1 << 1;
-    pub const IXP: u32 = 1 << 2;
-    pub const LINK: u32 = 1 << 3;
-    pub const MBX: u32 = 1 << 4;
-    pub const ACK: u32 = 1 << 5;
-    pub const RETX: u32 = 1 << 6;
-    pub const ACCEL: u32 = 1 << 7;
-    pub const ACCEL_MBX: u32 = 1 << 8;
-    /// Number of event sources (= index bound for `Platform::horizons`).
-    pub const NSRC: usize = 9;
-}
-
 /// Island index of the x86 host (queue, sched, link, mailboxes, retx).
 const X86_ISLAND: usize = 0;
 /// Island index of the IXP network processor.
@@ -333,39 +314,60 @@ const ACCEL_ISLAND: usize = 2;
 const ISLAND_NAMES: [&str; 3] = ["x86", "ixp", "accel"];
 
 /// One registry entry per event source: what the master loop iterates
-/// instead of a hand-written nine-arm match. Array order mirrors the bit
-/// assignments in [`horizon`]; `island` places the source in the
-/// platform's hardware partition (x86 host, IXP, accelerator), which the
-/// report's per-island dispatch counts fold by.
+/// instead of a hand-written nine-arm match. `island` places the source
+/// in the platform's hardware partition (x86 host, IXP, accelerator),
+/// which the report's per-island dispatch counts fold by.
 struct SourceSpec {
     /// Short stable name (the report's `events_by_source` key).
     name: &'static str,
     /// Island index ([`X86_ISLAND`] etc.).
     island: usize,
+    /// The source's cached horizon ([`Tracked::horizon`]).
+    horizon: fn(&mut Platform) -> Nanos,
+    /// Whether the source's cache is stale or matches a fresh peek
+    /// ([`Tracked::is_coherent`]; read by the debug sweep only).
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    coherent: fn(&Platform) -> bool,
     /// Dispatches this source's due event at `t` (consumes the head and
     /// absorbs whatever it produces).
     dispatch: fn(&mut Platform, Nanos),
 }
 
-/// The platform's event sources, in horizon-bit order. The dispatch
-/// order at equal timestamps is the array order (lowest index wins) —
-/// changing this table's order changes committed artifacts.
-const SOURCES: [SourceSpec; horizon::NSRC] = [
-    SourceSpec { name: "queue", island: X86_ISLAND, dispatch: Platform::dispatch_queue },
-    SourceSpec { name: "sched", island: X86_ISLAND, dispatch: Platform::dispatch_sched },
-    SourceSpec { name: "ixp", island: IXP_ISLAND, dispatch: Platform::dispatch_ixp },
-    SourceSpec { name: "link", island: X86_ISLAND, dispatch: Platform::dispatch_link },
-    SourceSpec { name: "coord-mbx", island: X86_ISLAND, dispatch: Platform::dispatch_coord_mbx },
-    SourceSpec { name: "ack-mbx", island: X86_ISLAND, dispatch: Platform::dispatch_ack_mbx },
-    SourceSpec { name: "retx", island: X86_ISLAND, dispatch: Platform::dispatch_retx },
-    SourceSpec { name: "accel", island: ACCEL_ISLAND, dispatch: Platform::dispatch_accel },
-    SourceSpec { name: "accel-mbx", island: ACCEL_ISLAND, dispatch: Platform::dispatch_accel_mbx },
+/// The registry entry for the [`Tracked`] field `$field`.
+macro_rules! source {
+    ($field:ident, $name:literal, $island:ident, $dispatch:ident) => {
+        SourceSpec {
+            name: $name,
+            island: $island,
+            horizon: |p| p.$field.horizon(),
+            coherent: |p| p.$field.is_coherent(),
+            dispatch: Platform::$dispatch,
+        }
+    };
+}
+
+/// Number of event sources.
+const NSRC: usize = 9;
+
+/// The platform's event sources. The dispatch order at equal timestamps
+/// is the array order (lowest index wins) — changing this table's order
+/// changes committed artifacts.
+const SOURCES: [SourceSpec; NSRC] = [
+    source!(q, "queue", X86_ISLAND, dispatch_queue),
+    source!(sched, "sched", X86_ISLAND, dispatch_sched),
+    source!(ixp, "ixp", IXP_ISLAND, dispatch_ixp),
+    source!(link, "link", X86_ISLAND, dispatch_link),
+    source!(mbx, "coord-mbx", X86_ISLAND, dispatch_coord_mbx),
+    source!(ack_mbx, "ack-mbx", X86_ISLAND, dispatch_ack_mbx),
+    source!(rel_tx, "retx", X86_ISLAND, dispatch_retx),
+    source!(accel, "accel", ACCEL_ISLAND, dispatch_accel),
+    source!(accel_mbx, "accel-mbx", ACCEL_ISLAND, dispatch_accel_mbx),
 ];
 
 /// Events the master loop dispatched per source, indexed like
 /// [`SOURCES`]; the island and total counts fold from these.
 #[derive(Debug, Clone, Copy, Default)]
-struct DispatchCounts([u64; horizon::NSRC]);
+struct DispatchCounts([u64; NSRC]);
 
 impl DispatchCounts {
     /// Total events dispatched.
@@ -402,18 +404,23 @@ impl DispatchCounts {
 
 /// The fully wired two-island platform. Construct with
 /// [`PlatformBuilder`](crate::PlatformBuilder), then call [`run`](Self::run).
+///
+/// The nine event sources of `SOURCES` are [`Tracked`] fields: each
+/// caches its own horizon, and any `&mut` use of one (a submit, a
+/// schedule, a send) marks that cache stale, so the master loop re-peeks
+/// exactly the sources something touched.
 pub struct Platform {
     pub(crate) now: Nanos,
     pub(crate) rng: SimRng,
-    pub(crate) sched: CreditScheduler,
-    pub(crate) ixp: IxpIsland,
-    pub(crate) link: HostLink,
-    pub(crate) mbx: Mailbox<Frame>,
+    pub(crate) sched: Tracked<CreditScheduler>,
+    pub(crate) ixp: Tracked<IxpIsland>,
+    pub(crate) link: Tracked<HostLink>,
+    pub(crate) mbx: Tracked<Mailbox<Frame>>,
     /// Reverse channel (Dom0 → IXP) carrying reliable-delivery acks; it
     /// shares the forward channel's latency and fault profile and stays
     /// silent unless reliable delivery is enabled.
-    pub(crate) ack_mbx: Mailbox<Frame>,
-    pub(crate) rel_tx: Option<ReliableSender>,
+    pub(crate) ack_mbx: Tracked<Mailbox<Frame>>,
+    pub(crate) rel_tx: Tracked<Option<ReliableSender>>,
     pub(crate) rel_rx: Option<ReliableReceiver>,
     pub(crate) degraded_suppressed: u64,
     /// Chaos schedule consulted at the loop's hook points. The default
@@ -429,7 +436,7 @@ pub struct Platform {
     pub(crate) chaos_triggers: u64,
     pub(crate) controller: Controller,
     pub(crate) policy: Box<dyn CoordinationPolicy>,
-    pub(crate) q: EventQueue<Ev>,
+    pub(crate) q: Tracked<EventQueue<Ev>>,
     pub(crate) tags: TagSlab,
     pub(crate) dom0: DomId,
     pub(crate) vms: Vec<VmSlot>,
@@ -437,10 +444,10 @@ pub struct Platform {
     /// The optional third island: a batching inference accelerator.
     /// `None` on every rubis/mplayer platform, keeping the default
     /// two-island build byte-identical.
-    pub(crate) accel: Option<AccelIsland>,
+    pub(crate) accel: Tracked<Option<AccelIsland>>,
     /// Doorbell lane carrying wire-encoded coordination verbs from Dom0
     /// to the accelerator (its own mailbox, with its own fault stream).
-    pub(crate) accel_mbx: Mailbox<Frame>,
+    pub(crate) accel_mbx: Tracked<Mailbox<Frame>>,
     pub(crate) inf: Option<InferenceState>,
     /// Host→accelerator DMA latency for one inference request.
     pub(crate) accel_dma: Nanos,
@@ -449,7 +456,6 @@ pub struct Platform {
     pub(crate) hog_chunk: Nanos,
     pub(crate) overrate: f64,
     pub(crate) costs: HostCosts,
-    pub(crate) run_end: Nanos,
     pub(crate) driver_pending: bool,
     /// Coordination messages awaiting their Dom0 apply burst. Applications
     /// are strictly serialized: weight deltas do not commute once clamping
@@ -497,13 +503,9 @@ pub struct Platform {
     pub(crate) scratch_take: Vec<(FlowId, Packet)>,
     /// Encoding buffer every [`Frame`] is built in.
     pub(crate) scratch_wire: Vec<u8>,
-    /// Cached `next_event_time()` of each source (`Nanos::MAX` = idle)
-    /// plus the dirty mask, indexed by the bit positions in [`horizon`].
-    /// Only dirty entries are recomputed each iteration, so the
-    /// steady-state loop cost is a min over nine array slots rather than
-    /// nine virtual calls (one of which — the reliable sender's timer —
-    /// is O(pending)).
-    pub(crate) horizons: HorizonCache<{ horizon::NSRC }>,
+    /// Whether [`run`](Self::run) has started the sampler and the
+    /// workload's sources.
+    pub(crate) started: bool,
 }
 
 impl std::fmt::Debug for Platform {
@@ -559,12 +561,12 @@ impl Platform {
         Platform {
             now: Nanos::ZERO,
             rng: SimRng::new(b.effective_seed()),
-            sched,
-            ixp: IxpIsland::new(ixp_cfg),
-            link: HostLink::new(b.link_config()),
-            mbx,
-            ack_mbx,
-            rel_tx: b.reliable.map(ReliableSender::new),
+            sched: Tracked::new(sched),
+            ixp: Tracked::new(IxpIsland::new(ixp_cfg)),
+            link: Tracked::new(HostLink::new(b.link_config())),
+            mbx: Tracked::new(mbx),
+            ack_mbx: Tracked::new(ack_mbx),
+            rel_tx: Tracked::new(b.reliable.map(ReliableSender::new)),
             rel_rx: b.reliable.map(|_| ReliableReceiver::new()),
             degraded_suppressed: 0,
             chaos: b.chaos.clone(),
@@ -573,13 +575,13 @@ impl Platform {
             chaos_triggers: 0,
             controller,
             policy: Box::new(NullPolicy),
-            q: EventQueue::new(),
+            q: Tracked::new(EventQueue::new()),
             tags: TagSlab::default(),
             dom0: DomId::DOM0,
             vms: Vec::new(),
             rubis: None,
-            accel: None,
-            accel_mbx,
+            accel: Tracked::new(None),
+            accel_mbx: Tracked::new(accel_mbx),
             inf: None,
             accel_dma: Nanos::from_micros(20),
             players: Vec::new(),
@@ -587,7 +589,6 @@ impl Platform {
             hog_chunk: Nanos::from_millis(20),
             overrate: 1.0,
             costs: b.costs,
-            run_end: Nanos::MAX,
             driver_pending: false,
             coord_pending: VecDeque::new(),
             coord_inflight: false,
@@ -624,32 +625,11 @@ impl Platform {
             scratch_actions: Vec::new(),
             scratch_take: Vec::new(),
             scratch_wire: Vec::new(),
-            horizons: HorizonCache::new(),
+            started: false,
         }
     }
 
-    /// Recomputes one source's horizon from scratch, through the
-    /// source's [`Component`] face. The run loop calls this only for
-    /// dirty entries (and, in debug builds, to cross-check every cached
-    /// entry against the live sources).
-    fn fresh_horizon(&self, i: usize) -> Nanos {
-        let t = match i {
-            0 => Component::next_event_time(&self.q),
-            1 => Component::next_event_time(&self.sched),
-            2 => Component::next_event_time(&self.ixp),
-            3 => Component::next_event_time(&self.link),
-            4 => Component::next_event_time(&self.mbx),
-            5 => Component::next_event_time(&self.ack_mbx),
-            6 => self.rel_tx.as_ref().and_then(Component::next_event_time),
-            7 => self.accel.as_ref().and_then(Component::next_event_time),
-            8 => Component::next_event_time(&self.accel_mbx),
-            _ => unreachable!("no such event source"),
-        };
-        t.unwrap_or(Nanos::MAX)
-    }
-
     fn add_vm(&mut self, name: &str, weight: u32, vm_index: u32, with_flow: bool) -> usize {
-        self.horizons.mark(horizon::SCHED | horizon::IXP);
         let dom = self.sched.create_domain(name, weight, 1);
         let entity = EntityId(vm_index);
         let flow = with_flow.then(|| self.ixp.register_flow(vm_index));
@@ -827,7 +807,7 @@ impl Platform {
             tenant_vms.push(vm_index);
             accel_tenants.push(tenant);
         }
-        p.accel = Some(acc);
+        *p.accel = Some(acc);
         p.policy = match b.policy {
             PolicyKind::InferenceBatch => Box::new(InferenceBatchPolicy::new(ACCEL)),
             PolicyKind::BufferTrigger => {
@@ -867,7 +847,6 @@ impl Platform {
 
     /// Submits a burst to a domain and absorbs any catch-up completions.
     pub(crate) fn submit(&mut self, dom: DomId, burst: Burst, wake: WakeMode) {
-        self.horizons.mark(horizon::SCHED);
         let now = self.now;
         let evs = self
             .sched
@@ -882,7 +861,6 @@ impl Platform {
         let Some(flow) = self.ixp.flow_of_vm(vm_index) else {
             return false;
         };
-        self.horizons.mark(horizon::IXP);
         self.ixp.set_flow_threads(flow, threads);
         true
     }
@@ -935,7 +913,6 @@ impl Platform {
     /// Returns `false` if no such domain exists. Used by experiments that
     /// evaluate static weight assignments.
     pub fn set_weight_by_name(&mut self, name: &str, weight: u32) -> bool {
-        self.horizons.mark(horizon::SCHED);
         if name == "dom0" {
             return self.sched.set_weight(self.dom0, weight).is_ok();
         }
@@ -951,19 +928,23 @@ impl Platform {
 
     /// Runs the simulation for `duration` and returns the measurements.
     ///
-    /// Each iteration refreshes the dirty entries of the horizon cache —
-    /// all O(1) reads: the queues keep a live head and the scheduler
-    /// memoises its horizon — and dispatches the earliest source through
-    /// the `SOURCES` registry.
+    /// The workload's sources and the sampler start on the first call
+    /// only. Their self-rescheduling chains (client think times, tenant
+    /// arrivals, stream frames, adversary emissions, samples) stay queued
+    /// past the end of a run, so a later call continues the same clients,
+    /// players, hogs and sample cadence from where the last one stopped. Each iteration gathers the
+    /// sources' cached horizons — all O(1) reads unless a source was
+    /// touched: the queues keep a live head and the scheduler memoises
+    /// its horizon — and dispatches the earliest source through the
+    /// `SOURCES` registry.
     pub fn run(&mut self, duration: Nanos) -> RunReport {
         let wall_start = std::time::Instant::now();
         let t_end = self.now + duration;
-        self.run_end = t_end;
-        self.q.schedule(self.now + SAMPLE_PERIOD, Ev::Sample);
-        self.start_workload();
-        // Pre-run configuration (weights, alarms, repeated `run` calls)
-        // may have moved any source; start from a full refresh.
-        self.horizons.mark_all();
+        if !self.started {
+            self.started = true;
+            self.q.schedule(self.now + SAMPLE_PERIOD, Ev::Sample);
+            self.start_workload();
+        }
         let counts = self.run_loop(t_end);
         self.now = t_end;
         let mut evs = std::mem::take(&mut self.scratch_sched);
@@ -977,52 +958,44 @@ impl Platform {
     /// The master event loop.
     ///
     /// The loop's invariants:
-    /// * every cached horizon whose dirty bit is clear equals a
-    ///   from-scratch recompute (checked on every iteration in debug
-    ///   builds);
+    /// * every cached horizon not marked stale equals a from-scratch
+    ///   recompute (checked on every iteration in debug builds);
     /// * the earliest horizon is dispatched next, lowest source index
     ///   breaking timestamp ties (the [`SOURCES`] order);
     /// * no source advances past another source's horizon.
     fn run_loop(&mut self, t_end: Nanos) -> DispatchCounts {
         let mut counts = DispatchCounts::default();
         loop {
-            let mut d = self.horizons.take_dirty();
-            while d != 0 {
-                let i = d.trailing_zeros() as usize;
-                d &= d - 1;
-                let h = self.fresh_horizon(i);
-                self.horizons.set(i, h);
+            // Only sources borrowed mutably since their last peek
+            // re-peek; [`Nanos::MAX`] = idle.
+            let (mut t, mut src) = (Nanos::MAX, NSRC);
+            for (i, spec) in SOURCES.iter().enumerate() {
+                let h = (spec.horizon)(self);
+                if h < t {
+                    (t, src) = (h, i);
+                }
             }
             #[cfg(debug_assertions)]
             self.debug_check_horizons();
-            let (t, src) = self.horizons.earliest();
-            if src == horizon::NSRC || t > t_end {
+            if src == NSRC || t > t_end {
                 break;
             }
             self.now = t;
             counts.0[src] += 1;
-            // Dispatching a source always perturbs it (its head event is
-            // consumed), so its entry is unconditionally dirty; anything
-            // else the handler touches marks itself at the mutation site.
-            self.horizons.mark(1 << src as u32);
             (SOURCES[src].dispatch)(self, t);
         }
         counts
     }
 
-    /// Debug-build invariant sweep: every cached horizon must equal a
-    /// from-scratch recompute, so a mutation site missing its
-    /// `horizons.mark` call trips on the very next iteration.
+    /// Debug-build invariant sweep: every source's cached horizon must be
+    /// stale or equal a from-scratch recompute. [`Tracked`] makes a
+    /// mutation that skips the stale mark impossible through `&mut`, so
+    /// this trips only on a peek that reads interior-mutable state or on
+    /// a corrupted cache.
     #[cfg(debug_assertions)]
     fn debug_check_horizons(&self) {
-        for (i, spec) in SOURCES.iter().enumerate() {
-            debug_assert_eq!(
-                self.horizons.get(i),
-                self.fresh_horizon(i),
-                "stale cached horizon for source `{}` (bit {i}): a \
-                 mutation site is missing its `horizons.mark` call",
-                spec.name
-            );
+        for spec in &SOURCES {
+            assert!((spec.coherent)(self), "stale cached horizon for source `{}`", spec.name);
         }
     }
 
@@ -1033,7 +1006,7 @@ impl Platform {
     /// Master-queue head: workload pacing and sampling events.
     fn dispatch_queue(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_ev);
-        Component::advance(&mut self.q, t, &mut evs);
+        Component::advance(&mut *self.q, t, &mut evs);
         for (_, ev) in evs.drain(..) {
             if let Some(d) = self.chaos.delay_event() {
                 // Chaos: push this timer fire out by a bounded delay
@@ -1050,7 +1023,7 @@ impl Platform {
     /// Credit-scheduler timer: ticks, slice rotation, completions.
     fn dispatch_sched(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_sched);
-        Component::advance(&mut self.sched, t, &mut evs);
+        Component::advance(&mut *self.sched, t, &mut evs);
         self.absorb_sched_drain(&mut evs);
         self.scratch_sched = evs;
     }
@@ -1058,7 +1031,7 @@ impl Platform {
     /// IXP stage pipeline: classification, delivery, alarms, wire tx.
     fn dispatch_ixp(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_ixp);
-        Component::advance(&mut self.ixp, t, &mut evs);
+        Component::advance(&mut *self.ixp, t, &mut evs);
         self.absorb_ixp_drain(&mut evs);
         self.scratch_ixp = evs;
     }
@@ -1066,7 +1039,7 @@ impl Platform {
     /// PCIe link: DMA completions and moderated host notifications.
     fn dispatch_link(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_link);
-        Component::advance(&mut self.link, t, &mut evs);
+        Component::advance(&mut *self.link, t, &mut evs);
         self.absorb_link_drain(&mut evs);
         self.scratch_link = evs;
     }
@@ -1074,7 +1047,7 @@ impl Platform {
     /// Forward coordination mailbox: frames arriving at Dom0.
     fn dispatch_coord_mbx(&mut self, t: Nanos) {
         let mut msgs = std::mem::take(&mut self.scratch_mbx);
-        Component::advance(&mut self.mbx, t, &mut msgs);
+        Component::advance(&mut *self.mbx, t, &mut msgs);
         for m in msgs.drain(..) {
             self.handle_coord_delivery(m.as_bytes());
         }
@@ -1084,7 +1057,7 @@ impl Platform {
     /// Reverse mailbox: reliable-delivery acks arriving at the sender.
     fn dispatch_ack_mbx(&mut self, t: Nanos) {
         let mut msgs = std::mem::take(&mut self.scratch_ack);
-        Component::advance(&mut self.ack_mbx, t, &mut msgs);
+        Component::advance(&mut *self.ack_mbx, t, &mut msgs);
         for m in msgs.drain(..) {
             self.handle_ack_delivery(m.as_bytes());
         }
@@ -1099,9 +1072,7 @@ impl Platform {
     /// Accelerator batch engine: completions, alarms, chaos Triggers.
     fn dispatch_accel(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_accel);
-        if let Some(acc) = self.accel.as_mut() {
-            Component::advance(acc, t, &mut evs);
-        }
+        Component::advance(&mut *self.accel, t, &mut evs);
         if self.chaos.force_trigger() {
             // Chaos: preempt a tenant queue at this batch boundary, as a
             // hostile Trigger would.
@@ -1114,7 +1085,7 @@ impl Platform {
     /// Accelerator doorbell lane: coordination verbs reaching the device.
     fn dispatch_accel_mbx(&mut self, t: Nanos) {
         let mut msgs = std::mem::take(&mut self.scratch_accel_mbx);
-        Component::advance(&mut self.accel_mbx, t, &mut msgs);
+        Component::advance(&mut *self.accel_mbx, t, &mut msgs);
         for m in msgs.drain(..) {
             self.handle_accel_delivery(m.as_bytes());
         }
@@ -1166,7 +1137,6 @@ impl Platform {
         for i in 0..self.adversaries.len() {
             let a = &self.adversaries[i];
             if let (0, Some(t)) = (a.sent(), a.next_at()) {
-                self.horizons.mark(horizon::QUEUE);
                 self.q.schedule(t, Ev::Adversary(i));
             }
             if let Some(slot) = self.slot_by_vm(self.adversaries[i].entity().0) {
@@ -1183,7 +1153,6 @@ impl Platform {
         match ev {
             Ev::WireArrive(pkt) => {
                 let now = self.now;
-                self.horizons.mark(horizon::IXP);
                 let evs = self.ixp.rx_from_wire(now, pkt);
                 self.absorb_ixp(evs);
             }
@@ -1220,10 +1189,7 @@ impl Platform {
         self.scratch_coord.push(msg);
         self.send_coord();
         if let Some(t) = next {
-            if t <= self.run_end {
-                self.horizons.mark(horizon::QUEUE);
-                self.q.schedule(t, Ev::Adversary(i));
-            }
+            self.q.schedule(t, Ev::Adversary(i));
         }
     }
 
@@ -1251,7 +1217,6 @@ impl Platform {
         self.chaos_triggers += 1;
         let tenant = inf.accel_tenants[idx];
         let Some(acc) = self.accel.as_mut() else { return };
-        self.horizons.mark(horizon::ACCEL);
         let mgr: &mut dyn ResourceManager = acc;
         let _ = mgr.apply_trigger(now, EntityId(tenant.0));
     }
@@ -1279,7 +1244,6 @@ impl Platform {
             Ctx::DriverService => {
                 self.driver_pending = false;
                 let now = self.now;
-                self.horizons.mark(horizon::LINK);
                 let mut pkts = std::mem::take(&mut self.scratch_take);
                 self.link.host_take_into(now, usize::MAX, &mut pkts);
                 for (flow, pkt) in pkts.drain(..) {
@@ -1300,7 +1264,6 @@ impl Platform {
                     self.submit_background();
                 } else if duty > 0.0 {
                     let gap = self.hog_chunk * ((1.0 - duty) / duty);
-                    self.horizons.mark(horizon::QUEUE);
                     self.q.schedule(self.now + gap, Ev::BackgroundKick);
                 }
             }
@@ -1325,7 +1288,6 @@ impl Platform {
                 IxpEvent::Classified { flow, pkt, .. } => self.on_classified(flow, pkt),
                 IxpEvent::DeliverToHost { flow, pkt, .. } => {
                     let now = self.now;
-                    self.horizons.mark(horizon::LINK);
                     self.link.post_to_host(now, flow, pkt);
                 }
                 IxpEvent::BufferAlarm { flow, bytes, .. } => self.on_buffer_alarm(flow, bytes),
@@ -1349,7 +1311,6 @@ impl Platform {
                 }
                 PcieEvent::TxArrived { pkt, .. } => {
                     let now = self.now;
-                    self.horizons.mark(horizon::IXP);
                     let evs = self.ixp.tx_from_host(now, pkt);
                     self.absorb_ixp(evs);
                 }
@@ -1427,7 +1388,6 @@ impl Platform {
             let frame = Frame::encode(&mut self.scratch_wire, seq, &m);
             self.coord.messages_sent += 1;
             self.coord.bytes_sent += u64::from(frame.len);
-            self.horizons.mark(horizon::RETX | horizon::MBX);
             match self.chaos.coord_jitter() {
                 Some(extra) => {
                     // Chaos: this message rides a congested channel. The
@@ -1446,7 +1406,6 @@ impl Platform {
     /// traces give-ups and degraded-mode entry.
     fn pump_retransmits(&mut self) {
         let now = self.now;
-        self.horizons.mark(horizon::RETX | horizon::MBX);
         let Some(tx) = self.rel_tx.as_mut() else { return };
         let was_degraded = tx.is_degraded();
         let gave_up_before = tx.stats().gave_up;
@@ -1478,7 +1437,6 @@ impl Platform {
             // previous ack was lost — but process each sequence once.
             let now = self.now;
             let ack = Frame::encode(&mut self.scratch_wire, None, &CoordMsg::Ack { seq });
-            self.horizons.mark(horizon::ACK);
             self.ack_mbx.send(now, ack);
             if let Some(rx) = self.rel_rx.as_mut() {
                 if !rx.accept(seq) {
@@ -1508,7 +1466,6 @@ impl Platform {
             return;
         };
         let now = self.now;
-        self.horizons.mark(horizon::RETX);
         let Some(tx) = self.rel_tx.as_mut() else { return };
         let was_degraded = tx.is_degraded();
         tx.on_ack(now, seq);
@@ -1540,7 +1497,6 @@ impl Platform {
     fn handle_accel_delivery(&mut self, bytes: &[u8]) {
         let Ok((msg, _)) = coord::wire::decode(bytes) else { return };
         let now = self.now;
-        self.horizons.mark(horizon::ACCEL);
         let Some(acc) = self.accel.as_mut() else { return };
         let mgr: &mut dyn ResourceManager = acc;
         match msg {
@@ -1602,7 +1558,6 @@ impl Platform {
                 let dom = DomId(local_key as u32);
                 if let Ok(w) = self.sched.weight(dom) {
                     let new = (w as i64 + delta as i64).clamp(1, 65_535) as u32;
-                    self.horizons.mark(horizon::SCHED);
                     let _ = self.sched.set_weight(dom, new);
                     self.coord.tunes_applied += 1;
                     let now = self.now;
@@ -1613,7 +1568,6 @@ impl Platform {
                 let flow = FlowId(local_key as u32);
                 let cur = self.ixp.flow_threads(flow) as i64;
                 let new = (cur + delta as i64).clamp(1, 16) as u32;
-                self.horizons.mark(horizon::IXP);
                 self.ixp.set_flow_threads(flow, new);
                 self.coord.tunes_applied += 1;
             }
@@ -1640,7 +1594,6 @@ impl Platform {
             Action::ApplyTrigger { island, local_key } if island == X86 => {
                 let dom = DomId(local_key as u32);
                 let now = self.now;
-                self.horizons.mark(horizon::SCHED);
                 if let Ok(evs) = self.sched.boost_front(now, dom) {
                     self.absorb_sched(evs);
                     // §3.3: the x86 island translates the preemptive
@@ -1660,7 +1613,6 @@ impl Platform {
         let frame = Frame::encode(&mut self.scratch_wire, None, &msg);
         self.coord.bytes_sent += u64::from(frame.len);
         let now = self.now;
-        self.horizons.mark(horizon::ACCEL_MBX);
         self.accel_mbx.send(now, frame);
     }
 
@@ -1679,7 +1631,6 @@ impl Platform {
                 let rung = rung.min(ladder.len() as u8 - 1);
                 e.applied.dvfs = rung;
                 let (num, den) = ladder[rung as usize].speed();
-                self.horizons.mark(horizon::SCHED);
                 self.sched.set_speed(num, den);
                 num as u32
             }
@@ -1728,7 +1679,6 @@ impl Platform {
             self.vms[slot].inflight_rx += 1;
             self.delivered += 1;
             let now = self.now;
-            self.horizons.mark(horizon::IXP);
             let evs = self.ixp.host_ack(now, flow, 1);
             self.absorb_ixp(evs);
             self.route_into_guest(vm, pkt);
@@ -1757,7 +1707,6 @@ impl Platform {
             self.delivered += 1;
             if let Some(f) = flow {
                 let now = self.now;
-                self.horizons.mark(horizon::IXP);
                 let evs = self.ixp.host_ack(now, f, 1);
                 self.absorb_ixp(evs);
             }
@@ -1793,9 +1742,6 @@ impl Platform {
 
     fn take_sample(&mut self) {
         let now = self.now;
-        // `usage_snapshot` flushes accounting state and `set_cap` below
-        // can reshape the runqueue; both live behind the sched bit.
-        self.horizons.mark(horizon::SCHED);
         let snap = self.sched.usage_snapshot();
         let mut samples: Vec<DomainSample> = Vec::new();
         let mut total_pct = 0.0;
@@ -1884,10 +1830,7 @@ impl Platform {
             self.buffer_series
                 .push(now, self.ixp.flow_queue_bytes(flow) as f64);
         }
-        if now + SAMPLE_PERIOD <= self.run_end {
-            self.horizons.mark(horizon::QUEUE);
-            self.q.schedule(now + SAMPLE_PERIOD, Ev::Sample);
-        }
+        self.q.schedule(now + SAMPLE_PERIOD, Ev::Sample);
     }
 
     fn build_report(
@@ -2144,24 +2087,18 @@ mod tests {
         assert_eq!(web.inflight_rx, web.pending, "leaked receive-window units");
     }
 
-    /// The per-iteration debug sweep catches a cached horizon that moved
-    /// without its dirty mark, and names the stale source.
+    /// The per-iteration debug sweep catches a cached horizon that
+    /// disagrees with its source, and names the source.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "stale cached horizon for source `queue`")]
-    fn debug_sweep_trips_on_a_missing_dirty_mark() {
+    fn debug_sweep_trips_on_a_corrupted_horizon_cache() {
         use crate::config::RubisScenario;
         let mut sim = PlatformBuilder::new().seed(3).build_rubis(RubisScenario::read_write_mix(4));
         sim.run(Nanos::from_millis(50));
-        // Bring every cached entry up to date, then corrupt the master
-        // queue's entry without marking it dirty.
-        sim.horizons.take_dirty();
-        for i in 0..horizon::NSRC {
-            let h = sim.fresh_horizon(i);
-            sim.horizons.set(i, h);
-        }
-        assert_ne!(sim.horizons.get(0), Nanos::ZERO, "queue has pending events");
-        sim.horizons.set(0, Nanos::ZERO);
+        // Corrupt the master queue's cache without touching the queue.
+        assert_ne!(sim.q.horizon(), Nanos::ZERO, "queue has pending events");
+        sim.q.corrupt_cache_for_test(Nanos::ZERO);
         let t_end = sim.now + Nanos::from_millis(50);
         sim.run_loop(t_end);
     }

@@ -1,5 +1,6 @@
 //! The [`Component`] contract every event source implements, and the
-//! [`HorizonCache`] the master loop uses to pick the next source.
+//! [`Tracked`] wrapper that caches a source's horizon for the master
+//! loop.
 //!
 //! Before this module, the platform's run loop hand-threaded nine event
 //! sources through a `match`: each source had its own peek call, its own
@@ -16,12 +17,14 @@
 //! retransmission timers and accelerators all present one shape to the
 //! loop, and a registry can iterate them instead of a hand-written match.
 //!
-//! [`HorizonCache`] is the per-component state the PR-5 dirty bitmask
-//! grew into: one cached horizon slot per component plus a dirty mask,
-//! with the argmin rule (earliest time, lowest index breaks ties) that
-//! fixes the deterministic dispatch order.
+//! [`Tracked`] owns one source and its cached horizon. Any `&mut` access
+//! marks the cache stale, so the loop's per-iteration cost is one flag
+//! test per source, and a recompute only for sources something touched.
+//! The dispatch rule (earliest horizon, lowest source index breaks ties)
+//! lives with the loop that owns the source order.
 
 use crate::Nanos;
+use std::ops::{Deref, DerefMut};
 
 /// An event source the master loop can schedule: anything with a
 /// well-defined next event time that can be advanced to a timestamp.
@@ -34,9 +37,12 @@ use crate::Nanos;
 ///   conformance property in `crates/bench/tests/determinism.rs` checks
 ///   this for every island device.
 /// * **Purity of the peek** — `next_event_time` takes `&self` and must
-///   not mutate observable state; the loop may call it any number of
-///   times between advances (the horizon cache calls it only when the
-///   component is marked dirty).
+///   not mutate observable state, and its answer may change only through
+///   `&mut self`. [`Tracked`] relies on both: it re-peeks only after a
+///   mutable borrow, so a horizon that moved behind a shared reference
+///   (interior mutability) would leave its cache silently stale, and a
+///   peek with side effects would make the number of re-peeks — which
+///   varies with how often the platform touches a source — observable.
 /// * **Determinism** — identical call sequences produce identical events
 ///   in identical order; any randomness comes from seeded state inside
 ///   the component.
@@ -56,90 +62,93 @@ pub trait Component {
     fn advance(&mut self, now: Nanos, out: &mut Vec<Self::Event>);
 }
 
-/// Cached horizons for `N` components plus a dirty mask: the master
-/// loop's working memory.
-///
-/// Each slot holds the component's last computed horizon
-/// ([`Nanos::MAX`] = idle). Code that mutates a component's timing state
-/// marks its bit with [`mark`](Self::mark); the loop drains the mask
-/// with [`take_dirty`](Self::take_dirty), recomputes only marked slots
-/// via [`set`](Self::set), and picks the next dispatch with
-/// [`earliest`](Self::earliest). The steady-state cost is a min over
-/// `N` array slots rather than `N` virtual calls.
-#[derive(Debug, Clone)]
-pub struct HorizonCache<const N: usize> {
-    slots: [Nanos; N],
-    dirty: u32,
-}
+/// An absent component is idle: `None` has no horizon and advancing it
+/// emits nothing. Optional event sources (a reliable sender that is
+/// configured off, a platform without an accelerator) then need no
+/// special case in the loop.
+impl<C: Component> Component for Option<C> {
+    type Event = C::Event;
 
-impl<const N: usize> HorizonCache<N> {
-    /// Mask with every component bit set.
-    pub const ALL: u32 = if N >= 32 { u32::MAX } else { (1u32 << N) - 1 };
-
-    /// A cache with every slot idle and every bit dirty (the first
-    /// refresh computes all horizons from scratch).
-    pub fn new() -> Self {
-        HorizonCache { slots: [Nanos::MAX; N], dirty: Self::ALL }
+    #[inline]
+    fn next_event_time(&self) -> Option<Nanos> {
+        self.as_ref().and_then(C::next_event_time)
     }
 
-    /// Marks the components in `bits` as needing a horizon recompute.
-    #[inline]
-    pub fn mark(&mut self, bits: u32) {
-        self.dirty |= bits;
-    }
-
-    /// Marks every component dirty (used after bulk reconfiguration).
-    #[inline]
-    pub fn mark_all(&mut self) {
-        self.dirty = Self::ALL;
-    }
-
-    /// Returns and clears the dirty mask; the caller refreshes exactly
-    /// the returned bits.
-    #[inline]
-    pub fn take_dirty(&mut self) -> u32 {
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// The dirty mask without clearing it.
-    #[inline]
-    pub fn dirty(&self) -> u32 {
-        self.dirty
-    }
-
-    /// The cached horizon of component `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> Nanos {
-        self.slots[i]
-    }
-
-    /// Stores a freshly computed horizon for component `i`.
-    #[inline]
-    pub fn set(&mut self, i: usize, t: Nanos) {
-        self.slots[i] = t;
-    }
-
-    /// The earliest cached horizon and its component index, with the
-    /// deterministic tie-break: at equal times the lowest index wins
-    /// (strict `<` during the scan). Returns `(Nanos::MAX, N)` when
-    /// every component is idle.
-    #[inline]
-    pub fn earliest(&self) -> (Nanos, usize) {
-        let mut t = Nanos::MAX;
-        let mut idx = N;
-        for (i, &h) in self.slots.iter().enumerate() {
-            if h < t {
-                t = h;
-                idx = i;
-            }
+    fn advance(&mut self, now: Nanos, out: &mut Vec<Self::Event>) {
+        if let Some(c) = self {
+            c.advance(now, out);
         }
-        (t, idx)
     }
 }
 
-impl<const N: usize> Default for HorizonCache<N> {
-    fn default() -> Self {
-        Self::new()
+/// A component plus its cached horizon: the master loop's view of one
+/// event source.
+///
+/// Shared access ([`Deref`]) leaves the cache alone; any mutable access
+/// ([`DerefMut`]) marks it stale, and [`horizon`](Self::horizon)
+/// recomputes it on the next call. Every mutation path therefore
+/// invalidates the cache by construction — no call site can forget to
+/// mark its source. The price is an occasional needless recompute after
+/// a `&mut` use that did not move the horizon, which the peek's purity
+/// makes harmless.
+#[derive(Debug, Clone)]
+pub struct Tracked<C> {
+    inner: C,
+    /// Last computed horizon ([`Nanos::MAX`] = idle); valid unless
+    /// `stale`.
+    cached: Nanos,
+    stale: bool,
+}
+
+impl<C: Component> Tracked<C> {
+    /// Wraps `inner` with a stale cache, so the first
+    /// [`horizon`](Self::horizon) computes it from scratch.
+    pub fn new(inner: C) -> Self {
+        Tracked { inner, cached: Nanos::MAX, stale: true }
+    }
+
+    /// The component's horizon ([`Nanos::MAX`] when idle), peeked only if
+    /// a mutable borrow has happened since the last call.
+    #[inline]
+    pub fn horizon(&mut self) -> Nanos {
+        if self.stale {
+            self.cached = self.inner.next_event_time().unwrap_or(Nanos::MAX);
+            self.stale = false;
+        }
+        self.cached
+    }
+
+    /// Whether the cache is stale or agrees with a fresh peek: the
+    /// master loop's debug sweep asserts this for every source on every
+    /// iteration.
+    pub fn is_coherent(&self) -> bool {
+        self.stale || self.cached == self.inner.next_event_time().unwrap_or(Nanos::MAX)
+    }
+
+    /// Overwrites the cached horizon and marks it fresh without touching
+    /// the component: a deliberately corrupted cache, for tests proving
+    /// that [`is_coherent`](Self::is_coherent) checks catch it.
+    #[doc(hidden)]
+    pub fn corrupt_cache_for_test(&mut self, cached: Nanos) {
+        self.cached = cached;
+        self.stale = false;
+    }
+}
+
+impl<C> Deref for Tracked<C> {
+    type Target = C;
+
+    #[inline]
+    fn deref(&self) -> &C {
+        &self.inner
+    }
+}
+
+impl<C> DerefMut for Tracked<C> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut C {
+        self.stale = true;
+        &mut self.inner
     }
 }
 
@@ -148,35 +157,77 @@ mod tests {
     use super::*;
     use crate::EventQueue;
 
-    #[test]
-    fn new_cache_is_fully_dirty_and_idle() {
-        let mut c: HorizonCache<9> = HorizonCache::new();
-        assert_eq!(c.take_dirty(), (1 << 9) - 1);
-        assert_eq!(c.take_dirty(), 0);
-        assert_eq!(c.earliest(), (Nanos::MAX, 9));
+    /// Counts its peeks, so tests can see when the cache recomputes.
+    #[derive(Default)]
+    struct Probe {
+        next: Option<Nanos>,
+        peeks: std::cell::Cell<u32>,
+    }
+
+    impl Component for Probe {
+        type Event = Nanos;
+
+        fn next_event_time(&self) -> Option<Nanos> {
+            self.peeks.set(self.peeks.get() + 1);
+            self.next
+        }
+
+        fn advance(&mut self, now: Nanos, out: &mut Vec<Nanos>) {
+            out.push(now);
+            self.next = None;
+        }
     }
 
     #[test]
-    fn earliest_breaks_ties_toward_the_lowest_index() {
-        let mut c: HorizonCache<4> = HorizonCache::new();
-        c.set(1, Nanos::from_micros(5));
-        c.set(3, Nanos::from_micros(5));
-        assert_eq!(c.earliest(), (Nanos::from_micros(5), 1));
-        c.set(0, Nanos::from_micros(5));
-        assert_eq!(c.earliest(), (Nanos::from_micros(5), 0));
-        c.set(2, Nanos::from_micros(4));
-        assert_eq!(c.earliest(), (Nanos::from_micros(4), 2));
+    fn mutable_borrows_mark_the_cache_stale_and_shared_ones_do_not() {
+        let mut t = Tracked::new(Probe::default());
+        assert_eq!(t.horizon(), Nanos::MAX);
+        let _ = t.next;
+        assert!(!t.stale, "a shared borrow must leave the cache fresh");
+        t.next = Some(Nanos::from_micros(4));
+        assert!(t.stale, "a mutable borrow must mark the cache stale");
+        assert_eq!(t.horizon(), Nanos::from_micros(4));
+        assert!(!t.stale);
     }
 
     #[test]
-    fn mark_accumulates_until_taken() {
-        let mut c: HorizonCache<3> = HorizonCache::new();
-        c.take_dirty();
-        c.mark(0b001);
-        c.mark(0b100);
-        assert_eq!(c.dirty(), 0b101);
-        assert_eq!(c.take_dirty(), 0b101);
-        assert_eq!(c.dirty(), 0);
+    fn horizon_recomputes_only_when_stale() {
+        let mut t = Tracked::new(Probe { next: Some(Nanos::from_micros(2)), ..Probe::default() });
+        assert_eq!(t.horizon(), Nanos::from_micros(2));
+        assert_eq!(t.horizon(), Nanos::from_micros(2));
+        assert_eq!(t.peeks.get(), 1, "a fresh cache answers without peeking");
+        let mut out = Vec::new();
+        Component::advance(&mut *t, Nanos::from_micros(2), &mut out);
+        assert_eq!(out, vec![Nanos::from_micros(2)]);
+        assert_eq!(t.horizon(), Nanos::MAX);
+        assert_eq!(t.peeks.get(), 2);
+    }
+
+    #[test]
+    fn coherence_check_catches_a_corrupted_cache() {
+        let mut t = Tracked::new(Probe { next: Some(Nanos::from_micros(9)), ..Probe::default() });
+        assert!(t.is_coherent(), "a stale cache is never incoherent");
+        t.horizon();
+        assert!(t.is_coherent());
+        t.corrupt_cache_for_test(Nanos::from_micros(1));
+        assert!(!t.is_coherent());
+        t.next = Some(Nanos::from_micros(1));
+        assert!(t.is_coherent(), "the borrow that moved the horizon marked it stale");
+    }
+
+    #[test]
+    fn an_absent_component_is_idle_and_a_present_one_forwards() {
+        let mut none: Option<Probe> = None;
+        assert_eq!(Component::next_event_time(&none), None);
+        let mut out = Vec::new();
+        Component::advance(&mut none, Nanos::from_micros(1), &mut out);
+        assert!(out.is_empty());
+        let mut some = Some(Probe { next: Some(Nanos::from_micros(3)), ..Probe::default() });
+        assert_eq!(Component::next_event_time(&some), Some(Nanos::from_micros(3)));
+        Component::advance(&mut some, Nanos::from_micros(3), &mut out);
+        assert_eq!(out, vec![Nanos::from_micros(3)]);
+        assert_eq!(Component::next_event_time(&some), None);
+        assert_eq!(Tracked::new(none).horizon(), Nanos::MAX);
     }
 
     #[test]

@@ -1,0 +1,25 @@
+//! FNV-1a 64: the one content hash the workspace pins results with.
+//!
+//! Stable across platforms, compilers and releases (unlike
+//! `std::hash`), cheap, and dependency-free. Used for fleet replay
+//! digests, `simtest` case seeds and the committed table digests.
+
+const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a 64 of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
+    }
+}

@@ -9,6 +9,9 @@
 //! * [`stats`] — online statistics: Welford mean/variance, min/max,
 //!   logarithmic histograms, time-weighted averages and time series.
 //! * [`trace`] — bounded ring-buffer tracing for debugging simulations.
+//! * [`Component`] / [`Tracked`] — the event-source contract and the
+//!   cached-horizon wrapper the platform's master loop schedules by.
+//! * [`digest`] — the FNV-1a hash results are pinned with.
 //!
 //! Everything here is purely computational: no wall-clock, no I/O, no
 //! threads. A simulation driven exclusively through this kernel with a fixed
@@ -30,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 mod component;
+pub mod digest;
 mod idmap;
 mod queue;
 mod rng;
@@ -37,7 +41,7 @@ pub mod stats;
 mod time;
 pub mod trace;
 
-pub use component::{Component, HorizonCache};
+pub use component::{Component, Tracked};
 pub use idmap::{IdHasher, IdMap};
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;

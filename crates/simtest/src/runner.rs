@@ -56,19 +56,9 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn name_hash(name: &str) -> u64 {
-    // FNV-1a: stable across platforms and compilers.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The seed of case `i` of property `name`. Exposed for tests.
 pub fn case_seed(name: &str, i: u32) -> u64 {
-    mix(name_hash(name) ^ mix(i as u64))
+    mix(simcore::digest::fnv1a(name.as_bytes()) ^ mix(i as u64))
 }
 
 fn forced_seed() -> Option<u64> {

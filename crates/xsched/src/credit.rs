@@ -181,7 +181,7 @@ struct Pcpu {
 /// Cached event horizon: recomputing it scans every VCPU and pCPU, so the
 /// value is memoized between state mutations.
 #[derive(Debug, Clone, Copy)]
-enum HorizonCache {
+enum HorizonMemo {
     /// State changed since the last computation.
     Dirty,
     /// Memoized result of the last from-scratch computation.
@@ -208,7 +208,7 @@ pub struct CreditScheduler {
     ctx_switches: u64,
     migrations: u64,
     preemptions: u64,
-    horizon: Cell<HorizonCache>,
+    horizon: Cell<HorizonMemo>,
     /// Execution speed as an exact rational `num/den` of nominal (DVFS).
     /// At `num == den` every conversion below is the identity, so the
     /// nominal path is bit-identical to a scheduler without the feature.
@@ -242,7 +242,7 @@ impl CreditScheduler {
             ctx_switches: 0,
             migrations: 0,
             preemptions: 0,
-            horizon: Cell::new(HorizonCache::Dirty),
+            horizon: Cell::new(HorizonMemo::Dirty),
             speed_num: 1,
             speed_den: 1,
         }
@@ -512,11 +512,11 @@ impl CreditScheduler {
     /// loop's steady state) return the memoized value without rescanning
     /// VCPUs and pCPUs.
     pub fn next_event_time(&self) -> Option<Nanos> {
-        if let HorizonCache::Clean(t) = self.horizon.get() {
+        if let HorizonMemo::Clean(t) = self.horizon.get() {
             return t;
         }
         let t = self.compute_horizon();
-        self.horizon.set(HorizonCache::Clean(t));
+        self.horizon.set(HorizonMemo::Clean(t));
         t
     }
 
@@ -551,7 +551,7 @@ impl CreditScheduler {
     /// choke points every mutation path runs through (`charge_to`,
     /// `handle_boundaries`, `reschedule`, domain creation).
     fn dirty_horizon(&self) {
-        self.horizon.set(HorizonCache::Dirty);
+        self.horizon.set(HorizonMemo::Dirty);
     }
 
     /// Advances the scheduler to `now`, processing every internal boundary

@@ -175,6 +175,21 @@ if s["offered"] != s["admitted"] + s["rejected"]:
     sys.exit(f"BENCH_experiments.json: fleet sessions not conserved {s}")
 print(f"    ok: {events} events = islands = sum over {len(per)} experiments; "
       f"fleet shards and sessions conserved")
+# results/DIGESTS pins the smoke tables. tests/table_digests.rs checks the
+# debug build against it and this checks the release pass, so the two
+# builds agree (the master loop's horizon sweep is debug-only).
+def fnv1a(data):
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+pinned = [line.split() for line in open("results/DIGESTS")]
+if [slug for slug, _ in pinned] != r["tables"]:
+    sys.exit("results/DIGESTS names other tables than the smoke pass wrote")
+for slug, digest in pinned:
+    if f"{fnv1a(open(f'results/{slug}.csv', 'rb').read()):016x}" != digest:
+        sys.exit(f"results/{slug}.csv differs from its digest in results/DIGESTS")
+print(f"    ok: {len(pinned)} release smoke tables match results/DIGESTS")
 EOF
 
 echo "==> fault-injection smoke checks (r1/r2 reliability tables)"
