@@ -4,10 +4,15 @@
 //! Usage: `experiments [--jobs N] [--shards N] [--smoke[=SECS]]
 //! [--seed S] [SELECTION]`
 //!
-//! * `SELECTION` — `all` (default), an experiment id (`experiments list`
-//!   prints them), one of the groups `fig4`, `ablations` (A1–A6),
-//!   `extensions`, `inference`, `energy`, `fleet`, or one of the short
-//!   aliases `i1`, `i2`, `a1` (price of anarchy), `e1`, `e2`, `f1`, `f2`.
+//! * `SELECTION` — `all` (default), or a name from the registry
+//!   `bench::EXPERIMENTS`: a unit's id, its alias (`a1` is the price of
+//!   anarchy, not the channel-latency ablation), one of the groups
+//!   `ablations` (A1–A6), `extensions`, `inference`, `energy`, `fleet`,
+//!   or one of its tables' slugs. A unit always writes all of its
+//!   tables: `fig4`, like any slug of the `rubis` unit, writes the six
+//!   §3.1 RUBiS tables, and `fig7` writes `fig7_series` and
+//!   `fig7_summary`. `experiments list` prints every unit with its
+//!   alias, groups and tables.
 //! * `--jobs N` — fan independent experiments across N worker threads
 //!   (default: `ARCH_JOBS` or the machine's available parallelism).
 //!   Output is byte-identical to `--jobs 1`.
@@ -45,32 +50,13 @@ fn emit(slug: &str, table: &Table) {
     }
 }
 
-fn selection(which: &str) -> Option<Vec<&'static str>> {
-    let ids = bench::experiment_ids();
-    match which {
-        "all" => Some(ids.to_vec()),
-        "fig4" => Some(vec!["fig4", "fig4_browsing"]),
-        "ablations" => Some(vec![
-            "a1_channel_latency",
-            "a2_hysteresis",
-            "a3_notification",
-            "a4_ixp_threads",
-            "a5_trigger_rate",
-            "a6_accounting_mode",
-        ]),
-        "extensions" => Some(vec!["p1_power_capping", "s1_fabric_scalability"]),
-        "inference" => Some(vec!["i1_inference_batching", "i2_batch_preemption"]),
-        "i1" => Some(vec!["i1_inference_batching"]),
-        "i2" => Some(vec!["i2_batch_preemption"]),
-        "a1" => Some(vec!["a1_price_of_anarchy"]),
-        "energy" => Some(vec!["e1_energy_qos", "e2_energy_ablation"]),
-        "e1" => Some(vec!["e1_energy_qos"]),
-        "e2" => Some(vec!["e2_energy_ablation"]),
-        "fleet" => Some(vec!["f1_fleet_scale", "f2_fleet_determinism"]),
-        "f1" => Some(vec!["f1_fleet_scale"]),
-        "f2" => Some(vec!["f2_fleet_determinism"]),
-        id if ids.contains(&id) => Some(vec![ids[ids.iter().position(|x| *x == id).unwrap()]]),
-        _ => None,
+/// Prints every registry unit with the names that select it.
+fn list() {
+    println!("select `all`, or a unit by its id, alias, group or one of its tables:");
+    println!("{:<22} {:<6} {:<11} tables", "id", "alias", "groups");
+    for e in bench::EXPERIMENTS {
+        let groups = if e.groups.is_empty() { "-".into() } else { e.groups.join(",") };
+        println!("{:<22} {:<6} {:<11} {}", e.id, e.alias.unwrap_or("-"), groups, e.slugs.join(" "));
     }
 }
 
@@ -121,30 +107,28 @@ fn main() {
     });
     let (jobs, which) = (cli.jobs, cli.which.as_str());
     if which == "list" {
-        println!(
-            "available: all fig4 ablations extensions inference energy fleet {}",
-            bench::experiment_ids().join(" ")
-        );
+        list();
         return;
     }
-    let Some(ids) = selection(which) else {
+    let Some(selected) = bench::select(which) else {
         eprintln!("unknown experiment '{which}' (try `experiments list`)");
         std::process::exit(2);
     };
+    let ids: Vec<Json> = selected.iter().map(|e| Json::Str(e.id.into())).collect();
 
     let t0 = Instant::now();
-    let units = bench::run_experiments(&cli.runner, jobs, ids.clone(), cli.seed);
+    let units = bench::run_experiments(&cli.runner, jobs, selected, cli.seed);
     let wall = t0.elapsed();
     let mut total = RunLedger::default();
     let mut slugs = Vec::new();
     let mut per_experiment = Vec::new();
-    for (id, tables, ledger) in units {
+    for (unit, tables, ledger) in units {
         for (slug, table) in &tables {
             emit(slug, table);
-            slugs.push(Json::Str(slug.clone()));
+            slugs.push(Json::Str((*slug).into()));
         }
         per_experiment.push(Json::obj(vec![
-            ("id", Json::Str(id)),
+            ("id", Json::Str(unit.id.into())),
             ("events", num(ledger.events())),
             ("run_wall_micros", num(ledger.wall_micros)),
         ]));
@@ -210,10 +194,7 @@ fn main() {
             "smoke_cap_secs",
             cli.runner.smoke_cap_secs().map_or(Json::Null, num),
         ),
-        (
-            "experiments",
-            Json::Arr(ids.iter().map(|id| Json::Str((*id).into())).collect()),
-        ),
+        ("experiments", Json::Arr(ids)),
         ("tables", Json::Arr(slugs)),
         (
             "sim_rate",
@@ -276,7 +257,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_args, selection};
+    use super::parse_args;
 
     fn parse(args: &[&str]) -> Result<super::Cli, String> {
         parse_args(args.iter().map(|s| s.to_string()).collect())
@@ -314,26 +295,44 @@ mod tests {
         assert_eq!(parse(&["--smoke=3"]).unwrap().runner.smoke_cap_secs(), Some(3));
     }
 
-    #[test]
-    fn ablations_are_exactly_a1_to_a6() {
-        let ablations = selection("ablations").unwrap();
-        assert_eq!(ablations.len(), 6);
-        assert!(!ablations.contains(&"a1_price_of_anarchy"));
-        assert_eq!(selection("a1").unwrap(), ["a1_price_of_anarchy"]);
+    /// The ids of the units a selection name resolves to.
+    fn ids(name: &str) -> Vec<&'static str> {
+        bench::select(name).unwrap_or_default().iter().map(|e| e.id).collect()
     }
 
     #[test]
-    fn every_group_and_alias_names_known_experiments() {
-        let ids = bench::experiment_ids();
-        assert_eq!(selection("all").unwrap(), ids);
-        for which in [
-            "fig4", "ablations", "extensions", "inference", "energy", "fleet", "i1", "i2", "a1",
-            "e1", "e2", "f1", "f2",
-        ] {
-            let sel = selection(which).unwrap_or_else(|| panic!("`{which}` is not accepted"));
-            assert!(!sel.is_empty() && sel.iter().all(|id| ids.contains(id)), "{which}: {sel:?}");
-        }
-        assert_eq!(selection("fig7").unwrap(), ["fig7"]);
-        assert!(selection("a7").is_none());
+    fn ablations_are_a1_to_a6_and_a1_is_the_price_of_anarchy() {
+        assert_eq!(
+            ids("ablations"),
+            [
+                "a1_channel_latency",
+                "a2_hysteresis",
+                "a3_notification",
+                "a4_ixp_threads",
+                "a5_trigger_rate",
+                "a6_accounting_mode",
+            ]
+        );
+        // ci.sh and EXPERIMENTS.md run `experiments a1`.
+        assert_eq!(ids("a1"), ["a1_price_of_anarchy"]);
+    }
+
+    #[test]
+    fn a_table_slug_selects_its_whole_unit() {
+        assert_eq!(ids("fig4"), ["rubis"]);
+        assert_eq!(ids("fig7_summary"), ["fig7"]);
+        assert_eq!(ids("fig7"), ["fig7"]);
+        assert!(ids("a7").is_empty());
+    }
+
+    #[test]
+    fn all_writes_the_tables_results_digests_pins_in_order() {
+        let pinned: Vec<&str> = include_str!("../../../../results/DIGESTS")
+            .lines()
+            .map(|line| line.split_whitespace().next().expect("slug column"))
+            .collect();
+        let all = bench::select("all").expect("all");
+        let slugs: Vec<&str> = all.iter().flat_map(|e| e.slugs).copied().collect();
+        assert_eq!(slugs, pinned);
     }
 }

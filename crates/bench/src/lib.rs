@@ -1,10 +1,10 @@
 //! # bench — the experiment harness
 //!
-//! One function per table and figure of the paper's evaluation (§3), plus
-//! the ablations DESIGN.md calls out. Each experiment builds the platform
-//! through the public API, runs it deterministically, and renders
-//! paper-style [`Table`]s; the `experiments` binary prints them and writes
-//! CSVs under `results/`.
+//! The paper's evaluation (§3) and the ablations and extensions DESIGN.md
+//! calls out, as the experiment units of one registry, [`EXPERIMENTS`].
+//! Each unit builds its platforms through the public API, runs them
+//! deterministically, and renders paper-style [`Table`]s; the
+//! `experiments` binary prints them and writes CSVs under `results/`.
 //!
 //! Reproduction targets are *shapes*, not absolute numbers — see
 //! EXPERIMENTS.md for the measured-vs-paper comparison and the analysis of
@@ -209,46 +209,57 @@ fn yesno(b: bool) -> String {
 }
 
 // ----------------------------------------------------------------------
-// Figure 2 — RUBiS min–max response latencies, uncoordinated baseline
+// §3.1 RUBiS — Figure 2, Table 1, Figure 4, Table 2, Figure 5
 // ----------------------------------------------------------------------
+
+/// The §3.1 RUBiS unit: the uncoordinated and coord-ixp-dom0 runs of the
+/// read-write mix, and of the browsing mix for Figure 4's footnote, each
+/// made once and rendered as Figure 2, Table 1, Figure 4 (both mixes),
+/// Table 2 and Figure 5.
+pub fn rubis(cx: &mut Runner, seed: u64) -> Vec<Table> {
+    let pair = |cx: &mut Runner, scenario: fn(u32) -> RubisScenario, clients| {
+        [PolicyKind::None, PolicyKind::RequestType]
+            .map(|policy| run_rubis(cx, policy, scenario(clients), seed))
+    };
+    let [base, coord] = pair(cx, RubisScenario::read_write_mix, 24);
+    // Moderate load: the browsing mix is web-heavy, and the paper's point
+    // is that without read/write transitions the coordination regime is
+    // always right — best visible when the web tier is not pinned at
+    // saturation.
+    let [browse_base, browse_coord] = pair(cx, RubisScenario::browsing_mix, 12);
+    vec![
+        fig2(&base),
+        table1(&base, &coord),
+        fig4(&base, &coord),
+        fig4_browsing(&browse_base, &browse_coord),
+        table2(&base, &coord),
+        fig5(&base, &coord),
+    ]
+}
 
 /// Figure 2: variation in minimum–maximum response latencies under the
 /// bid/browse/sell mix with no coordination.
-pub fn fig2(cx: &mut Runner, seed: u64) -> Table {
-    let r = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn fig2(r: &RunReport) -> Table {
     let mut t = Table::new(
         "Figure 2 — RUBiS min-max response latencies, no coordination (ms)",
         &["Request Type", "min", "max", "mean", "sd", "p95", "p99"],
     );
-    let names: Vec<String> = r.rubis.responses.iter().map(|(n, _)| n.to_owned()).collect();
-    for name in names {
-        let s = r.rubis.responses.summary(&name).expect("iterated key");
+    for (name, s) in r.rubis.responses.iter() {
         t.row_owned(vec![
-            name.clone(),
+            name.to_owned(),
             fmt(s.min()),
             fmt(s.max()),
             fmt(s.mean()),
             fmt(s.std_dev()),
-            fmt(r.rubis.responses.percentile(&name, 0.95)),
-            fmt(r.rubis.responses.percentile(&name, 0.99)),
+            fmt(r.rubis.responses.percentile(name, 0.95)),
+            fmt(r.rubis.responses.percentile(name, 0.99)),
         ]);
     }
     t
 }
 
-// ----------------------------------------------------------------------
-// Table 1 — average response times, base vs coord-ixp-dom0
-// ----------------------------------------------------------------------
-
 /// Table 1: per-type average response times, baseline vs coordinated.
-pub fn table1(cx: &mut Runner, seed: u64) -> Table {
-    let base = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
-    let coord = run_rubis(
-        cx,
-        PolicyKind::RequestType,
-        RubisScenario::read_write_mix(24),
-        seed,
-    );
+pub fn table1(base: &RunReport, coord: &RunReport) -> Table {
     let mut t = Table::new(
         "Table 1 — RUBiS average request response times (ms)",
         &["Request Type", "Base", "coord-ixp-dom0", "change %"],
@@ -275,21 +286,10 @@ pub fn table1(cx: &mut Runner, seed: u64) -> Table {
     t
 }
 
-// ----------------------------------------------------------------------
-// Figure 4 — min-max response, base vs coordinated
-// ----------------------------------------------------------------------
-
 /// Figure 4: min–max response times with and without coordination
 /// (read-write mix). The paper's headline: coordination alleviates peak
 /// latencies and reduces per-type standard deviation.
-pub fn fig4(cx: &mut Runner, seed: u64) -> Table {
-    let base = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
-    let coord = run_rubis(
-        cx,
-        PolicyKind::RequestType,
-        RubisScenario::read_write_mix(24),
-        seed,
-    );
+pub fn fig4(base: &RunReport, coord: &RunReport) -> Table {
     let mut t = Table::new(
         "Figure 4 — RUBiS min-max response times, base vs coordinated (ms)",
         &[
@@ -322,18 +322,7 @@ pub fn fig4(cx: &mut Runner, seed: u64) -> Table {
 
 /// Figure 4's footnote experiment: under the pure browsing mix (no
 /// read-write transitions) coordination should win for every type.
-pub fn fig4_browsing(cx: &mut Runner, seed: u64) -> Table {
-    // Moderate load: the browsing mix is web-heavy, and the paper's point
-    // is that without read/write transitions the coordination regime is
-    // always right — best visible when the web tier is not pinned at
-    // saturation.
-    let base = run_rubis(cx, PolicyKind::None, RubisScenario::browsing_mix(12), seed);
-    let coord = run_rubis(
-        cx,
-        PolicyKind::RequestType,
-        RubisScenario::browsing_mix(12),
-        seed,
-    );
+pub fn fig4_browsing(base: &RunReport, coord: &RunReport) -> Table {
     let mut t = Table::new(
         "Figure 4 (browsing-only mix) — mean/max response times (ms)",
         &["Request Type", "mean B", "max B", "mean C", "max C"],
@@ -352,19 +341,8 @@ pub fn fig4_browsing(cx: &mut Runner, seed: u64) -> Table {
     t
 }
 
-// ----------------------------------------------------------------------
-// Table 2 — throughput, sessions, session time, platform efficiency
-// ----------------------------------------------------------------------
-
 /// Table 2: RUBiS throughput results.
-pub fn table2(cx: &mut Runner, seed: u64) -> Table {
-    let base = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
-    let coord = run_rubis(
-        cx,
-        PolicyKind::RequestType,
-        RubisScenario::read_write_mix(24),
-        seed,
-    );
+pub fn table2(base: &RunReport, coord: &RunReport) -> Table {
     let mut t = Table::new(
         "Table 2 — RUBiS throughput results",
         &["Metric", "Base", "coord-ixp-dom0"],
@@ -402,20 +380,9 @@ pub fn table2(cx: &mut Runner, seed: u64) -> Table {
     t
 }
 
-// ----------------------------------------------------------------------
-// Figure 5 — per-VM CPU utilization
-// ----------------------------------------------------------------------
-
 /// Figure 5: RUBiS CPU utilization per component (percent of one pCPU),
 /// baseline vs coordinated, with the user/system split of §3.1.
-pub fn fig5(cx: &mut Runner, seed: u64) -> Table {
-    let base = run_rubis(cx, PolicyKind::None, RubisScenario::read_write_mix(24), seed);
-    let coord = run_rubis(
-        cx,
-        PolicyKind::RequestType,
-        RubisScenario::read_write_mix(24),
-        seed,
-    );
+pub fn fig5(base: &RunReport, coord: &RunReport) -> Table {
     let mut t = Table::new(
         "Figure 5 — RUBiS CPU utilization (% of one pCPU)",
         &[
@@ -907,7 +874,7 @@ pub fn coordination_overhead(cx: &mut Runner, seed: u64) -> Table {
         seed,
     );
     let mut t = Table::new(
-        "Coordination overhead (60 s coordinated RUBiS run)",
+        "Coordination overhead (coordinated RUBiS run)",
         &["Metric", "Value"],
     );
     t.row_owned(vec![
@@ -1803,89 +1770,109 @@ pub fn fleet_f2(cx: &mut Runner, seed: u64) -> Table {
 // Experiment registry
 // ----------------------------------------------------------------------
 
-/// Independently runnable experiment units, in paper order. Each id maps
-/// to one [`run_experiment`] call; `fig7` renders two tables from its one
-/// pair of runs.
-pub fn experiment_ids() -> &'static [&'static str] {
-    &[
-        "fig2",
-        "table1",
-        "fig4",
-        "fig4_browsing",
-        "table2",
-        "fig5",
-        "fig6",
-        "fig7",
-        "table3",
-        "a1_channel_latency",
-        "a2_hysteresis",
-        "a3_notification",
-        "a4_ixp_threads",
-        "a5_trigger_rate",
-        "a6_accounting_mode",
-        "a1_price_of_anarchy",
-        "p1_power_capping",
-        "s1_fabric_scalability",
-        "r1_loss_sweep",
-        "r2_reliability",
-        "i1_inference_batching",
-        "i2_batch_preemption",
-        "e1_energy_qos",
-        "e2_energy_ablation",
-        "f1_fleet_scale",
-        "f2_fleet_determinism",
-        "overhead",
-    ]
+/// One independently runnable experiment unit: a row of [`EXPERIMENTS`].
+#[derive(Debug)]
+pub struct Experiment {
+    /// The unit's id, as the `experiments` binary and the
+    /// `per_experiment` block of `BENCH_experiments.json` name it.
+    pub id: &'static str,
+    /// A short selection name for the unit.
+    pub alias: Option<&'static str>,
+    /// The selection groups the unit belongs to.
+    pub groups: &'static [&'static str],
+    /// The slugs (CSV file stems) of the tables `run` returns, in order.
+    pub slugs: &'static [&'static str],
+    /// Runs the unit through the runner with a seed.
+    pub run: fn(&mut Runner, u64) -> Vec<Table>,
 }
 
-/// Runs one experiment unit with the given seed through `cx`, returning
-/// its `(slug, table)` pairs (slugs name the CSV files). `None` for an
-/// unknown id.
-pub fn run_experiment(cx: &mut Runner, id: &str, seed: u64) -> Option<Vec<(String, Table)>> {
-    fn one(slug: &str, t: Table) -> Option<Vec<(String, Table)>> {
-        Some(vec![(slug.to_owned(), t)])
+impl Experiment {
+    /// Runs the unit and pairs each table with its slug.
+    pub fn tables(&self, cx: &mut Runner, seed: u64) -> Vec<(&'static str, Table)> {
+        let tables = (self.run)(cx, seed);
+        assert_eq!(tables.len(), self.slugs.len(), "{}: one table per slug", self.id);
+        self.slugs.iter().copied().zip(tables).collect()
     }
-    match id {
-        "fig2" => one("fig2", fig2(cx, seed)),
-        "table1" => one("table1", table1(cx, seed)),
-        "fig4" => one("fig4", fig4(cx, seed)),
-        "fig4_browsing" => one("fig4_browsing", fig4_browsing(cx, seed)),
-        "table2" => one("table2", table2(cx, seed)),
-        "fig5" => one("fig5", fig5(cx, seed)),
-        "fig6" => one("fig6", fig6(cx, seed)),
-        "fig7" => {
-            let (series, summary) = fig7(cx, seed);
-            Some(vec![
-                ("fig7_series".to_owned(), series),
-                ("fig7_summary".to_owned(), summary),
-            ])
+}
+
+/// A registry row for a unit that renders one table, whose slug is the
+/// unit's id.
+macro_rules! one {
+    ($id:literal, $alias:expr, $groups:expr, $table:expr) => {
+        Experiment {
+            id: $id,
+            alias: $alias,
+            groups: $groups,
+            slugs: &[$id],
+            run: |cx, seed| vec![$table(cx, seed)],
         }
-        "table3" => one("table3", table3(cx, seed)),
-        "a1_channel_latency" => one("a1_channel_latency", ablation_a1(cx, seed)),
-        "a2_hysteresis" => one("a2_hysteresis", ablation_a2(cx, seed)),
-        "a3_notification" => one("a3_notification", ablation_a3(cx, seed)),
-        "a4_ixp_threads" => one("a4_ixp_threads", ablation_a4(cx, seed)),
-        "a5_trigger_rate" => one("a5_trigger_rate", ablation_a5(cx, seed)),
-        "a6_accounting_mode" => one("a6_accounting_mode", ablation_a6(cx, seed)),
-        "a1_price_of_anarchy" => one("a1_price_of_anarchy", anarchy_a1(cx, seed)),
-        "p1_power_capping" => one("p1_power_capping", extension_p1(cx, seed)),
-        "s1_fabric_scalability" => one("s1_fabric_scalability", extension_s1(seed)),
-        "r1_loss_sweep" => one("r1_loss_sweep", reliability_r1(cx, seed)),
-        "r2_reliability" => one("r2_reliability", reliability_r2(cx, seed)),
-        "i1_inference_batching" => one("i1_inference_batching", inference_i1(cx, seed)),
-        "i2_batch_preemption" => one("i2_batch_preemption", inference_i2(cx, seed)),
-        "e1_energy_qos" => one("e1_energy_qos", energy_e1(cx, seed)),
-        "e2_energy_ablation" => one("e2_energy_ablation", energy_e2(cx, seed)),
-        "f1_fleet_scale" => one("f1_fleet_scale", fleet_f1(cx, seed)),
-        "f2_fleet_determinism" => one("f2_fleet_determinism", fleet_f2(cx, seed)),
-        "overhead" => one("overhead", coordination_overhead(cx, seed)),
-        _ => None,
-    }
+    };
 }
 
-/// One experiment unit's output: its id, its `(slug, table)` pairs and
+/// Every experiment unit, in paper order: the one list the `experiments`
+/// binary, the benches and the tests select from. A unit that renders
+/// several tables (`rubis`, `fig7`) runs its simulations once for all of
+/// them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "rubis",
+        alias: None,
+        groups: &[],
+        slugs: &["fig2", "table1", "fig4", "fig4_browsing", "table2", "fig5"],
+        run: rubis,
+    },
+    one!("fig6", None, &[], fig6),
+    Experiment {
+        id: "fig7",
+        alias: None,
+        groups: &[],
+        slugs: &["fig7_series", "fig7_summary"],
+        run: |cx, seed| {
+            let (series, summary) = fig7(cx, seed);
+            vec![series, summary]
+        },
+    },
+    one!("table3", None, &[], table3),
+    one!("a1_channel_latency", None, &["ablations"], ablation_a1),
+    one!("a2_hysteresis", None, &["ablations"], ablation_a2),
+    one!("a3_notification", None, &["ablations"], ablation_a3),
+    one!("a4_ixp_threads", None, &["ablations"], ablation_a4),
+    one!("a5_trigger_rate", None, &["ablations"], ablation_a5),
+    one!("a6_accounting_mode", None, &["ablations"], ablation_a6),
+    one!("a1_price_of_anarchy", Some("a1"), &[], anarchy_a1),
+    one!("p1_power_capping", None, &["extensions"], extension_p1),
+    one!("s1_fabric_scalability", None, &["extensions"], |_, seed| extension_s1(seed)),
+    one!("r1_loss_sweep", None, &[], reliability_r1),
+    one!("r2_reliability", None, &[], reliability_r2),
+    one!("i1_inference_batching", Some("i1"), &["inference"], inference_i1),
+    one!("i2_batch_preemption", Some("i2"), &["inference"], inference_i2),
+    one!("e1_energy_qos", Some("e1"), &["energy"], energy_e1),
+    one!("e2_energy_ablation", Some("e2"), &["energy"], energy_e2),
+    one!("f1_fleet_scale", Some("f1"), &["fleet"], fleet_f1),
+    one!("f2_fleet_determinism", Some("f2"), &["fleet"], fleet_f2),
+    one!("overhead", None, &[], coordination_overhead),
+];
+
+/// The units a selection name resolves to, in registry order: every unit
+/// for `all`, else each unit whose id, alias, group or one of whose table
+/// slugs is `name`. `None` when nothing answers to it.
+pub fn select(name: &str) -> Option<Vec<&'static Experiment>> {
+    let units: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|e| {
+            name == "all"
+                || e.id == name
+                || e.alias == Some(name)
+                || e.groups.contains(&name)
+                || e.slugs.contains(&name)
+        })
+        .collect();
+    (!units.is_empty()).then_some(units)
+}
+
+/// One experiment unit's output: the unit, its `(slug, table)` pairs and
 /// the ledger of the runs it made.
-pub type UnitOutput = (String, Vec<(String, Table)>, RunLedger);
+pub type UnitOutput = (&'static Experiment, Vec<(&'static str, Table)>, RunLedger);
 
 /// Runs the given experiment units on up to `jobs` workers, each with
 /// `settings` and a fresh ledger, and returns them in submission order —
@@ -1893,14 +1880,13 @@ pub type UnitOutput = (String, Vec<(String, Table)>, RunLedger);
 pub fn run_experiments(
     settings: &Runner,
     jobs: usize,
-    ids: Vec<&str>,
+    units: Vec<&'static Experiment>,
     seed: u64,
 ) -> Vec<UnitOutput> {
-    pool::parallel_map(jobs, ids, |id| {
+    pool::parallel_map(jobs, units, |unit| {
         let mut cx = settings.fresh();
-        let tables = run_experiment(&mut cx, id, seed)
-            .unwrap_or_else(|| panic!("unknown experiment id '{id}'"));
-        (id.to_owned(), tables, cx.ledger)
+        let tables = unit.tables(&mut cx, seed);
+        (unit, tables, cx.ledger)
     })
 }
 
@@ -1937,7 +1923,9 @@ mod tests {
 
     #[test]
     fn fig2_rows_have_ordered_summary_statistics() {
-        let t = fig2(&mut Runner::new(), SEED);
+        let mut cx = Runner::new();
+        let r = run_rubis(&mut cx, PolicyKind::None, RubisScenario::read_write_mix(24), SEED);
+        let t = fig2(&r);
         assert!(!t.is_empty(), "fig2 reports at least one request type");
         for row in csv_rows(&t) {
             assert_eq!(row.len(), 7, "type,min,max,mean,sd,p95,p99");

@@ -27,7 +27,7 @@ fn render(units: &[bench::UnitOutput]) -> String {
             .flat_map(|(_, tables, _)| tables)
             .map(|(slug, t)| {
                 Json::obj(vec![
-                    ("slug", Json::Str(slug.clone())),
+                    ("slug", Json::Str((*slug).into())),
                     ("csv", Json::Str(t.to_csv())),
                 ])
             })
@@ -45,10 +45,10 @@ fn exact(ledger: &RunLedger) -> (IslandEvents, Vec<String>) {
 #[test]
 fn serial_and_parallel_experiments_are_byte_identical() {
     let settings = bench::Runner::new().with_smoke_cap(2);
-    let ids = bench::experiment_ids().to_vec();
+    let units = bench::select("all").expect("all");
     for seed in [bench::SEED, 7, 1234] {
-        let serial_units = bench::run_experiments(&settings, 1, ids.clone(), seed);
-        let parallel_units = bench::run_experiments(&settings, 4, ids.clone(), seed);
+        let serial_units = bench::run_experiments(&settings, 1, units.clone(), seed);
+        let parallel_units = bench::run_experiments(&settings, 4, units.clone(), seed);
         let serial = render(&serial_units);
         assert_eq!(
             serial,
@@ -59,15 +59,16 @@ fn serial_and_parallel_experiments_are_byte_identical() {
 
         // Per-experiment ledgers are exact under --jobs 4 ...
         let mut merged = RunLedger::default();
-        for ((id, _, s), (pid, _, p)) in serial_units.into_iter().zip(parallel_units) {
-            assert_eq!(id, pid, "seed {seed}: submission order");
+        for ((unit, _, s), (punit, _, p)) in serial_units.into_iter().zip(parallel_units) {
+            let id = unit.id;
+            assert_eq!(id, punit.id, "seed {seed}: submission order");
             assert_eq!(exact(&s), exact(&p), "seed {seed}: {id}'s ledger moved under --jobs 4");
             merged.merge(p);
         }
         // ... and their merge is the whole pass run through one runner.
         let mut whole = settings.fresh();
-        for id in &ids {
-            bench::run_experiment(&mut whole, id, seed).expect("registered id");
+        for unit in &units {
+            unit.tables(&mut whole, seed);
         }
         assert_eq!(exact(&merged), exact(&whole.ledger), "seed {seed}: merged totals");
         assert!(merged.events() > 0 && merged.fleets.len() == 13, "seed {seed}");
@@ -318,12 +319,38 @@ fn same_seed_runs_replay_identically() {
     }
 }
 
+/// Every name a selection can use: unit ids, aliases, group names and
+/// table slugs. A one-table unit's slug is its id, so it counts once.
+fn registry_names() -> Vec<&'static str> {
+    let mut names = Vec::new();
+    let mut groups = Vec::new();
+    for e in bench::EXPERIMENTS {
+        names.push(e.id);
+        names.extend(e.alias);
+        names.extend(e.slugs.iter().copied().filter(|&slug| slug != e.id));
+        groups.extend(e.groups.iter().copied());
+    }
+    groups.sort_unstable();
+    groups.dedup();
+    names.extend(groups);
+    names
+}
+
 #[test]
-fn registry_ids_are_unique_and_unknown_ids_are_rejected() {
-    let ids = bench::experiment_ids();
-    let mut sorted: Vec<_> = ids.to_vec();
+fn registry_names_are_unique_and_unknown_names_are_rejected() {
+    let names = registry_names();
+    let mut sorted = names.clone();
     sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(sorted.len(), ids.len(), "duplicate experiment id");
-    assert!(bench::run_experiment(&mut bench::Runner::new(), "no_such_experiment", 1).is_none());
+    for pair in sorted.windows(2) {
+        assert_ne!(pair[0], pair[1], "`{}` names two things", pair[0]);
+    }
+    for reserved in ["all", "list"] {
+        assert!(!names.contains(&reserved), "`{reserved}` is a command, not a unit");
+    }
+    for name in names {
+        let units = bench::select(name).unwrap_or_else(|| panic!("`{name}` selects nothing"));
+        let group = units.iter().all(|e| e.groups.contains(&name));
+        assert!(group || units.len() == 1, "`{name}` selects {} units", units.len());
+    }
+    assert!(bench::select("no_such_experiment").is_none());
 }

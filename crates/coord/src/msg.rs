@@ -52,10 +52,10 @@ pub enum CoordMsg {
     },
     /// Energy-knob setting: moves one axis of the x86 island's energy
     /// lattice (DVFS rung, cache ways, bandwidth share) to an absolute
-    /// rung. Issued by the platform's [`EnergyController`]
-    /// (crate::EnergyController), riding the same channel and registry as
-    /// Tune/Trigger; the receiving island translates the rung into its
-    /// own operating point.
+    /// rung. Issued by the platform's
+    /// [`EnergyController`](crate::energy::EnergyController), riding the
+    /// same channel and registry as Tune/Trigger; the receiving island
+    /// translates the rung into its own operating point.
     SetKnob {
         /// Target entity (for DVFS the entity's whole island acts).
         entity: EntityId,

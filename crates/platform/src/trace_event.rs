@@ -5,8 +5,9 @@
 //! every traced decision; at IXP packet rates that is an allocation per
 //! event on the hottest paths. A [`TraceEvent`] is a compact value
 //! recorded into the platform's `TraceBuffer<TraceEvent>` by copy —
-//! no heap traffic — and rendered through its [`Display`] impl only
-//! when a report, test, or debugger reads the history.
+//! no heap traffic — and rendered through its
+//! [`Display`](fmt::Display) impl only when a report, test, or debugger
+//! reads the history.
 
 use coord::{CoordMsg, EntityId, KnobAxis};
 use std::fmt;

@@ -403,7 +403,7 @@ impl DispatchCounts {
 }
 
 /// The fully wired two-island platform. Construct with
-/// [`PlatformBuilder`](crate::PlatformBuilder), then call [`run`](Self::run).
+/// [`PlatformBuilder`], then call [`run`](Self::run).
 ///
 /// The nine event sources of `SOURCES` are [`Tracked`] fields: each
 /// caches its own horizon, and any `&mut` use of one (a submit, a

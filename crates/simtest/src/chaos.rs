@@ -24,7 +24,7 @@
 //! following the platform's discipline of XOR-tagged seed-derived fault
 //! streams), or generated by [`plan`] inside a property test where the
 //! runner shrinks the schedule toward empty alongside the test case
-//! ([`chaos_check`] / [`chaos_property!`]).
+//! ([`chaos_check`] / [`chaos_property!`](crate::chaos_property)).
 
 use crate::gen::{vec_of, zip2, Gen};
 use crate::runner::{check_with, Config};

@@ -13,7 +13,7 @@
 //! * [`runner`] — the property runner ([`check`]): deterministic case
 //!   seeds, `SIMTEST_SEED=<n>` exact-case reproduction, greedy shrinking
 //!   of counterexamples, and the [`st_assert!`]/[`st_assert_eq!`] macros.
-//! * [`bench`] — a wall-clock [`BenchSuite`]: warmup, N samples,
+//! * [`mod@bench`] — a wall-clock [`BenchSuite`]: warmup, N samples,
 //!   mean/p50/p99 per benchmark, JSON reports under `results/` (verified
 //!   to parse via the in-crate [`json`] module).
 //! * [`chaos`] — seeded, replayable [`ChaosPlan`] schedules of

@@ -27,6 +27,9 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> benchmark smoke tests and a digest-checked run of every workload"
 # Every operation's digest must match benchmark/digests.txt, so a
 # performance change that moves any simulated result fails here. The four
@@ -66,42 +69,6 @@ for suite in micro scheduler ixp_pipeline paper_artifacts queue; do
         || { echo "$report is not valid JSON" >&2; exit 1; }
     echo "    ok: $report"
 done
-
-echo "==> accel smoke pass (experiments inference --smoke --jobs 2)"
-./target/release/experiments --smoke --jobs 2 inference > /dev/null
-python3 - <<'EOF'
-import csv, sys
-
-rows = list(csv.DictReader(open("results/i1_inference_batching.csv")))
-tenants = [r["tenant"] for r in rows]
-if tenants != ["chat", "vision", "rank", "embed"]:
-    sys.exit(f"i1_inference_batching.csv: unexpected tenant rows {tenants}")
-for r in rows:
-    if r["class"] not in ("latency", "throughput"):
-        sys.exit(f"i1_inference_batching.csv: bad class for {r['tenant']}")
-    for col in ("Base p99 ms", "Coord p99 ms", "Base goodput/s", "Coord goodput/s"):
-        if float(r[col]) <= 0.0:
-            sys.exit(f"i1_inference_batching.csv: {r['tenant']} has no {col}")
-    for col in ("Base mean batch", "Coord mean batch"):
-        if float(r[col]) < 1.0:
-            sys.exit(f"i1_inference_batching.csv: {r['tenant']} {col} below 1")
-
-rows = list(csv.DictReader(open("results/i2_batch_preemption.csv")))
-bym = {r["Metric"]: r for r in rows}
-for t in ("chat", "vision", "rank", "embed"):
-    for m in (f"{t} queue p99 ms", f"{t} mean batch"):
-        if m not in bym:
-            sys.exit(f"i2_batch_preemption.csv: missing row '{m}'")
-triggers = bym.get("Triggers applied")
-preempts = bym.get("Batches preempted")
-if triggers is None or preempts is None:
-    sys.exit("i2_batch_preemption.csv: missing trigger summary rows")
-if int(triggers["no-coord"]) != 0:
-    sys.exit("i2_batch_preemption.csv: uncoordinated run applied triggers")
-if int(triggers["coord-trigger"]) == 0 or int(preempts["coord-trigger"]) == 0:
-    sys.exit("i2_batch_preemption.csv: coordinated run never preempted a batch")
-print("    ok: i1_inference_batching.csv and i2_batch_preemption.csv shapes verified")
-EOF
 
 # The rate gate below sums per-run wall time across worker threads, so
 # on a host with fewer cores than jobs the threads contend and the
@@ -192,6 +159,42 @@ for slug, digest in pinned:
 print(f"    ok: {len(pinned)} release smoke tables match results/DIGESTS")
 EOF
 
+# The shape checks below read the tables the smoke pass above wrote.
+echo "==> accel smoke checks (i1/i2 inference tables)"
+python3 - <<'EOF'
+import csv, sys
+
+rows = list(csv.DictReader(open("results/i1_inference_batching.csv")))
+tenants = [r["tenant"] for r in rows]
+if tenants != ["chat", "vision", "rank", "embed"]:
+    sys.exit(f"i1_inference_batching.csv: unexpected tenant rows {tenants}")
+for r in rows:
+    if r["class"] not in ("latency", "throughput"):
+        sys.exit(f"i1_inference_batching.csv: bad class for {r['tenant']}")
+    for col in ("Base p99 ms", "Coord p99 ms", "Base goodput/s", "Coord goodput/s"):
+        if float(r[col]) <= 0.0:
+            sys.exit(f"i1_inference_batching.csv: {r['tenant']} has no {col}")
+    for col in ("Base mean batch", "Coord mean batch"):
+        if float(r[col]) < 1.0:
+            sys.exit(f"i1_inference_batching.csv: {r['tenant']} {col} below 1")
+
+rows = list(csv.DictReader(open("results/i2_batch_preemption.csv")))
+bym = {r["Metric"]: r for r in rows}
+for t in ("chat", "vision", "rank", "embed"):
+    for m in (f"{t} queue p99 ms", f"{t} mean batch"):
+        if m not in bym:
+            sys.exit(f"i2_batch_preemption.csv: missing row '{m}'")
+triggers = bym.get("Triggers applied")
+preempts = bym.get("Batches preempted")
+if triggers is None or preempts is None:
+    sys.exit("i2_batch_preemption.csv: missing trigger summary rows")
+if int(triggers["no-coord"]) != 0:
+    sys.exit("i2_batch_preemption.csv: uncoordinated run applied triggers")
+if int(triggers["coord-trigger"]) == 0 or int(preempts["coord-trigger"]) == 0:
+    sys.exit("i2_batch_preemption.csv: coordinated run never preempted a batch")
+print("    ok: i1_inference_batching.csv and i2_batch_preemption.csv shapes verified")
+EOF
+
 echo "==> fault-injection smoke checks (r1/r2 reliability tables)"
 python3 - <<'EOF'
 import csv, json, sys
@@ -227,8 +230,7 @@ if int(faulty_ack["retransmits"]) == 0 or int(faulty_ack["acked"]) == 0:
 print("    ok: r1_loss_sweep.csv and r2_reliability.csv shapes verified")
 EOF
 
-echo "==> adversarial-tenant smoke pass (experiments a1 --smoke)"
-./target/release/experiments --smoke --jobs 2 a1 > /dev/null
+echo "==> adversarial-tenant smoke checks (a1 price-of-anarchy table)"
 python3 - <<'EOF'
 import csv, sys
 
@@ -250,8 +252,7 @@ for r in rows:
 print("    ok: a1_price_of_anarchy.csv shape verified")
 EOF
 
-echo "==> energy-controller smoke pass (experiments energy --smoke)"
-./target/release/experiments --smoke --jobs 2 energy > /dev/null
+echo "==> energy-controller smoke checks (e1/e2 energy tables)"
 python3 - <<'EOF'
 import csv, sys
 
@@ -295,8 +296,7 @@ if by["membw share only"]["final dvfs %"] != "100" or by["membw share only"]["fi
 print("    ok: e1_energy_qos.csv and e2_energy_ablation.csv shapes verified")
 EOF
 
-echo "==> fleet smoke pass (experiments fleet --smoke)"
-./target/release/experiments --smoke --jobs "$smoke_jobs" fleet > /dev/null
+echo "==> fleet smoke checks (f1/f2 fleet tables and report)"
 python3 - <<'EOF'
 import csv, json, sys
 

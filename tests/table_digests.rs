@@ -16,7 +16,8 @@ const COMMITTED: &str = include_str!("../results/DIGESTS");
 fn smoke_tables_match_their_committed_digests() {
     // `experiments --smoke all`. The worker count never changes a table.
     let runner = bench::Runner::new().with_smoke_cap(bench::SMOKE_CAP_SECS);
-    let units = bench::run_experiments(&runner, 2, bench::experiment_ids().to_vec(), bench::SEED);
+    let all = bench::select("all").expect("all");
+    let units = bench::run_experiments(&runner, 2, all, bench::SEED);
     let actual: Vec<String> = units
         .iter()
         .flat_map(|(_, tables, _)| tables)
