@@ -176,8 +176,6 @@ struct Queued {
 
 #[derive(Debug)]
 struct Tenant {
-    /// Guest VM index this queue belongs to (platform-level identity).
-    vm: u32,
     queue: VecDeque<Queued>,
     weight: u32,
     batch_budget: u32,
@@ -249,12 +247,12 @@ impl AccelIsland {
         }
     }
 
-    /// Registers a tenant submission queue for guest VM `vm`, returning the
+    /// Registers a tenant submission queue for a guest VM, returning the
     /// island-local handle (also the `local_key` for coordination binding).
-    pub fn register_tenant(&mut self, vm: u32) -> TenantId {
+    /// The island keeps no per-VM state, so the VM index is not stored.
+    pub fn register_tenant(&mut self, _vm: u32) -> TenantId {
         let id = TenantId(self.tenants.len() as u32);
         self.tenants.push(Tenant {
-            vm,
             queue: VecDeque::new(),
             weight: self.cfg.default_weight.max(1),
             batch_budget: self
@@ -279,16 +277,6 @@ impl AccelIsland {
             tenant.alarm_bytes = bytes;
             tenant.alarm_armed = true;
         }
-    }
-
-    /// Guest VM index a tenant queue belongs to.
-    pub fn tenant_vm(&self, t: TenantId) -> Option<u32> {
-        self.tenants.get(t.0 as usize).map(|x| x.vm)
-    }
-
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
     }
 
     /// Lifetime counters for a tenant.

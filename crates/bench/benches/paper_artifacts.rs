@@ -19,7 +19,6 @@ fn main() {
         ("paper", "rubis"),
         ("paper", "fig6"),
         ("paper", "fig7"),
-        ("paper", "table3"),
         ("ablations", "a1_channel_latency"),
         ("ablations", "a2_hysteresis"),
         ("ablations", "a5_trigger_rate"),

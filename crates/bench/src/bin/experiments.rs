@@ -322,6 +322,8 @@ mod tests {
         assert_eq!(ids("fig4"), ["rubis"]);
         assert_eq!(ids("fig7_summary"), ["fig7"]);
         assert_eq!(ids("fig7"), ["fig7"]);
+        assert_eq!(ids("table3"), ["fig7"]);
+        assert_eq!(ids("overhead"), ["rubis"]);
         assert!(ids("a7").is_empty());
     }
 

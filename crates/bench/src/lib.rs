@@ -215,7 +215,7 @@ fn yesno(b: bool) -> String {
 /// The §3.1 RUBiS unit: the uncoordinated and coord-ixp-dom0 runs of the
 /// read-write mix, and of the browsing mix for Figure 4's footnote, each
 /// made once and rendered as Figure 2, Table 1, Figure 4 (both mixes),
-/// Table 2 and Figure 5.
+/// Table 2, Figure 5 and the coordination overhead.
 pub fn rubis(cx: &mut Runner, seed: u64) -> Vec<Table> {
     let pair = |cx: &mut Runner, scenario: fn(u32) -> RubisScenario, clients| {
         [PolicyKind::None, PolicyKind::RequestType]
@@ -234,6 +234,7 @@ pub fn rubis(cx: &mut Runner, seed: u64) -> Vec<Table> {
         fig4_browsing(&browse_base, &browse_coord),
         table2(&base, &coord),
         fig5(&base, &coord),
+        overhead(&coord),
     ]
 }
 
@@ -461,19 +462,23 @@ pub fn fig6(cx: &mut Runner, seed: u64) -> Table {
 // Figure 7 — trigger coordination time series
 // ----------------------------------------------------------------------
 
-/// Figure 7: the trigger run's time series — boosted domain CPU
-/// utilization and IXP buffer occupancy, sampled once per second.
-/// Returns (series table, summary table).
-pub fn fig7(cx: &mut Runner, seed: u64) -> (Table, Table) {
-    let mut runs = Vec::new();
-    for policy in [PolicyKind::None, PolicyKind::BufferTrigger] {
+/// The Figure 7 unit: the uncoordinated and buffer-trigger runs of the
+/// MPlayer trigger setup, made once and rendered as Figure 7's series and
+/// summary and Table 3.
+pub fn fig7(cx: &mut Runner, seed: u64) -> Vec<Table> {
+    let [base, coord] = [PolicyKind::None, PolicyKind::BufferTrigger].map(|policy| {
         let mut sim = PlatformBuilder::new()
             .seed(seed)
             .policy(policy)
             .build_mplayer(MplayerScenario::trigger_setup());
-        runs.push(cx.run(&mut sim, TRIGGER_SECS));
-    }
-    let (base, coord) = (&runs[0], &runs[1]);
+        cx.run(&mut sim, TRIGGER_SECS)
+    });
+    vec![fig7_series(&base, &coord), fig7_summary(&base, &coord), table3(&base, &coord)]
+}
+
+/// Figure 7: the trigger run's time series — boosted domain CPU
+/// utilization and IXP buffer occupancy, sampled once per second.
+pub fn fig7_series(base: &RunReport, coord: &RunReport) -> Table {
     let mut series = Table::new(
         "Figure 7 — boosted domain CPU% and IXP buffer occupancy over time",
         &["t (s)", "no-coord cpu%", "coord cpu%", "coord buffer (bytes)"],
@@ -501,6 +506,12 @@ pub fn fig7(cx: &mut Runner, seed: u64) -> (Table, Table) {
             format!("{buf:.0}"),
         ]);
     }
+    series
+}
+
+/// Figure 7's summary: frame rates, triggers applied and IXP buffer
+/// occupancy with and without the buffer trigger.
+pub fn fig7_summary(base: &RunReport, coord: &RunReport) -> Table {
     let mut summary = Table::new(
         "Figure 7 — summary",
         &["Metric", "no-coord", "coord-trigger"],
@@ -526,7 +537,7 @@ pub fn fig7(cx: &mut Runner, seed: u64) -> (Table, Table) {
         format!("{:.0}", base.buffer_series.max_value().unwrap_or(0.0)),
         format!("{:.0}", coord.buffer_series.max_value().unwrap_or(0.0)),
     ]);
-    (series, summary)
+    summary
 }
 
 // ----------------------------------------------------------------------
@@ -535,16 +546,7 @@ pub fn fig7(cx: &mut Runner, seed: u64) -> (Table, Table) {
 
 /// Table 3: trigger interference — the boosted network player gains,
 /// the colocated local-disk player pays.
-pub fn table3(cx: &mut Runner, seed: u64) -> Table {
-    let mut results = Vec::new();
-    for policy in [PolicyKind::None, PolicyKind::BufferTrigger] {
-        let mut sim = PlatformBuilder::new()
-            .seed(seed)
-            .policy(policy)
-            .build_mplayer(MplayerScenario::trigger_setup());
-        results.push(cx.run(&mut sim, TRIGGER_SECS));
-    }
-    let (base, coord) = (&results[0], &results[1]);
+pub fn table3(base: &RunReport, coord: &RunReport) -> Table {
     let mut t = Table::new(
         "Table 3 — MPlayer trigger interference (frames/s)",
         &["Guest Domain", "Baseline", "With Co-ord", "% change"],
@@ -866,13 +868,7 @@ pub fn extension_s1(seed: u64) -> Table {
 }
 
 /// Coordination overhead counters from a coordinated RUBiS run.
-pub fn coordination_overhead(cx: &mut Runner, seed: u64) -> Table {
-    let r = run_rubis(
-        cx,
-        PolicyKind::RequestType,
-        RubisScenario::read_write_mix(24),
-        seed,
-    );
+pub fn overhead(r: &RunReport) -> Table {
     let mut t = Table::new(
         "Coordination overhead (coordinated RUBiS run)",
         &["Metric", "Value"],
@@ -1818,7 +1814,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         id: "rubis",
         alias: None,
         groups: &[],
-        slugs: &["fig2", "table1", "fig4", "fig4_browsing", "table2", "fig5"],
+        slugs: &["fig2", "table1", "fig4", "fig4_browsing", "table2", "fig5", "overhead"],
         run: rubis,
     },
     one!("fig6", None, &[], fig6),
@@ -1826,13 +1822,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
         id: "fig7",
         alias: None,
         groups: &[],
-        slugs: &["fig7_series", "fig7_summary"],
-        run: |cx, seed| {
-            let (series, summary) = fig7(cx, seed);
-            vec![series, summary]
-        },
+        slugs: &["fig7_series", "fig7_summary", "table3"],
+        run: fig7,
     },
-    one!("table3", None, &[], table3),
     one!("a1_channel_latency", None, &["ablations"], ablation_a1),
     one!("a2_hysteresis", None, &["ablations"], ablation_a2),
     one!("a3_notification", None, &["ablations"], ablation_a3),
@@ -1850,7 +1842,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     one!("e2_energy_ablation", Some("e2"), &["energy"], energy_e2),
     one!("f1_fleet_scale", Some("f1"), &["fleet"], fleet_f1),
     one!("f2_fleet_determinism", Some("f2"), &["fleet"], fleet_f2),
-    one!("overhead", None, &[], coordination_overhead),
 ];
 
 /// The units a selection name resolves to, in registry order: every unit
@@ -1942,7 +1933,7 @@ mod tests {
 
     #[test]
     fn table3_change_column_matches_its_inputs() {
-        let t = table3(&mut Runner::new(), SEED);
+        let t = fig7(&mut Runner::new(), SEED).remove(2);
         let rows = csv_rows(&t);
         assert_eq!(rows.len(), 2, "one row per guest domain");
         for row in rows {

@@ -2,7 +2,6 @@
 //! (`probe`, `sweep`, `schedprobe`) — each used to carry its own copy.
 
 use platform::RunReport;
-use simcore::Nanos;
 use xsched::{CreditScheduler, DomId};
 
 /// The overall RUBiS response summary the calibration tools compare:
@@ -109,22 +108,6 @@ pub fn accel_tenants(r: &RunReport) -> Vec<AccelTenantOut> {
             preemptions: t.preemptions,
         })
         .collect()
-}
-
-/// Prints the per-tenant accelerator lines (no-op for two-island runs).
-pub fn print_accel(r: &RunReport) {
-    for t in accel_tenants(r) {
-        println!(
-            "  {:8} [{}] p99={:7.1}ms goodput={:6.1}/s batch={:5.2} q_p99={:6.2}ms preempt={}",
-            t.name,
-            if t.latency_sensitive { "lat" } else { "thr" },
-            t.p99_ms,
-            t.goodput,
-            t.mean_batch,
-            t.queue_p99_ms,
-            t.preemptions,
-        );
-    }
 }
 
 /// Prints the deterministic per-island dispatch split of a run.
@@ -285,19 +268,6 @@ pub fn print_sched_usage(s: &mut CreditScheduler, doms: &[(DomId, &str)]) {
             snap.steal_percent(d),
             s.credit(d)
         );
-    }
-}
-
-/// Drives a scheduler forward, discarding completion events, until its
-/// horizon passes `t_end` (or it idles).
-pub fn drive_sched_until(s: &mut CreditScheduler, t_end: Nanos) {
-    let mut evs = Vec::new();
-    while let Some(t) = s.next_event_time() {
-        if t > t_end {
-            break;
-        }
-        evs.clear();
-        s.on_timer(t, &mut evs);
     }
 }
 

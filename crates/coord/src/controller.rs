@@ -78,8 +78,6 @@ pub struct Controller {
     registry: Registry,
     stats: ControllerStats,
     last_error: Option<CoordError>,
-    audit: std::collections::VecDeque<(Nanos, CoordMsg)>,
-    audit_cap: usize,
     policer: Option<EntityPolicer>,
 }
 
@@ -90,24 +88,15 @@ impl Default for Controller {
 }
 
 impl Controller {
-    /// Creates an empty controller with a 256-entry audit ring.
+    /// Creates an empty controller.
     pub fn new() -> Self {
         Controller {
             islands: BTreeMap::new(),
             registry: Registry::new(),
             stats: ControllerStats::default(),
             last_error: None,
-            audit: std::collections::VecDeque::new(),
-            audit_cap: 256,
             policer: None,
         }
-    }
-
-    /// Overrides the audit-ring capacity (0 disables auditing).
-    pub fn with_audit_capacity(mut self, cap: usize) -> Self {
-        self.audit_cap = cap;
-        self.audit.truncate(cap);
-        self
     }
 
     /// Enables the adversary defenses: per-entity Tune/Trigger rate
@@ -144,12 +133,6 @@ impl Controller {
     /// [`ControllerStats::rejected`] and are recorded in
     /// [`last_error`](Self::last_error).
     pub fn handle_into(&mut self, now: Nanos, msg: CoordMsg, out: &mut Vec<Action>) {
-        if self.audit_cap > 0 {
-            if self.audit.len() == self.audit_cap {
-                self.audit.pop_front();
-            }
-            self.audit.push_back((now, msg));
-        }
         if let Err(e) = self.try_handle(now, msg, out) {
             self.stats.rejected += 1;
             self.last_error = Some(e);
@@ -274,13 +257,6 @@ impl Controller {
     /// The most recent validation failure, if any.
     pub fn last_error(&self) -> Option<CoordError> {
         self.last_error
-    }
-
-    /// The most recent messages seen (oldest first), up to the audit
-    /// capacity — §2.3's coordination-channel record, for debugging
-    /// coordination schemes.
-    pub fn audit_log(&self) -> impl Iterator<Item = &(Nanos, CoordMsg)> {
-        self.audit.iter()
     }
 }
 
@@ -436,29 +412,6 @@ mod tests {
         );
         assert_eq!(c.stats().islands, 2);
         assert_eq!(c.island_kind(IslandId(1)), Some(IslandKind::NetworkProcessor));
-    }
-
-    #[test]
-    fn audit_log_records_and_rotates() {
-        let (mut c, e) = setup();
-        let before = c.audit_log().count();
-        for i in 0..300u32 {
-            c.handle(
-                Nanos::from_millis(i as u64),
-                CoordMsg::Tune { entity: e, delta: i as i32, target: None },
-            );
-        }
-        assert_eq!(c.audit_log().count(), 256, "ring capped (had {before} setup msgs)");
-        let (t, last) = c.audit_log().last().unwrap();
-        assert_eq!(*t, Nanos::from_millis(299));
-        assert!(matches!(last, CoordMsg::Tune { delta: 299, .. }));
-    }
-
-    #[test]
-    fn audit_can_be_disabled() {
-        let mut c = Controller::new().with_audit_capacity(0);
-        c.handle(Nanos::ZERO, CoordMsg::Ack { seq: 1 });
-        assert_eq!(c.audit_log().count(), 0);
     }
 
     #[test]

@@ -73,49 +73,9 @@ pub fn sort_envelopes(envs: &mut [Envelope]) {
     envs.sort_by_key(Envelope::key);
 }
 
-/// Merges per-node envelope streams (each already in total order, as any
-/// single node's output is) into one totally ordered stream.
-///
-/// The merge is deterministic and *monotone*: the output key sequence is
-/// non-decreasing, and merging is associative — merging all streams at
-/// once or pairwise yields the same result.
-pub fn merge_streams(streams: Vec<Vec<Envelope>>) -> Vec<Envelope> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut heads = vec![0usize; streams.len()];
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (i, s) in streams.iter().enumerate() {
-            let Some(e) = s.get(heads[i]) else { continue };
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    if e.key() < streams[b][heads[b]].key() {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        let b = best.expect("total counted non-exhausted heads");
-        out.push(streams[b][heads[b]].clone());
-        heads[b] += 1;
-    }
-    debug_assert!(streams.iter().enumerate().all(|(i, s)| heads[i] == s.len()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coord::EntityId;
-
-    fn env(lamport: u64, source: u16) -> Envelope {
-        Envelope {
-            lamport,
-            source: NodeId(source),
-            msg: CoordMsg::Tune { entity: EntityId(source as u32), delta: 1, target: None },
-        }
-    }
 
     #[test]
     fn clock_ticks_and_observes() {
@@ -127,28 +87,5 @@ mod tests {
         // Observing the past still advances.
         assert_eq!(c.observe(3), 12);
         assert_eq!(c.now(), 12);
-    }
-
-    #[test]
-    fn merge_is_totally_ordered_with_source_tiebreak() {
-        let a = vec![env(1, 0), env(3, 0), env(3, 0)];
-        let b = vec![env(1, 1), env(2, 1)];
-        let c = vec![env(3, 2)];
-        let merged = merge_streams(vec![a, b, c]);
-        let keys: Vec<(u64, u16)> = merged.iter().map(Envelope::key).collect();
-        assert_eq!(keys, vec![(1, 0), (1, 1), (2, 1), (3, 0), (3, 0), (3, 2)]);
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "monotone output");
-    }
-
-    #[test]
-    fn merge_agrees_with_global_sort() {
-        let a = vec![env(2, 0), env(5, 0)];
-        let b = vec![env(1, 3), env(5, 3)];
-        let c = vec![env(5, 1), env(6, 1)];
-        let merged = merge_streams(vec![a.clone(), b.clone(), c.clone()]);
-        let mut flat: Vec<Envelope> =
-            a.into_iter().chain(b).chain(c).collect();
-        sort_envelopes(&mut flat);
-        assert_eq!(merged, flat);
     }
 }

@@ -37,7 +37,7 @@ pub mod shard;
 pub mod state;
 
 pub use bus::{BusConfig, BusStats, CoordBus, Delivery};
-pub use lamport::{merge_streams, sort_envelopes, Envelope, LamportClock, NodeId};
+pub use lamport::{sort_envelopes, Envelope, LamportClock, NodeId};
 pub use report::{FleetReport, ShardSummary};
 pub use shard::{ShardPlan, ShardSpec};
 pub use state::{FleetConfig, FleetState, FleetTopology, RoundStats};

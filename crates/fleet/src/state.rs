@@ -30,6 +30,7 @@ use coord::{Action, CoordMsg, EntityId, IslandId, IslandKind};
 use pcie::{FaultProfile, Jitter};
 use platform::{IslandEvents, RunReport};
 use simcore::Nanos;
+use std::ops::Range;
 use workloads::session::simulate_admission;
 
 /// Shape of the fleet tree.
@@ -144,11 +145,7 @@ fn rebalance(units: &[(u32, f64)], gain: f64, min_cap: u32, max_cap: u32) -> Vec
     if n < 2 {
         return deltas;
     }
-    let total_cap: u64 = units.iter().map(|&(c, _)| c as u64).sum();
-    if total_cap == 0 {
-        return deltas;
-    }
-    let wmean: f64 = units.iter().map(|&(c, p)| c as f64 * p).sum::<f64>() / total_cap as f64;
+    let wmean = weighted_mean(units);
     if wmean <= f64::EPSILON {
         return deltas;
     }
@@ -186,6 +183,15 @@ fn rebalance(units: &[(u32, f64)], gain: f64, min_cap: u32, max_cap: u32) -> Vec
     deltas
 }
 
+/// The cap-weighted mean pressure of `units` (0 when they hold no cap).
+fn weighted_mean(units: &[(u32, f64)]) -> f64 {
+    let cap: u64 = units.iter().map(|&(c, _)| c as u64).sum();
+    if cap == 0 {
+        return 0.0;
+    }
+    units.iter().map(|&(c, p)| c as f64 * p).sum::<f64>() / cap as f64
+}
+
 /// Splits a unit-level delta across members pro-rata by cap (largest
 /// share first in index order; remainder spread one unit at a time).
 fn distribute(delta: i64, member_caps: &[u32]) -> Vec<i64> {
@@ -215,6 +221,77 @@ fn distribute(delta: i64, member_caps: &[u32]) -> Vec<i64> {
     out
 }
 
+/// A `Tune` for `entity` by `delta`.
+fn tune(entity: usize, delta: i32) -> CoordMsg {
+    CoordMsg::Tune { entity: EntityId(entity as u32), delta, target: None }
+}
+
+/// A unit's pressure report to its parent, before it goes on the wire.
+#[derive(Debug, Clone, Copy)]
+struct Report {
+    /// The unit reported on; also the lane the report travels.
+    unit: u16,
+    lamport: u64,
+    source: u16,
+    pressure: f64,
+}
+
+/// Sends every report up its unit's lane and returns what arrives within
+/// the round's window (late copies of earlier rounds included).
+fn exchange(
+    bus: &mut CoordBus,
+    round: u32,
+    window: Nanos,
+    reports: &[Report],
+    stats: &mut RoundStats,
+) -> Vec<Delivery> {
+    bus.set_round(round);
+    let start = bus.now();
+    for r in reports {
+        let msg = tune(r.unit as usize, quantize(r.pressure));
+        bus.send(NodeId(r.unit), &Envelope { lamport: r.lamport, source: NodeId(r.source), msg });
+    }
+    let mut deliveries = Vec::new();
+    bus.advance(start + window, &mut deliveries);
+    stats.delivered += deliveries.len() as u32;
+    stats.late += deliveries.iter().filter(|d| d.late).count() as u32;
+    deliveries
+}
+
+/// The unit a delivered report speaks for, and its pressure (ms).
+fn reading(e: &Envelope) -> Option<(u16, f64)> {
+    match e.msg {
+        CoordMsg::Tune { entity, delta, .. } => Some((entity.0 as u16, delta as f64 / 100.0)),
+        _ => None,
+    }
+}
+
+/// How the units one stage rebalances map onto shards: unit `u` stands
+/// for shards `u * stride .. u * stride + width`, clipped to the fleet.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    stride: u16,
+    width: u16,
+}
+
+/// Every shard on its own.
+const SHARDS: Span = Span { stride: 1, width: 1 };
+/// Node-group pairs, each named by its first shard.
+const PAIRS: Span = Span { stride: 1, width: 2 };
+
+/// One shard's totals across absorbed slices.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShardTotals {
+    offered: u64,
+    admitted: u64,
+    rejected: u64,
+    events: u64,
+    completed: u64,
+    /// Sum over slices of mean response × responses.
+    resp_weight: f64,
+    resp_count: u64,
+}
+
 /// The fleet: N shard plans, their admission caps, and the coordination
 /// tree that moves cap between them.
 pub struct FleetState {
@@ -222,8 +299,8 @@ pub struct FleetState {
     plans: Vec<ShardPlan>,
     caps: Vec<u32>,
     shard_clocks: Vec<LamportClock>,
-    rack_clocks: Vec<LamportClock>,
-    root_clock: LamportClock,
+    /// One clock per aggregation zone: racks `0..racks`, then the root.
+    zone_clocks: Vec<LamportClock>,
     /// Shard → rack lanes (depth ≥ 2).
     rack_bus: Option<CoordBus>,
     /// Uplinks to the fleet root: shard lanes at depth 1, rack lanes
@@ -234,14 +311,7 @@ pub struct FleetState {
     round: u32,
     slices: u32,
     sim_nanos: u128,
-    // Per-shard accumulators across slices.
-    offered: Vec<u64>,
-    admitted: Vec<u64>,
-    rejected: Vec<u64>,
-    events: Vec<u64>,
-    completed: Vec<u64>,
-    resp_weight: Vec<f64>,
-    resp_count: Vec<u64>,
+    totals: Vec<ShardTotals>,
     islands: IslandEvents,
 }
 
@@ -249,11 +319,15 @@ impl FleetState {
     /// Builds the fleet from per-shard plans.
     ///
     /// # Panics
-    /// Panics if `plans.len()` does not match the topology's shard count.
+    /// Panics unless `plans` holds shards `0..topo.shards` in order.
     pub fn new(cfg: FleetConfig, plans: Vec<ShardPlan>) -> Self {
         let topo = cfg.topo;
         let shards = topo.shards as usize;
         assert_eq!(plans.len(), shards, "one plan per shard");
+        assert!(
+            plans.iter().enumerate().all(|(i, p)| p.shard as usize == i),
+            "plans in shard order"
+        );
         let racks = topo.racks();
         // The hierarchy models racks as zones plus one extra root zone;
         // rack-stage decisions resolve zone-locally, root-stage decisions
@@ -279,8 +353,7 @@ impl FleetState {
             plans,
             caps: vec![cfg.base_cap; shards],
             shard_clocks: vec![LamportClock::new(); shards],
-            rack_clocks: vec![LamportClock::new(); racks as usize],
-            root_clock: LamportClock::new(),
+            zone_clocks: vec![LamportClock::new(); racks as usize + 1],
             rack_bus,
             fleet_bus,
             h,
@@ -288,13 +361,7 @@ impl FleetState {
             round: 0,
             slices: 0,
             sim_nanos: 0,
-            offered: vec![0; shards],
-            admitted: vec![0; shards],
-            rejected: vec![0; shards],
-            events: vec![0; shards],
-            completed: vec![0; shards],
-            resp_weight: vec![0.0; shards],
-            resp_count: vec![0; shards],
+            totals: vec![ShardTotals::default(); shards],
             islands: IslandEvents::default(),
             cfg,
         }
@@ -333,9 +400,10 @@ impl FleetState {
                     ^ 0xAD3A_0000
                     ^ (plan.shard as u64).wrapping_mul(0x517C_C1B7_2722_0A95);
                 let adm = simulate_admission(plan.load, self.caps[s], duration, adm_seed);
-                self.offered[s] += adm.offered;
-                self.admitted[s] += adm.admitted;
-                self.rejected[s] += adm.rejected;
+                let t = &mut self.totals[s];
+                t.offered += adm.offered;
+                t.admitted += adm.admitted;
+                t.rejected += adm.rejected;
                 let clients = (adm.mean_active.round() as u32).min(self.caps[s]).max(1);
                 ShardSpec {
                     shard: plan.shard,
@@ -355,11 +423,12 @@ impl FleetState {
         assert_eq!(reports.len(), self.plans.len(), "one report per shard");
         let mut pressures = vec![0.0f64; reports.len()];
         for (s, r) in reports.iter().enumerate() {
-            self.events[s] += r.events_by_island.x86 + r.events_by_island.ixp + r.events_by_island.accel;
-            self.completed[s] += r.rubis.completed;
+            let t = &mut self.totals[s];
+            t.events += r.events_by_island.x86 + r.events_by_island.ixp + r.events_by_island.accel;
+            t.completed += r.rubis.completed;
             let overall = r.rubis.responses.overall();
-            self.resp_weight[s] += overall.mean() * overall.count() as f64;
-            self.resp_count[s] += overall.count();
+            t.resp_weight += overall.mean() * overall.count() as f64;
+            t.resp_count += overall.count();
             self.islands.accumulate(&r.events_by_island);
             pressures[s] = overall.mean();
         }
@@ -384,310 +453,153 @@ impl FleetState {
             self.shard_clocks.iter_mut().map(LamportClock::tick).collect();
 
         // ---- Level 0: node-group pre-balance (depth 3) --------------
-        // Units carried upward: (representative shard, lamport, source,
-        // pressure, member shards).
-        let mut units: Vec<(u16, u64, u16, f64, Vec<u16>)> = Vec::new();
+        let mut units: Vec<Report> = Vec::new();
         if topo.depth == 3 {
-            let groups = topo.shards.div_ceil(2);
-            for g in 0..groups {
-                let members: Vec<u16> =
-                    (g * 2..topo.shards.min(g * 2 + 2)).collect();
-                let member_units: Vec<(u32, f64)> = members
-                    .iter()
-                    .map(|&m| (self.caps[m as usize], pressures[m as usize]))
-                    .collect();
-                let deltas = rebalance(
-                    &member_units,
-                    self.cfg.gain,
-                    self.cfg.min_cap,
-                    self.cfg.max_cap,
-                );
+            for rep in (0..topo.shards).step_by(2) {
+                let members = self.members(PAIRS, rep);
+                let member_units: Vec<(u32, f64)> =
+                    members.clone().map(|m| (self.caps[m], pressures[m])).collect();
+                let deltas = self.rebalance(&member_units);
                 let batch: Vec<ChildReport> = members
-                    .iter()
-                    .zip(&deltas)
-                    .filter(|&(_, &d)| d != 0)
-                    .map(|(&m, &d)| ChildReport {
-                        lamport: stamps[m as usize],
-                        source: m,
-                        origin: ZoneId(topo.rack_of(m)),
-                        msg: CoordMsg::Tune {
-                            entity: EntityId(m as u32),
-                            delta: d as i32,
-                            target: None,
-                        },
+                    .clone()
+                    .zip(deltas)
+                    .filter(|&(_, d)| d != 0)
+                    .map(|(m, d)| ChildReport {
+                        lamport: stamps[m],
+                        source: m as u16,
+                        origin: ZoneId(topo.rack_of(m as u16)),
+                        msg: tune(m, d as i32),
                     })
                     .collect();
-                stats.moves[0] += batch.len() as u32;
-                self.tunes[0] += batch.len() as u64;
-                let actions = self.h.aggregate(self.fleet_bus.now(), batch);
-                self.apply(&actions);
-                // Residual: cap-weighted group pressure under the rep's
-                // clock, which observes its partner before speaking.
-                let rep = members[0];
-                let cap_sum: u64 =
-                    members.iter().map(|&m| self.caps[m as usize] as u64).sum();
-                let p = if cap_sum == 0 {
-                    0.0
-                } else {
-                    members
-                        .iter()
-                        .map(|&m| self.caps[m as usize] as f64 * pressures[m as usize])
-                        .sum::<f64>()
-                        / cap_sum as f64
-                };
-                let max_stamp =
-                    members.iter().map(|&m| stamps[m as usize]).max().unwrap_or(0);
-                let lamport = self.shard_clocks[rep as usize].observe(max_stamp);
-                units.push((rep, lamport, rep, p, members));
+                self.commit(0, batch, &mut stats);
+                // Residual: group pressure weighted by the rebalanced caps,
+                // under the rep's clock, which observes its partner first.
+                let pressure = weighted_mean(
+                    &members.clone().map(|m| (self.caps[m], pressures[m])).collect::<Vec<_>>(),
+                );
+                let newest = members.map(|m| stamps[m]).max().unwrap_or(0);
+                let lamport = self.shard_clocks[rep as usize].observe(newest);
+                units.push(Report { unit: rep, lamport, source: rep, pressure });
             }
         } else {
-            for plan in &self.plans {
-                let s = plan.shard;
-                units.push((s, stamps[s as usize], s, pressures[s as usize], vec![s]));
+            for s in 0..topo.shards {
+                let (lamport, pressure) = (stamps[s as usize], pressures[s as usize]);
+                units.push(Report { unit: s, lamport, source: s, pressure });
             }
         }
 
-        // ---- Level 1: rack stage over the intra-rack bus (depth ≥ 2) --
+        // ---- Level 1: each rack over its intra-rack lanes (depth ≥ 2) --
         let racks = topo.racks();
-        let mut root_inputs: Vec<(u16, u64, u16, f64, Vec<u16>)> = Vec::new();
-        let rack_deliveries: Option<Vec<Delivery>> = self.rack_bus.as_mut().map(|bus| {
-            bus.set_round(round);
-            let start = bus.now();
-            for &(rep, lamport, source, p, _) in &units {
-                bus.send(
-                    NodeId(rep),
-                    &Envelope {
-                        lamport,
-                        source: NodeId(source),
-                        msg: CoordMsg::Tune {
-                            entity: EntityId(rep as u32),
-                            delta: quantize(p),
-                            target: None,
-                        },
-                    },
-                );
-            }
-            let mut deliveries: Vec<Delivery> = Vec::new();
-            bus.advance(start + window, &mut deliveries);
-            deliveries
-        });
+        let rack_deliveries =
+            self.rack_bus.as_mut().map(|bus| exchange(bus, round, window, &units, &mut stats));
         if let Some(deliveries) = rack_deliveries {
-            stats.delivered += deliveries.len() as u32;
-            stats.late += deliveries.iter().filter(|d| d.late).count() as u32;
+            units.clear();
             for r in 0..racks {
-                // Latest report per unit, restored to (lamport, source)
-                // order — the satellite-1 contract.
-                let mut seen: Vec<(u16, u64, u16, f64)> = Vec::new();
-                for d in deliveries.iter().filter(|d| topo.rack_of(d.node.0) == r) {
-                    let CoordMsg::Tune { entity, delta, .. } = d.envelope.msg else {
-                        continue;
-                    };
-                    let unit = entity.0 as u16;
-                    let rec =
-                        (unit, d.envelope.lamport, d.envelope.source.0, delta as f64 / 100.0);
-                    match seen.iter_mut().find(|u| u.0 == unit) {
-                        Some(u) if (u.1, u.2) < (rec.1, rec.2) => *u = rec,
-                        Some(_) => {}
-                        None => seen.push(rec),
-                    }
+                let heard = deliveries.iter().filter(|d| topo.rack_of(d.node.0) == r);
+                if let Some(pressure) = self.stage(r, heard.map(|d| &d.envelope), &mut stats) {
+                    let lamport = self.zone_clocks[r as usize].tick();
+                    let source = topo.shards + r;
+                    units.push(Report { unit: r, lamport, source, pressure });
                 }
-                seen.sort_by_key(|&(unit, l, s, _)| (l, s, unit));
-                if seen.is_empty() {
-                    continue;
-                }
-                let max_stamp = seen.iter().map(|&(_, l, _, _)| l).max().unwrap_or(0);
-                self.rack_clocks[r as usize].observe(max_stamp);
-                let rack_node = topo.shards + r;
-                let unit_defs: Vec<(u32, f64)> = seen
-                    .iter()
-                    .map(|&(unit, _, _, p)| (self.unit_cap(unit, topo.depth), p))
-                    .collect();
-                let deltas = rebalance(
-                    &unit_defs,
-                    self.cfg.gain,
-                    self.cfg.min_cap,
-                    self.cfg.max_cap,
-                );
-                let mut batch: Vec<ChildReport> = Vec::new();
-                for (&(unit, ..), &d) in seen.iter().zip(&deltas) {
-                    if d == 0 {
-                        continue;
-                    }
-                    for (member, md) in self.split_unit(unit, topo.depth, d) {
-                        batch.push(ChildReport {
-                            lamport: self.rack_clocks[r as usize].tick(),
-                            source: rack_node,
-                            origin: ZoneId(r),
-                            msg: CoordMsg::Tune {
-                                entity: EntityId(member as u32),
-                                delta: md as i32,
-                                target: None,
-                            },
-                        });
-                    }
-                }
-                stats.moves[1] += batch.len() as u32;
-                self.tunes[1] += batch.len() as u64;
-                let now = self.fleet_bus.now();
-                let actions = self.h.aggregate(now, batch);
-                self.apply(&actions);
-                // Residual pressure forwarded to the root.
-                let cap_sum: u64 = unit_defs.iter().map(|&(c, _)| c as u64).sum();
-                let p = if cap_sum == 0 {
-                    0.0
-                } else {
-                    unit_defs.iter().map(|&(c, p)| c as f64 * p).sum::<f64>() / cap_sum as f64
-                };
-                let members: Vec<u16> = self
-                    .plans
-                    .iter()
-                    .map(|pl| pl.shard)
-                    .filter(|&s| topo.rack_of(s) == r)
-                    .collect();
-                let lamport = self.rack_clocks[r as usize].tick();
-                root_inputs.push((r, lamport, rack_node, p, members));
             }
-        } else {
-            root_inputs = units;
         }
 
         // ---- Level 2: fleet root over the cross-node bus -------------
-        self.fleet_bus.set_round(round);
-        let start = self.fleet_bus.now();
-        for &(lane, lamport, source, p, _) in &root_inputs {
-            self.fleet_bus.send(
-                NodeId(lane),
-                &Envelope {
-                    lamport,
-                    source: NodeId(source),
-                    msg: CoordMsg::Tune {
-                        entity: EntityId(lane as u32),
-                        delta: quantize(p),
-                        target: None,
-                    },
-                },
-            );
-        }
-        let mut deliveries: Vec<Delivery> = Vec::new();
-        self.fleet_bus.advance(start + window, &mut deliveries);
-        stats.delivered += deliveries.len() as u32;
-        stats.late += deliveries.iter().filter(|d| d.late).count() as u32;
-        let mut seen: Vec<(u16, u64, u16, f64)> = Vec::new();
-        for d in &deliveries {
-            let CoordMsg::Tune { entity, delta, .. } = d.envelope.msg else { continue };
-            let unit = entity.0 as u16;
-            let rec = (unit, d.envelope.lamport, d.envelope.source.0, delta as f64 / 100.0);
-            match seen.iter_mut().find(|u| u.0 == unit) {
-                Some(u) if (u.1, u.2) < (rec.1, rec.2) => *u = rec,
-                Some(_) => {}
-                None => seen.push(rec),
-            }
-        }
-        seen.sort_by_key(|&(unit, l, s, _)| (l, s, unit));
-        if !seen.is_empty() {
-            let max_stamp = seen.iter().map(|&(_, l, _, _)| l).max().unwrap_or(0);
-            self.root_clock.observe(max_stamp);
-            let root_zone = ZoneId(racks);
-            let root_node = topo.shards + racks;
-            let unit_defs: Vec<(u32, f64)> = seen
-                .iter()
-                .map(|&(unit, _, _, p)| {
-                    if topo.depth >= 2 {
-                        (self.rack_cap(unit), p)
-                    } else {
-                        (self.caps[unit as usize], p)
-                    }
-                })
-                .collect();
-            let deltas =
-                rebalance(&unit_defs, self.cfg.gain, self.cfg.min_cap, self.cfg.max_cap);
-            let mut batch: Vec<ChildReport> = Vec::new();
-            for (&(unit, ..), &d) in seen.iter().zip(&deltas) {
-                if d == 0 {
-                    continue;
-                }
-                let members: Vec<u16> = if topo.depth >= 2 {
-                    self.plans
-                        .iter()
-                        .map(|pl| pl.shard)
-                        .filter(|&s| topo.rack_of(s) == unit)
-                        .collect()
-                } else {
-                    vec![unit]
-                };
-                let member_caps: Vec<u32> =
-                    members.iter().map(|&m| self.caps[m as usize]).collect();
-                for (&m, &md) in members.iter().zip(&distribute(d, &member_caps)) {
-                    if md == 0 {
-                        continue;
-                    }
-                    batch.push(ChildReport {
-                        lamport: self.root_clock.tick(),
-                        source: root_node,
-                        origin: root_zone,
-                        msg: CoordMsg::Tune {
-                            entity: EntityId(m as u32),
-                            delta: md as i32,
-                            target: None,
-                        },
-                    });
-                }
-            }
-            stats.moves[2] += batch.len() as u32;
-            self.tunes[2] += batch.len() as u64;
-            let now = self.fleet_bus.now();
-            let actions = self.h.aggregate(now, batch);
-            self.apply(&actions);
-        }
+        let deliveries = exchange(&mut self.fleet_bus, round, window, &units, &mut stats);
+        self.stage(racks, deliveries.iter().map(|d| &d.envelope), &mut stats);
         // Feedback: the root's decision closes the causal loop — every
         // shard clock observes the root's time before its next report.
-        let root_now = self.root_clock.now();
+        let root_now = self.zone_clocks[racks as usize].now();
         for c in &mut self.shard_clocks {
             c.observe(root_now);
         }
         stats
     }
 
-    /// A unit's current cap: the shard's own cap at depth ≤ 2, the
-    /// node-group sum at depth 3 (unit = representative shard).
-    fn unit_cap(&self, unit: u16, depth: u8) -> u32 {
-        if depth == 3 {
-            let g = self.cfg.topo.group_of(unit);
-            (g * 2..self.cfg.topo.shards.min(g * 2 + 2))
-                .map(|m| self.caps[m as usize])
-                .sum()
-        } else {
-            self.caps[unit as usize]
+    /// One aggregation point: rack `zone`, or the fleet root when `zone`
+    /// is the rack count. Keeps each unit's latest report in the
+    /// `(lamport, source)` order of [`Envelope::key`] — so arrival order,
+    /// duplicates and late copies of earlier reports change nothing —
+    /// observes the newest stamp on the zone's clock, rebalances the
+    /// units, splits each unit's move over its member shards and hands
+    /// the moves to the hierarchy. Returns the units' cap-weighted
+    /// pressure (caps as they were before the moves), or `None` when
+    /// nothing arrived, in which case the zone does nothing at all.
+    fn stage<'a>(
+        &mut self,
+        zone: u16,
+        envelopes: impl IntoIterator<Item = &'a Envelope>,
+        stats: &mut RoundStats,
+    ) -> Option<f64> {
+        let topo = self.cfg.topo;
+        let root = zone == topo.racks();
+        let mut latest: Vec<(&Envelope, u16, f64)> = Vec::new();
+        for e in envelopes {
+            let Some((unit, pressure)) = reading(e) else { continue };
+            match latest.iter_mut().find(|l| l.1 == unit) {
+                Some(l) if l.0.key() < e.key() => *l = (e, unit, pressure),
+                Some(_) => {}
+                None => latest.push((e, unit, pressure)),
+            }
         }
-    }
-
-    /// Splits a unit delta into per-shard deltas.
-    fn split_unit(&self, unit: u16, depth: u8, delta: i64) -> Vec<(u16, i64)> {
-        if depth == 3 {
-            let g = self.cfg.topo.group_of(unit);
-            let members: Vec<u16> =
-                (g * 2..self.cfg.topo.shards.min(g * 2 + 2)).collect();
-            let caps: Vec<u32> = members.iter().map(|&m| self.caps[m as usize]).collect();
-            members.into_iter().zip(distribute(delta, &caps)).collect()
-        } else {
-            vec![(unit, delta)]
-        }
-    }
-
-    /// A rack's total cap.
-    fn rack_cap(&self, rack: u16) -> u32 {
-        self.plans
+        latest.sort_by_key(|l| l.0.key());
+        let newest = latest.last()?.0.lamport;
+        self.zone_clocks[zone as usize].observe(newest);
+        let span = match (root, topo.depth) {
+            (false, 3) => PAIRS,
+            (true, 2..) => Span { stride: topo.rack_size, width: topo.rack_size },
+            _ => SHARDS,
+        };
+        let members: Vec<_> = latest.iter().map(|&(_, unit, _)| self.members(span, unit)).collect();
+        let units: Vec<(u32, f64)> = latest
             .iter()
-            .filter(|p| self.cfg.topo.rack_of(p.shard) == rack)
-            .map(|p| self.caps[p.shard as usize])
-            .sum()
+            .zip(&members)
+            .map(|(&(_, _, p), m)| (self.caps[m.clone()].iter().sum(), p))
+            .collect();
+        let deltas = self.rebalance(&units);
+        let node = topo.shards + zone;
+        let mut batch: Vec<ChildReport> = Vec::new();
+        for (m, &d) in members.iter().zip(&deltas) {
+            if d == 0 {
+                continue;
+            }
+            for (shard, md) in m.clone().zip(distribute(d, &self.caps[m.clone()])) {
+                // A rack hands over every member of a split node group,
+                // zero moves included; the root drops zero moves.
+                if root && md == 0 {
+                    continue;
+                }
+                batch.push(ChildReport {
+                    lamport: self.zone_clocks[zone as usize].tick(),
+                    source: node,
+                    origin: ZoneId(zone),
+                    msg: tune(shard, md as i32),
+                });
+            }
+        }
+        self.commit(if root { 2 } else { 1 }, batch, stats);
+        Some(weighted_mean(&units))
     }
 
-    /// Applies hierarchy actions to the cap vector (clamped — which is
+    /// The shards unit `unit` of `span` stands for.
+    fn members(&self, span: Span, unit: u16) -> Range<usize> {
+        let first = unit * span.stride;
+        first as usize..(first + span.width).min(self.cfg.topo.shards) as usize
+    }
+
+    /// [`rebalance`] under the fleet's gain and cap bounds.
+    fn rebalance(&self, units: &[(u32, f64)]) -> Vec<i64> {
+        rebalance(units, self.cfg.gain, self.cfg.min_cap, self.cfg.max_cap)
+    }
+
+    /// Counts one tree level's cap moves, resolves them through the
+    /// hierarchy and applies the result to the caps (clamped — which is
     /// exactly why the fold order must be deterministic).
-    fn apply(&mut self, actions: &[Action]) {
-        for a in actions {
-            if let Action::ApplyTune { local_key, delta, .. } = *a {
+    fn commit(&mut self, level: usize, batch: Vec<ChildReport>, stats: &mut RoundStats) {
+        stats.moves[level] += batch.len() as u32;
+        self.tunes[level] += batch.len() as u64;
+        for a in self.h.aggregate(self.fleet_bus.now(), batch) {
+            if let Action::ApplyTune { local_key, delta, .. } = a {
                 let s = local_key as usize;
                 let next = self.caps[s] as i64 + delta as i64;
                 self.caps[s] =
@@ -702,24 +614,18 @@ impl FleetState {
         let per_shard: Vec<ShardSummary> = self
             .plans
             .iter()
-            .map(|plan| {
-                let s = plan.shard as usize;
-                ShardSummary {
-                    shard: plan.shard,
-                    ncpus: plan.ncpus,
-                    cap: self.caps[s],
-                    offered: self.offered[s],
-                    admitted: self.admitted[s],
-                    rejected: self.rejected[s],
-                    events: self.events[s],
-                    completed: self.completed[s],
-                    throughput: if secs > 0.0 { self.completed[s] as f64 / secs } else { 0.0 },
-                    mean_ms: if self.resp_count[s] > 0 {
-                        self.resp_weight[s] / self.resp_count[s] as f64
-                    } else {
-                        0.0
-                    },
-                }
+            .zip(&self.totals)
+            .map(|(plan, t)| ShardSummary {
+                shard: plan.shard,
+                ncpus: plan.ncpus,
+                cap: self.caps[plan.shard as usize],
+                offered: t.offered,
+                admitted: t.admitted,
+                rejected: t.rejected,
+                events: t.events,
+                completed: t.completed,
+                throughput: if secs > 0.0 { t.completed as f64 / secs } else { 0.0 },
+                mean_ms: if t.resp_count > 0 { t.resp_weight / t.resp_count as f64 } else { 0.0 },
             })
             .collect();
         FleetReport {
@@ -741,6 +647,7 @@ impl FleetState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimRng;
     use workloads::session::SessionLoad;
 
     fn plans(n: u16) -> Vec<ShardPlan> {
@@ -864,6 +771,63 @@ mod tests {
         assert_eq!(distribute(10, &[30, 10]).iter().sum::<i64>(), 10);
         assert_eq!(distribute(-7, &[10, 10, 10]).iter().sum::<i64>(), -7);
         assert_eq!(distribute(5, &[0, 0]), vec![5, 0]);
+    }
+
+    /// Four units' current reports, then copies the wire may add: a
+    /// duplicate of every other report, and a late copy of an earlier
+    /// round's report (lower stamp, other pressure) for every unit. The
+    /// first two reports share a stamp and a pressure: their units tie in
+    /// the rebalance, so which of them rounding shaves rests on the
+    /// source id alone.
+    fn reports(units: [(u16, u16); 4]) -> (Vec<Envelope>, Vec<Envelope>) {
+        let report = |i: usize, lamport: u64, pressure: f64| {
+            let (unit, source) = units[i];
+            let msg = tune(unit as usize, quantize(pressure));
+            Envelope { lamport, source: NodeId(source), msg }
+        };
+        let current: Vec<Envelope> = [100.0, 100.0, 240.0, 180.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| report(i, 10 + i.max(1) as u64, p))
+            .collect();
+        let mut copies = current.clone();
+        copies.extend(current.iter().step_by(2).cloned());
+        copies.extend((0..4).map(|i| report(i, 1 + i as u64, 500.0 - 100.0 * i as f64)));
+        (current, copies)
+    }
+
+    #[test]
+    fn stage_outcome_is_independent_of_arrival_order_duplicates_and_late_copies() {
+        // (depth, rack size, zone, (unit, source) per report): a depth-2
+        // rack over its shards, a depth-3 rack over node-group pairs, and
+        // the depth-2 root over four racks' residuals.
+        let cases = [
+            (2, 4, 0, [(0, 0), (1, 1), (2, 2), (3, 3)]),
+            (3, 8, 0, [(0, 0), (2, 2), (4, 4), (6, 6)]),
+            (2, 2, 4, [(0, 8), (1, 9), (2, 10), (3, 11)]),
+        ];
+        let mut rng = SimRng::new(7);
+        for (depth, rack, zone, units) in cases {
+            let run = |envelopes: &[Envelope]| {
+                let mut c = cfg(8, depth, true);
+                c.topo = FleetTopology::new(8, depth, rack);
+                let mut st = FleetState::new(c, plans(8));
+                // Uneven caps, so splits over members leave remainders.
+                st.caps = vec![10, 10, 12, 8, 9, 11, 13, 15];
+                let mut stats = RoundStats::default();
+                let residual = st.stage(zone, envelopes, &mut stats);
+                (st.caps().to_vec(), st.zone_clocks.clone(), residual, stats)
+            };
+            let (current, mut copies) = reports(units);
+            let expect = run(&current);
+            assert!(expect.3.moves.iter().sum::<u32>() > 0, "depth {depth} zone {zone} moves cap");
+            for _ in 0..100 {
+                for i in (1..copies.len()).rev() {
+                    copies.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                assert_eq!(run(&copies), expect, "depth {depth} zone {zone}: {copies:?}");
+            }
+        }
     }
 
     #[test]

@@ -289,36 +289,6 @@ impl IxpIsland {
         }
     }
 
-    /// Sets the polling interval of `flow`'s egress threads.
-    pub fn set_flow_tx_poll(&mut self, flow: FlowId, poll: Nanos) {
-        if let Some(f) = self.flows.get_mut(flow.0 as usize) {
-            f.egress.set_poll(poll);
-        }
-    }
-
-    /// Current egress-thread count for `flow`.
-    pub fn flow_tx_threads(&self, flow: FlowId) -> u32 {
-        self.flows
-            .get(flow.0 as usize)
-            .map(|f| f.egress.threads())
-            .unwrap_or(0)
-    }
-
-    /// Bytes waiting in `flow`'s egress queue.
-    pub fn flow_egress_bytes(&self, flow: FlowId) -> u64 {
-        self.flows
-            .get(flow.0 as usize)
-            .map(|f| f.egress.queued_bytes())
-            .unwrap_or(0)
-    }
-
-    /// Sets (or disables) the buffer alarm threshold for `flow`.
-    pub fn set_buffer_threshold(&mut self, flow: FlowId, threshold: Option<u64>) {
-        if let Some(f) = self.flows.get_mut(flow.0 as usize) {
-            f.monitor.set_threshold(threshold);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Data path inputs
     // ------------------------------------------------------------------

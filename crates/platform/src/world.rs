@@ -872,12 +872,6 @@ impl Platform {
         self.trace.iter().map(|&(t, e)| (t, e.to_string()))
     }
 
-    /// The same bounded history as [`coordination_trace`](Self::coordination_trace),
-    /// as the structured values the hot path actually records.
-    pub fn coordination_trace_events(&self) -> impl Iterator<Item = &(Nanos, TraceEvent)> {
-        self.trace.iter()
-    }
-
     /// Diagnostic: one-line scheduler state summary.
     pub fn diag_line(&self) -> String {
         let mut out = String::new();

@@ -70,10 +70,11 @@ for suite in micro scheduler ixp_pipeline paper_artifacts queue; do
     echo "    ok: $report"
 done
 
-# The rate gate below sums per-run wall time across worker threads, so
-# on a host with fewer cores than jobs the threads contend and the
-# measured rate halves against the serial committed baseline. Keep the
-# parallel-merge path exercised only where the machine can back it.
+# The rate gate below compares with the committed baseline, recorded by
+# `experiments --smoke --jobs 2 all`. It sums per-run wall time across
+# worker threads, so on a host with fewer cores than jobs the threads
+# contend and the measured rate halves. Keep the parallel-merge path
+# exercised only where the machine can back it.
 smoke_jobs=2
 [ "$(nproc)" -lt 2 ] && smoke_jobs=1
 echo "==> experiments smoke pass (--smoke --jobs $smoke_jobs)"
@@ -96,10 +97,19 @@ base = sys.argv[2]
 # fail below 75% of baseline; warn below 90%). Set it to "skip" to run
 # warn-only on machines whose throughput is not comparable to the one
 # that produced the committed baseline. The gate is skipped automatically
-# when no baseline exists (fresh clone, offline git).
+# when no baseline exists (fresh clone, offline git). A baseline recorded
+# under another smoke cap runs a different mix of simulations, so its
+# rate says nothing about this one: that fails whatever the tolerance.
 tol_raw = os.environ.get("ARCH_RATE_TOLERANCE", "0.25")
 if os.path.isfile(base) and os.path.getsize(base) > 0:
-    b = json.load(open(base)).get("sim_rate", {})
+    baseline = json.load(open(base))
+    if baseline.get("smoke_cap_secs") != r.get("smoke_cap_secs"):
+        sys.exit(f"committed baseline has smoke_cap_secs="
+                 f"{baseline.get('smoke_cap_secs')}, this run "
+                 f"{r.get('smoke_cap_secs')}: re-record "
+                 f"results/BENCH_experiments.json with "
+                 f"`experiments --smoke --jobs 2 all`")
+    b = baseline.get("sim_rate", {})
     if b.get("events_per_sec", 0) > 0:
         ratio = sr["events_per_sec"] / b["events_per_sec"]
         print(f"    rate vs committed baseline: {ratio:.2f}x "

@@ -1,14 +1,12 @@
 //! Property tests for the fleet layer's ordering and determinism
-//! contracts: Lamport-clock merge monotonicity, `(lamport, source)`
-//! tie-breaking, the cross-node envelope codec, and bit-identical
-//! same-seed replay of whole sharded fleets across worker counts
-//! (the CLI's `--jobs 1` vs `--jobs 4`), with session conservation
-//! (offered = admitted + rejected) on every generated fleet.
+//! contracts: `(lamport, source)` tie-breaking, the cross-node envelope
+//! codec, and bit-identical same-seed replay of whole sharded fleets
+//! across worker counts (the CLI's `--jobs 1` vs `--jobs 4`), with
+//! session conservation (offered = admitted + rejected) on every
+//! generated fleet.
 
 use archipelago::coord::{wire, CoordMsg, EntityId};
-use archipelago::fleet::{
-    merge_streams, sort_envelopes, BusConfig, Envelope, FleetTopology, LamportClock, NodeId,
-};
+use archipelago::fleet::{sort_envelopes, BusConfig, Envelope, FleetTopology, NodeId};
 use archipelago::pcie::FaultProfile;
 use archipelago::simcore::Nanos;
 use simtest::gen::{domain, vec_of, zip2, zip3, Gen};
@@ -20,75 +18,6 @@ fn env(lamport: u64, source: u16) -> Envelope {
         source: NodeId(source),
         msg: CoordMsg::Tune { entity: EntityId(source as u32), delta: 1, target: None },
     }
-}
-
-/// Builds one node's envelope stream from positive lamport increments —
-/// the shape any real node produces, since its clock strictly increases.
-fn stream(source: u16, increments: &[u64]) -> Vec<Envelope> {
-    let mut clock = LamportClock::new();
-    increments
-        .iter()
-        .map(|&inc| {
-            // `observe` of (now + inc - 1) advances by exactly `inc`.
-            let t = clock.observe(clock.now() + inc - 1);
-            env(t, source)
-        })
-        .collect()
-}
-
-// ----------------------------------------------------------------------
-// Lamport merge: monotone, permutation-complete, associative
-// ----------------------------------------------------------------------
-
-#[test]
-fn merge_is_monotone_and_preserves_every_envelope() {
-    let streams_gen = vec_of(vec_of(Gen::u64_in(1, 5), 0, 12), 1, 6);
-    check("merge_is_monotone_and_preserves_every_envelope", &streams_gen, |incs| {
-        let streams: Vec<Vec<Envelope>> = incs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| stream(i as u16, s))
-            .collect();
-        let merged = merge_streams(streams.clone());
-
-        // Monotone: the output key sequence never decreases.
-        let keys: Vec<(u64, u16)> = merged.iter().map(Envelope::key).collect();
-        st_assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "merge output must be non-decreasing in (lamport, source): {keys:?}"
-        );
-
-        // Permutation: the merge agrees with a global sort of the union,
-        // so nothing is dropped, duplicated, or reordered past its key.
-        let mut flat: Vec<Envelope> = streams.iter().flatten().cloned().collect();
-        sort_envelopes(&mut flat);
-        st_assert_eq!(merged, flat, "merge must equal the globally sorted union");
-        Ok(())
-    });
-}
-
-#[test]
-fn merge_is_associative_across_groupings() {
-    let streams_gen = vec_of(vec_of(Gen::u64_in(1, 4), 0, 10), 2, 5);
-    check("merge_is_associative_across_groupings", &streams_gen, |incs| {
-        let streams: Vec<Vec<Envelope>> = incs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| stream(i as u16, s))
-            .collect();
-        let all_at_once = merge_streams(streams.clone());
-        // Pairwise left fold: merge(merge(s0, s1), s2) ...
-        let folded = streams
-            .clone()
-            .into_iter()
-            .reduce(|acc, s| merge_streams(vec![acc, s]))
-            .unwrap_or_default();
-        st_assert_eq!(
-            all_at_once, folded,
-            "merging all streams at once and pairwise must agree"
-        );
-        Ok(())
-    });
 }
 
 // ----------------------------------------------------------------------
