@@ -517,8 +517,9 @@ impl simcore::Component for AccelIsland {
         AccelIsland::next_event_time(self)
     }
 
-    fn advance(&mut self, now: Nanos, out: &mut Vec<AccelEvent>) {
+    fn advance(&mut self, now: Nanos, out: &mut Vec<AccelEvent>) -> Option<Nanos> {
         self.on_timer(now, out);
+        self.next_event_time()
     }
 }
 

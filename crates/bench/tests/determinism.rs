@@ -148,23 +148,30 @@ fn chaos_none_is_bit_identical_to_a_chaos_free_build() {
 }
 
 // ----------------------------------------------------------------------
-// Component conformance: horizon monotonicity per island device
+// Component conformance: returned and monotone horizons per island device
 // ----------------------------------------------------------------------
 
-/// Drains a [`Component`] and asserts its contract: after `advance(t)`,
-/// `next_event_time()` never reports a time before `t` (a past horizon
-/// would wedge or reorder the master loop). Returns the events absorbed
-/// so callers can assert the drive did real work.
+/// Drains a [`Component`] and asserts its contract: `advance(t)` returns
+/// exactly what `next_event_time()` answers right after it (the master
+/// loop caches that value without re-peeking), and that horizon is never
+/// before `t` (a past horizon would wedge or reorder the master loop).
+/// Returns the events absorbed so callers can assert the drive did real
+/// work.
 fn drive_conformant<C: simcore::Component>(name: &str, c: &mut C, max_steps: usize) -> usize {
     use simcore::Component;
     let mut out = Vec::new();
     let mut events = 0;
     for _ in 0..max_steps {
         let Some(t) = Component::next_event_time(c) else { break };
-        Component::advance(c, t, &mut out);
+        let returned = Component::advance(c, t, &mut out);
         events += out.len();
         out.clear();
-        if let Some(t2) = Component::next_event_time(c) {
+        assert_eq!(
+            returned,
+            Component::next_event_time(c),
+            "{name}: advance({t:?}) returned another horizon than the peek"
+        );
+        if let Some(t2) = returned {
             assert!(
                 t2 >= t,
                 "{name}: advance({:?}) left a past horizon {:?}",

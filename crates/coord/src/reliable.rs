@@ -245,8 +245,9 @@ impl simcore::Component for ReliableSender {
         self.next_timer()
     }
 
-    fn advance(&mut self, now: Nanos, out: &mut Vec<(u32, CoordMsg)>) {
+    fn advance(&mut self, now: Nanos, out: &mut Vec<(u32, CoordMsg)>) -> Option<Nanos> {
         self.on_timer(now, out);
+        self.next_timer()
     }
 }
 

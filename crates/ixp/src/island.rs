@@ -592,8 +592,9 @@ impl simcore::Component for IxpIsland {
         IxpIsland::next_event_time(self)
     }
 
-    fn advance(&mut self, now: Nanos, out: &mut Vec<IxpEvent>) {
+    fn advance(&mut self, now: Nanos, out: &mut Vec<IxpEvent>) -> Option<Nanos> {
         self.on_timer(now, out);
+        self.next_event_time()
     }
 }
 

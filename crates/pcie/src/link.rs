@@ -250,8 +250,9 @@ impl simcore::Component for HostLink {
         HostLink::next_event_time(self)
     }
 
-    fn advance(&mut self, now: Nanos, out: &mut Vec<PcieEvent>) {
+    fn advance(&mut self, now: Nanos, out: &mut Vec<PcieEvent>) -> Option<Nanos> {
         self.on_timer(now, out);
+        self.next_event_time()
     }
 }
 

@@ -199,8 +199,9 @@ impl<M> simcore::Component for Mailbox<M> {
         Mailbox::next_event_time(self)
     }
 
-    fn advance(&mut self, now: Nanos, out: &mut Vec<M>) {
+    fn advance(&mut self, now: Nanos, out: &mut Vec<M>) -> Option<Nanos> {
         self.on_timer(now, out);
+        self.next_event_time()
     }
 }
 

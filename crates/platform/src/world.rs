@@ -25,7 +25,7 @@ use crate::requests::ClientTable;
 use crate::rubis_path::Http;
 use crate::trace_event::TraceEvent;
 use simcore::trace::TraceBuffer;
-use simcore::{Component, EventQueue, Nanos, SimRng, Tracked};
+use simcore::{EventQueue, Nanos, SimRng, Tracked};
 use simtest::chaos::ChaosPlan;
 use std::collections::{BTreeMap, VecDeque};
 use workloads::adversary::Adversary;
@@ -408,7 +408,8 @@ impl DispatchCounts {
 /// The nine event sources of `SOURCES` are [`Tracked`] fields: each
 /// caches its own horizon, and any `&mut` use of one (a submit, a
 /// schedule, a send) marks that cache stale, so the master loop re-peeks
-/// exactly the sources something touched.
+/// exactly the sources something touched. A dispatch goes through
+/// [`Tracked::advance`], which caches the horizon the source returns.
 pub struct Platform {
     pub(crate) now: Nanos,
     pub(crate) rng: SimRng,
@@ -926,10 +927,11 @@ impl Platform {
     /// only. Their self-rescheduling chains (client think times, tenant
     /// arrivals, stream frames, adversary emissions, samples) stay queued
     /// past the end of a run, so a later call continues the same clients,
-    /// players, hogs and sample cadence from where the last one stopped. Each iteration gathers the
-    /// sources' cached horizons — all O(1) reads unless a source was
-    /// touched: the queues keep a live head and the scheduler memoises
-    /// its horizon — and dispatches the earliest source through the
+    /// players, hogs and sample cadence from where the last one stopped.
+    /// Each iteration gathers the sources' cached horizons — all O(1)
+    /// reads, since a dispatch caches the horizon `advance` returns, the
+    /// queues keep a live head and the scheduler keeps its horizon
+    /// settled — and dispatches the earliest source through the
     /// `SOURCES` registry.
     pub fn run(&mut self, duration: Nanos) -> RunReport {
         let wall_start = std::time::Instant::now();
@@ -1000,7 +1002,7 @@ impl Platform {
     /// Master-queue head: workload pacing and sampling events.
     fn dispatch_queue(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_ev);
-        Component::advance(&mut *self.q, t, &mut evs);
+        self.q.advance(t, &mut evs);
         for (_, ev) in evs.drain(..) {
             if let Some(d) = self.chaos.delay_event() {
                 // Chaos: push this timer fire out by a bounded delay
@@ -1017,7 +1019,7 @@ impl Platform {
     /// Credit-scheduler timer: ticks, slice rotation, completions.
     fn dispatch_sched(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_sched);
-        Component::advance(&mut *self.sched, t, &mut evs);
+        self.sched.advance(t, &mut evs);
         self.absorb_sched_drain(&mut evs);
         self.scratch_sched = evs;
     }
@@ -1025,7 +1027,7 @@ impl Platform {
     /// IXP stage pipeline: classification, delivery, alarms, wire tx.
     fn dispatch_ixp(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_ixp);
-        Component::advance(&mut *self.ixp, t, &mut evs);
+        self.ixp.advance(t, &mut evs);
         self.absorb_ixp_drain(&mut evs);
         self.scratch_ixp = evs;
     }
@@ -1033,7 +1035,7 @@ impl Platform {
     /// PCIe link: DMA completions and moderated host notifications.
     fn dispatch_link(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_link);
-        Component::advance(&mut *self.link, t, &mut evs);
+        self.link.advance(t, &mut evs);
         self.absorb_link_drain(&mut evs);
         self.scratch_link = evs;
     }
@@ -1041,7 +1043,7 @@ impl Platform {
     /// Forward coordination mailbox: frames arriving at Dom0.
     fn dispatch_coord_mbx(&mut self, t: Nanos) {
         let mut msgs = std::mem::take(&mut self.scratch_mbx);
-        Component::advance(&mut *self.mbx, t, &mut msgs);
+        self.mbx.advance(t, &mut msgs);
         for m in msgs.drain(..) {
             self.handle_coord_delivery(m.as_bytes());
         }
@@ -1051,7 +1053,7 @@ impl Platform {
     /// Reverse mailbox: reliable-delivery acks arriving at the sender.
     fn dispatch_ack_mbx(&mut self, t: Nanos) {
         let mut msgs = std::mem::take(&mut self.scratch_ack);
-        Component::advance(&mut *self.ack_mbx, t, &mut msgs);
+        self.ack_mbx.advance(t, &mut msgs);
         for m in msgs.drain(..) {
             self.handle_ack_delivery(m.as_bytes());
         }
@@ -1066,7 +1068,7 @@ impl Platform {
     /// Accelerator batch engine: completions, alarms, chaos Triggers.
     fn dispatch_accel(&mut self, t: Nanos) {
         let mut evs = std::mem::take(&mut self.scratch_accel);
-        Component::advance(&mut *self.accel, t, &mut evs);
+        self.accel.advance(t, &mut evs);
         if self.chaos.force_trigger() {
             // Chaos: preempt a tenant queue at this batch boundary, as a
             // hostile Trigger would.
@@ -1079,7 +1081,7 @@ impl Platform {
     /// Accelerator doorbell lane: coordination verbs reaching the device.
     fn dispatch_accel_mbx(&mut self, t: Nanos) {
         let mut msgs = std::mem::take(&mut self.scratch_accel_mbx);
-        Component::advance(&mut *self.accel_mbx, t, &mut msgs);
+        self.accel_mbx.advance(t, &mut msgs);
         for m in msgs.drain(..) {
             self.handle_accel_delivery(m.as_bytes());
         }
@@ -1400,11 +1402,12 @@ impl Platform {
     /// traces give-ups and degraded-mode entry.
     fn pump_retransmits(&mut self) {
         let now = self.now;
-        let Some(tx) = self.rel_tx.as_mut() else { return };
+        let Some(tx) = self.rel_tx.as_ref() else { return };
         let was_degraded = tx.is_degraded();
         let gave_up_before = tx.stats().gave_up;
         let mut retx = std::mem::take(&mut self.scratch_retx);
-        Component::advance(tx, now, &mut retx);
+        self.rel_tx.advance(now, &mut retx);
+        let tx = self.rel_tx.as_ref().expect("checked above");
         let entered_degraded = !was_degraded && tx.is_degraded();
         let gave_up = tx.stats().gave_up - gave_up_before;
         for (seq, msg) in retx.drain(..) {

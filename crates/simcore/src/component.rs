@@ -11,7 +11,8 @@
 //!   simulated instant at which the component would change state on its
 //!   own (its *horizon*; `None` when idle), and
 //! * [`advance`](Component::advance): consume everything due at `now`,
-//!   appending the externally visible results to `out`,
+//!   appending the externally visible results to `out`, and return the
+//!   horizon the component is left with,
 //!
 //! — so schedulers, network islands, DMA links, mailbox lanes,
 //! retransmission timers and accelerators all present one shape to the
@@ -20,6 +21,9 @@
 //! [`Tracked`] owns one source and its cached horizon. Any `&mut` access
 //! marks the cache stale, so the loop's per-iteration cost is one flag
 //! test per source, and a recompute only for sources something touched.
+//! [`Tracked::advance`] stores the horizon `advance` returns as fresh, so
+//! a dispatched source is not re-peeked unless something borrows it
+//! again before the next iteration.
 //! The dispatch rule (earliest horizon, lowest source index breaks ties)
 //! lives with the loop that owns the source order.
 
@@ -31,11 +35,12 @@ use std::ops::{Deref, DerefMut};
 ///
 /// # Contract
 ///
-/// * **Horizon validity** — after `advance(now, …)` returns, the new
-///   [`next_event_time`](Self::next_event_time) must be `>= now`: a
-///   component never retroactively discovers work in the past. The
-///   conformance property in `crates/bench/tests/determinism.rs` checks
-///   this for every island device.
+/// * **Horizon validity** — `advance(now, …)` returns the component's
+///   new horizon, which must equal [`next_event_time`](Self::next_event_time)
+///   right after the call and be `>= now`: a component never
+///   retroactively discovers work in the past. The conformance property
+///   in `crates/bench/tests/determinism.rs` checks both for every island
+///   device.
 /// * **Purity of the peek** — `next_event_time` takes `&self` and must
 ///   not mutate observable state, and its answer may change only through
 ///   `&mut self`. [`Tracked`] relies on both: it re-peeks only after a
@@ -57,9 +62,12 @@ pub trait Component {
     fn next_event_time(&self) -> Option<Nanos>;
 
     /// Advances internal state to `now`, appending externally visible
-    /// events to `out`. Called only with `now` equal to the component's
-    /// own horizon (the loop dispatches exactly at event times).
-    fn advance(&mut self, now: Nanos, out: &mut Vec<Self::Event>);
+    /// events to `out`, and returns the horizon left afterwards: the
+    /// value [`next_event_time`](Self::next_event_time) would answer now
+    /// (`None` when idle). Called only with `now` equal to the
+    /// component's own horizon (the loop dispatches exactly at event
+    /// times).
+    fn advance(&mut self, now: Nanos, out: &mut Vec<Self::Event>) -> Option<Nanos>;
 }
 
 /// An absent component is idle: `None` has no horizon and advancing it
@@ -74,10 +82,8 @@ impl<C: Component> Component for Option<C> {
         self.as_ref().and_then(C::next_event_time)
     }
 
-    fn advance(&mut self, now: Nanos, out: &mut Vec<Self::Event>) {
-        if let Some(c) = self {
-            c.advance(now, out);
-        }
+    fn advance(&mut self, now: Nanos, out: &mut Vec<Self::Event>) -> Option<Nanos> {
+        self.as_mut().and_then(|c| c.advance(now, out))
     }
 }
 
@@ -116,6 +122,15 @@ impl<C: Component> Tracked<C> {
             self.stale = false;
         }
         self.cached
+    }
+
+    /// Advances the component to `now` (see [`Component::advance`]) and
+    /// caches the horizon it returns as fresh, so the next
+    /// [`horizon`](Self::horizon) answers without a peek.
+    #[inline]
+    pub fn advance(&mut self, now: Nanos, out: &mut Vec<C::Event>) {
+        self.cached = self.inner.advance(now, out).unwrap_or(Nanos::MAX);
+        self.stale = false;
     }
 
     /// Whether the cache is stale or agrees with a fresh peek: the
@@ -161,6 +176,8 @@ mod tests {
     #[derive(Default)]
     struct Probe {
         next: Option<Nanos>,
+        /// The horizon `advance` leaves behind.
+        after: Option<Nanos>,
         peeks: std::cell::Cell<u32>,
     }
 
@@ -172,9 +189,10 @@ mod tests {
             self.next
         }
 
-        fn advance(&mut self, now: Nanos, out: &mut Vec<Nanos>) {
+        fn advance(&mut self, now: Nanos, out: &mut Vec<Nanos>) -> Option<Nanos> {
             out.push(now);
-            self.next = None;
+            self.next = self.after;
+            self.next
         }
     }
 
@@ -204,6 +222,27 @@ mod tests {
     }
 
     #[test]
+    fn tracked_advance_caches_the_returned_horizon_until_the_next_mutable_borrow() {
+        let mut t = Tracked::new(Probe {
+            next: Some(Nanos::from_micros(2)),
+            after: Some(Nanos::from_micros(7)),
+            ..Probe::default()
+        });
+        assert_eq!(t.horizon(), Nanos::from_micros(2));
+        let mut out = Vec::new();
+        t.advance(Nanos::from_micros(2), &mut out);
+        assert_eq!(out, vec![Nanos::from_micros(2)]);
+        assert_eq!(t.peeks.get(), 1);
+        assert_eq!(t.horizon(), Nanos::from_micros(7));
+        assert_eq!(t.horizon(), Nanos::from_micros(7));
+        assert!(t.is_coherent());
+        assert_eq!(t.peeks.get(), 2, "only the coherence check peeked");
+        t.next = Some(Nanos::from_micros(5));
+        assert_eq!(t.horizon(), Nanos::from_micros(5));
+        assert_eq!(t.peeks.get(), 3, "the mutable borrow forced one re-peek");
+    }
+
+    #[test]
     fn coherence_check_catches_a_corrupted_cache() {
         let mut t = Tracked::new(Probe { next: Some(Nanos::from_micros(9)), ..Probe::default() });
         assert!(t.is_coherent(), "a stale cache is never incoherent");
@@ -220,11 +259,11 @@ mod tests {
         let mut none: Option<Probe> = None;
         assert_eq!(Component::next_event_time(&none), None);
         let mut out = Vec::new();
-        Component::advance(&mut none, Nanos::from_micros(1), &mut out);
+        assert_eq!(Component::advance(&mut none, Nanos::from_micros(1), &mut out), None);
         assert!(out.is_empty());
         let mut some = Some(Probe { next: Some(Nanos::from_micros(3)), ..Probe::default() });
         assert_eq!(Component::next_event_time(&some), Some(Nanos::from_micros(3)));
-        Component::advance(&mut some, Nanos::from_micros(3), &mut out);
+        assert_eq!(Component::advance(&mut some, Nanos::from_micros(3), &mut out), None);
         assert_eq!(out, vec![Nanos::from_micros(3)]);
         assert_eq!(Component::next_event_time(&some), None);
         assert_eq!(Tracked::new(none).horizon(), Nanos::MAX);
@@ -239,9 +278,9 @@ mod tests {
         let t = Component::next_event_time(&q).unwrap();
         assert_eq!(t, Nanos::from_micros(1));
         let mut out = Vec::new();
-        q.advance(t, &mut out);
-        assert_eq!(out, vec![(Nanos::from_micros(1), 9)]);
         // One event per advance: the head at 3 µs is still queued.
+        assert_eq!(q.advance(t, &mut out), Some(Nanos::from_micros(3)));
+        assert_eq!(out, vec![(Nanos::from_micros(1), 9)]);
         assert_eq!(Component::next_event_time(&q), Some(Nanos::from_micros(3)));
     }
 }

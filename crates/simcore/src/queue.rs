@@ -266,8 +266,9 @@ impl<E> crate::Component for EventQueue<E> {
         self.peek_time()
     }
 
-    fn advance(&mut self, now: Nanos, out: &mut Vec<(Nanos, E)>) {
+    fn advance(&mut self, now: Nanos, out: &mut Vec<(Nanos, E)>) -> Option<Nanos> {
         self.advance_due(now, out);
+        self.peek_time()
     }
 }
 

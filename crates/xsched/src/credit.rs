@@ -4,14 +4,14 @@
 //! ## Algorithm (matching Xen's `sched_credit.c` behaviour)
 //!
 //! * Time is divided into **ticks** (10 ms). Each tick debits the running
-//!   VCPU `credits_per_tick` (100) credits and clears any BOOST priority it
-//!   held. Every `ticks_per_acct` (3) ticks an **accounting** pass
-//!   distributes `credits_per_tick × ticks_per_acct × ncpus` credits among
+//!   VCPU 100 credits and clears any BOOST priority it held. Every third
+//!   tick an **accounting** pass distributes `300 × ncpus` credits among
 //!   *active* domains proportionally to weight.
 //! * Priority is **UNDER** while credit ≥ 0 and **OVER** below; runqueues
 //!   order BOOST → UNDER → OVER with FIFO inside each class.
-//! * A VCPU woken by an event while UNDER enters **BOOST** and preempts
-//!   lower-priority work ([`WakeMode::Boost`]); the paper's *Trigger*
+//! * A VCPU woken by an event while UNDER enters **BOOST** (Xen's default
+//!   I/O boost) and preempts lower-priority work ([`WakeMode::Boost`]);
+//!   the paper's *Trigger*
 //!   mechanism maps to [`CreditScheduler::boost_front`].
 //! * Idle pCPUs steal the highest-priority runnable VCPU from peers
 //!   (respecting affinity). Capped domains park when they exhaust their
@@ -27,14 +27,17 @@
 //! input method returns the [`SchedEvent`]s (burst completions) produced
 //! while catching up to the call time, so no completion is ever lost;
 //! `on_timer` appends its completions to a caller-owned scratch buffer so
-//! the steady-state dispatch loop performs no allocation. The horizon
-//! returned by `next_event_time` is memoized behind a dirty flag and
-//! invalidated only by state-mutating calls.
+//! the steady-state dispatch loop performs no allocation.
+//!
+//! The scheduler is settled by construction. Every public method that can
+//! move the horizon ends in one private `settle()`, which reschedules and
+//! then scans the horizon once into a plain field; `next_event_time` reads
+//! that field, and the [`Component`](simcore::Component) face's `advance`
+//! returns it.
 
 use crate::runstate::UsageAccum;
 use crate::{Burst, BurstKind, DomId, Domain, PcpuId, RunstateSnapshot, SchedError};
 use simcore::Nanos;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -43,24 +46,26 @@ use std::ops::Range;
 /// to the floor, collapsing weight-proportional sharing into round-robin.
 const CREDIT_FLOOR: i32 = -30_000;
 
-/// Scheduler tuning parameters. [`SchedConfig::new`] gives Xen's defaults.
+/// Tick period (credit debit granularity). Xen: 10 ms.
+const TICK: Nanos = Nanos::from_millis(10);
+/// Ticks between accounting passes. Xen: 3 (30 ms).
+const TICKS_PER_ACCT: u32 = 3;
+/// Credits debited from a running VCPU per tick. Xen: 100.
+const CREDITS_PER_TICK: i32 = 100;
+/// Credits one pCPU hands out per accounting pass.
+const CREDITS_PER_ACCT: i32 = CREDITS_PER_TICK * TICKS_PER_ACCT as i32;
+/// Maximum uninterrupted slice before runqueue rotation. Xen: 30 ms.
+const SLICE: Nanos = Nanos::from_millis(30);
+/// Credit clamp (±): Xen caps accumulation around one accounting period's
+/// worth.
+const CREDIT_CAP: i32 = 300;
+
+/// Scheduler parameters. [`SchedConfig::new`] gives Xen's defaults; the
+/// tick, slice and credit constants are Xen's and not configurable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Number of physical CPUs.
     pub ncpus: u32,
-    /// Tick period (credit debit granularity). Xen: 10 ms.
-    pub tick: Nanos,
-    /// Ticks between accounting passes. Xen: 3 (30 ms).
-    pub ticks_per_acct: u32,
-    /// Credits debited from a running VCPU per tick. Xen: 100.
-    pub credits_per_tick: i32,
-    /// Maximum uninterrupted slice before runqueue rotation. Xen: 30 ms.
-    pub slice: Nanos,
-    /// Credit clamp (±). Xen caps accumulation around one accounting
-    /// period's worth.
-    pub credit_cap: i32,
-    /// Whether event-channel wakes grant BOOST (Xen's default on).
-    pub boost_on_wake: bool,
     /// Credit accounting mode. `true` (default) debits each VCPU for the
     /// CPU time it actually consumed between ticks; `false` reproduces
     /// Xen's sampling behaviour — the full tick debit lands on whoever is
@@ -78,18 +83,8 @@ impl SchedConfig {
         assert!(ncpus > 0, "need at least one pcpu");
         SchedConfig {
             ncpus,
-            tick: Nanos::from_millis(10),
-            ticks_per_acct: 3,
-            credits_per_tick: 100,
-            slice: Nanos::from_millis(30),
-            credit_cap: 300,
-            boost_on_wake: true,
             precise_accounting: true,
         }
-    }
-
-    fn credits_per_acct(&self) -> i32 {
-        self.credits_per_tick * self.ticks_per_acct as i32
     }
 }
 
@@ -178,16 +173,6 @@ struct Pcpu {
     runq: VecDeque<usize>,
 }
 
-/// Cached event horizon: recomputing it scans every VCPU and pCPU, so the
-/// value is memoized between state mutations.
-#[derive(Debug, Clone, Copy)]
-enum HorizonMemo {
-    /// State changed since the last computation.
-    Dirty,
-    /// Memoized result of the last from-scratch computation.
-    Clean(Option<Nanos>),
-}
-
 /// The credit scheduler island. See the module-level documentation for the
 /// algorithm and driving contract.
 #[derive(Debug)]
@@ -208,7 +193,10 @@ pub struct CreditScheduler {
     ctx_switches: u64,
     migrations: u64,
     preemptions: u64,
-    horizon: Cell<HorizonMemo>,
+    /// The settled horizon: the next tick, slice expiry or burst
+    /// completion (`None` when idle). `settle()` rescans it at the end of
+    /// every method that can move it.
+    horizon: Option<Nanos>,
     /// Execution speed as an exact rational `num/den` of nominal (DVFS).
     /// At `num == den` every conversion below is the identity, so the
     /// nominal path is bit-identical to a scheduler without the feature.
@@ -227,22 +215,20 @@ impl CreditScheduler {
                 runq: VecDeque::new(),
             })
             .collect();
-        let next_tick = cfg.tick;
-        let ticks_until_acct = cfg.ticks_per_acct;
         CreditScheduler {
             cfg,
             domains: Vec::new(),
             dom_vcpus: Vec::new(),
             vcpus: Vec::new(),
             pcpus,
-            next_tick,
-            ticks_until_acct,
+            next_tick: TICK,
+            ticks_until_acct: TICKS_PER_ACCT,
             now: Nanos::ZERO,
             usage: UsageAccum::default(),
             ctx_switches: 0,
             migrations: 0,
             preemptions: 0,
-            horizon: Cell::new(HorizonMemo::Dirty),
+            horizon: None,
             speed_num: 1,
             speed_den: 1,
         }
@@ -264,7 +250,7 @@ impl CreditScheduler {
         }
         self.speed_num = num;
         self.speed_den = den;
-        self.dirty_horizon();
+        self.settle();
     }
 
     /// The current execution speed as `(numerator, denominator)`.
@@ -297,7 +283,8 @@ impl CreditScheduler {
     // ------------------------------------------------------------------
 
     /// Creates a domain with `nvcpus` VCPUs and the given weight. The first
-    /// domain created is Dom0 (`DomId(0)`).
+    /// domain created is Dom0 (`DomId(0)`). Its VCPUs start blocked, so the
+    /// horizon does not move.
     ///
     /// # Panics
     /// Panics if `nvcpus == 0`.
@@ -325,11 +312,12 @@ impl CreditScheduler {
         }
         self.dom_vcpus.push(first..self.vcpus.len());
         self.usage.register(id);
-        self.dirty_horizon();
         id
     }
 
-    /// Pins all VCPUs of `dom` to the given pCPUs.
+    /// Pins all VCPUs of `dom` to the given pCPUs (an empty set unpins).
+    /// The new affinity takes effect at once: a waiter it admits to an
+    /// idle pCPU runs there from the scheduler's current instant.
     ///
     /// # Errors
     /// Returns [`SchedError::UnknownDomain`] or [`SchedError::BadAffinity`].
@@ -346,6 +334,7 @@ impl CreditScheduler {
                 Some(pcpus.to_vec())
             };
         }
+        self.settle();
         Ok(())
     }
 
@@ -411,7 +400,8 @@ impl CreditScheduler {
     /// up to `now`.
     ///
     /// # Errors
-    /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
+    /// Returns [`SchedError::UnknownDomain`] if the domain does not exist,
+    /// before any time passes: the scheduler is left untouched.
     pub fn submit(
         &mut self,
         now: Nanos,
@@ -419,14 +409,17 @@ impl CreditScheduler {
         burst: Burst,
         wake: WakeMode,
     ) -> Result<Vec<SchedEvent>, SchedError> {
+        let vcpus = self.vcpus_of(dom)?;
         let mut out = Vec::new();
-        self.advance(now, &mut out);
-        let vi = self.pick_vcpu_for_work(dom)?;
+        self.catch_up(now, &mut out);
+        let vi = vcpus
+            .min_by_key(|&i| self.vcpus[i].work.len())
+            .expect("every domain has a vcpu");
         self.vcpus[vi].work.push_back(burst);
         if self.vcpus[vi].state == RunState::Blocked {
-            self.wake_vcpu(vi, wake, false);
+            self.wake_vcpu(vi, wake);
         }
-        self.reschedule();
+        self.settle();
         Ok(out)
     }
 
@@ -436,14 +429,16 @@ impl CreditScheduler {
     /// marked so their next wake boosts regardless of credit.
     ///
     /// # Errors
-    /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
+    /// Returns [`SchedError::UnknownDomain`] if the domain does not exist,
+    /// before any time passes: the scheduler is left untouched.
     pub fn boost_front(&mut self, now: Nanos, dom: DomId) -> Result<Vec<SchedEvent>, SchedError> {
+        let vcpus = self.vcpus_of(dom)?;
         let mut out = Vec::new();
-        self.advance(now, &mut out);
-        for vi in self.vcpus_of(dom)? {
+        self.catch_up(now, &mut out);
+        for vi in vcpus {
             // The preemptive grant holds for one scheduling slice: the
             // triggered VCPU keeps BOOST across ticks until it expires.
-            self.vcpus[vi].boost_until = now + self.cfg.slice;
+            self.vcpus[vi].boost_until = now + SLICE;
             match self.vcpus[vi].state {
                 RunState::Runnable => {
                     self.remove_from_runq(vi);
@@ -456,7 +451,7 @@ impl CreditScheduler {
                 RunState::Parked => {}
             }
         }
-        self.reschedule();
+        self.settle();
         Ok(out)
     }
 
@@ -473,13 +468,13 @@ impl CreditScheduler {
         let per = credits / idxs.len().max(1) as i32;
         for vi in idxs {
             let v = &mut self.vcpus[vi];
-            v.credit = (v.credit + per).clamp(CREDIT_FLOOR, self.cfg.credit_cap);
+            v.credit = (v.credit + per).clamp(CREDIT_FLOOR, CREDIT_CAP);
             if v.prio != Priority::Boost && v.credit >= 0 {
                 v.prio = Priority::Under;
             }
         }
         self.resort_runqueues();
-        self.reschedule();
+        self.settle();
         Ok(())
     }
 
@@ -487,16 +482,18 @@ impl CreditScheduler {
     /// blocked VCPU of `dom` that has queued work.
     ///
     /// # Errors
-    /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
+    /// Returns [`SchedError::UnknownDomain`] if the domain does not exist,
+    /// before any time passes: the scheduler is left untouched.
     pub fn notify(&mut self, now: Nanos, dom: DomId) -> Result<Vec<SchedEvent>, SchedError> {
+        let vcpus = self.vcpus_of(dom)?;
         let mut out = Vec::new();
-        self.advance(now, &mut out);
-        for vi in self.vcpus_of(dom)? {
+        self.catch_up(now, &mut out);
+        for vi in vcpus {
             if self.vcpus[vi].state == RunState::Blocked && !self.vcpus[vi].work.is_empty() {
-                self.wake_vcpu(vi, WakeMode::Boost, false);
+                self.wake_vcpu(vi, WakeMode::Boost);
             }
         }
-        self.reschedule();
+        self.settle();
         Ok(out)
     }
 
@@ -505,25 +502,16 @@ impl CreditScheduler {
     // ------------------------------------------------------------------
 
     /// The next instant at which the scheduler needs to act (tick, slice
-    /// expiry or burst completion), or `None` when fully idle.
-    ///
-    /// The answer is cached behind a dirty flag: state-mutating calls
-    /// invalidate it, and repeated peeks between mutations (the master
-    /// loop's steady state) return the memoized value without rescanning
-    /// VCPUs and pCPUs.
+    /// expiry or burst completion), or `None` when fully idle: a read of
+    /// the horizon the last state change settled.
     pub fn next_event_time(&self) -> Option<Nanos> {
-        if let HorizonMemo::Clean(t) = self.horizon.get() {
-            return t;
-        }
-        let t = self.compute_horizon();
-        self.horizon.set(HorizonMemo::Clean(t));
-        t
+        self.horizon
     }
 
-    /// From-scratch horizon scan over all VCPUs and pCPUs. The cached
-    /// [`next_event_time`](Self::next_event_time) must always agree with
-    /// this (asserted by the randomized-operations test).
-    fn compute_horizon(&self) -> Option<Nanos> {
+    /// From-scratch horizon scan over all VCPUs and pCPUs. The settled
+    /// `horizon` field must always agree with this (asserted by the
+    /// randomized-operations test).
+    fn scan_horizon(&self) -> Option<Nanos> {
         let mut next: Option<Nanos> = None;
         let mut fold = |t: Nanos| {
             next = Some(next.map_or(t, |n: Nanos| n.min(t)));
@@ -547,11 +535,12 @@ impl CreditScheduler {
         next
     }
 
-    /// Invalidates the memoized event horizon. Called from the internal
-    /// choke points every mutation path runs through (`charge_to`,
-    /// `handle_boundaries`, `reschedule`, domain creation).
-    fn dirty_horizon(&self) {
-        self.horizon.set(HorizonMemo::Dirty);
+    /// Reschedules, then scans the horizon once into the `horizon` field.
+    /// Every public method that can move the horizon ends here, so the
+    /// state is settled whenever a caller can observe it.
+    fn settle(&mut self) {
+        self.reschedule();
+        self.horizon = self.scan_horizon();
     }
 
     /// Advances the scheduler to `now`, processing every internal boundary
@@ -560,12 +549,11 @@ impl CreditScheduler {
     /// and typically reuses across calls, so steady-state dispatch does not
     /// allocate).
     pub fn on_timer(&mut self, now: Nanos, out: &mut Vec<SchedEvent>) {
-        // `advance` reports whether its boundary loop already rescheduled
-        // at exactly `now` with nothing mutated since; the trailing
-        // reschedule (and the horizon recompute it forces) is redundant
-        // then — the common case when driven at the cached horizon.
-        if !self.advance(now, out) {
-            self.reschedule();
+        // The boundary loop settles after every boundary it handles, so
+        // only a tail charge past the last one leaves state to settle.
+        // Driven at its own horizon, there is no tail charge.
+        if self.catch_up(now, out) {
+            self.settle();
         }
     }
 
@@ -649,48 +637,40 @@ impl CreditScheduler {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Processes all internal boundaries up to `now`, then charges partial
-    /// progress to `now`. Returns `true` when the state was left exactly as
-    /// the boundary loop's own `reschedule()` at `now` produced it (no
-    /// partial charge followed), so the caller may skip its trailing
-    /// reschedule.
-    fn advance(&mut self, now: Nanos, out: &mut Vec<SchedEvent>) -> bool {
+    /// Processes every internal boundary up to `now` (ticks, accounting,
+    /// slice rotation, completions), settling after each, then charges
+    /// partial progress to `now`. Returns whether that tail charge ran: it
+    /// moves the pCPUs' charge points and may realign the tick grid, so
+    /// the state must be settled again before a caller observes it.
+    fn catch_up(&mut self, now: Nanos, out: &mut Vec<SchedEvent>) -> bool {
         debug_assert!(now >= self.now, "scheduler time went backwards");
-        let mut rescheduled_at_now = false;
-        while let Some(t) = self.next_event_time() {
-            if t > now {
-                break;
-            }
+        while let Some(t) = self.horizon.filter(|&t| t <= now) {
             self.charge_to(t, out);
             self.now = t;
             self.handle_boundaries(t);
-            self.reschedule();
-            rescheduled_at_now = t == now;
+            self.settle();
         }
-        if now > self.now {
-            // `self.now` is only ever set right after charging every pCPU
-            // to that same instant, so `now == self.now` means this charge
-            // would be a no-op — skipping it preserves the clean horizon
-            // computed by the loop's exit test.
-            self.charge_to(now, out);
-            self.now = now;
-            rescheduled_at_now = false;
+        // `self.now` is only ever set right after charging every pCPU to
+        // that same instant, so at `now == self.now` a tail charge would
+        // be a no-op; the tick grid is already ahead of `now` then.
+        if now == self.now {
+            return false;
         }
+        self.charge_to(now, out);
+        self.now = now;
         if self.next_tick <= now {
             // Ticks were skipped while the platform was fully idle (they
             // would have been no-ops); realign to the tick grid.
-            let tick = self.cfg.tick.as_nanos();
+            let tick = TICK.as_nanos();
             self.next_tick = Nanos((now.as_nanos() / tick + 1) * tick);
-            self.ticks_until_acct = self.cfg.ticks_per_acct;
-            self.dirty_horizon();
+            self.ticks_until_acct = TICKS_PER_ACCT;
         }
-        rescheduled_at_now
+        true
     }
 
     /// Charges running VCPUs for the time since their last charge, emitting
     /// burst completions and blocking VCPUs that run out of work.
     fn charge_to(&mut self, t: Nanos, out: &mut Vec<SchedEvent>) {
-        self.dirty_horizon();
         for pi in 0..self.pcpus.len() {
             let Some(vi) = self.pcpus[pi].running else {
                 self.pcpus[pi].last_charge = t;
@@ -757,13 +737,12 @@ impl CreditScheduler {
     }
 
     /// Handles tick / accounting / slice boundaries due exactly at `t`.
-    /// The caller must `reschedule()` afterwards (which starts with the
-    /// preemption scan this used to duplicate back-to-back).
+    /// The caller must settle afterwards: its reschedule runs the
+    /// preemption scan.
     fn handle_boundaries(&mut self, t: Nanos) {
-        self.dirty_horizon();
         while self.next_tick <= t {
             self.do_tick();
-            self.next_tick += self.cfg.tick;
+            self.next_tick += TICK;
         }
         for pi in 0..self.pcpus.len() {
             if self.pcpus[pi].running.is_some() && self.pcpus[pi].slice_end <= t {
@@ -785,8 +764,8 @@ impl CreditScheduler {
                 if consumed.is_zero() {
                     continue;
                 }
-                let debit = (consumed.as_nanos() as i64 * self.cfg.credits_per_tick as i64
-                    / self.cfg.tick.as_nanos().max(1) as i64) as i32;
+                let debit = (consumed.as_nanos() as i64 * CREDITS_PER_TICK as i64
+                    / TICK.as_nanos() as i64) as i32;
                 v.credit = (v.credit - debit).max(CREDIT_FLOOR);
                 v.prio = if now < v.boost_until {
                     Priority::Boost
@@ -802,7 +781,7 @@ impl CreditScheduler {
             for pi in 0..self.pcpus.len() {
                 if let Some(vi) = self.pcpus[pi].running {
                     let v = &mut self.vcpus[vi];
-                    v.credit -= self.cfg.credits_per_tick;
+                    v.credit -= CREDITS_PER_TICK;
                     v.credit = v.credit.max(CREDIT_FLOOR);
                     v.prio = if now < v.boost_until {
                         Priority::Boost
@@ -816,7 +795,7 @@ impl CreditScheduler {
         }
         self.ticks_until_acct -= 1;
         if self.ticks_until_acct == 0 {
-            self.ticks_until_acct = self.cfg.ticks_per_acct;
+            self.ticks_until_acct = TICKS_PER_ACCT;
             self.do_accounting();
         }
     }
@@ -835,7 +814,7 @@ impl CreditScheduler {
             .map(|(_, d)| u64::from(d.weight()))
             .sum();
         if active_weight > 0 {
-            let pool = self.cfg.credits_per_acct() as i64 * self.cfg.ncpus as i64;
+            let pool = CREDITS_PER_ACCT as i64 * self.cfg.ncpus as i64;
             for (r, d) in self.dom_vcpus.iter().zip(&self.domains) {
                 let n = self.vcpus[r.clone()].iter().filter(|v| active(v)).count();
                 if n == 0 {
@@ -848,12 +827,12 @@ impl CreditScheduler {
                     / active_weight as i64;
                 let cap = d.cap_percent();
                 if cap > 0 {
-                    let max = self.cfg.credits_per_acct() as i64 * cap as i64 / 100;
+                    let max = CREDITS_PER_ACCT as i64 * cap as i64 / 100;
                     share = share.min(max);
                 }
                 let per_vcpu = (share / n as i64) as i32;
                 for v in self.vcpus[r.clone()].iter_mut().filter(|v| active(v)) {
-                    v.credit = (v.credit + per_vcpu).clamp(CREDIT_FLOOR, self.cfg.credit_cap);
+                    v.credit = (v.credit + per_vcpu).clamp(CREDIT_FLOOR, CREDIT_CAP);
                 }
             }
         }
@@ -890,7 +869,7 @@ impl CreditScheduler {
                     }
                 }
                 RunState::Runnable | RunState::Running => {
-                    if capped && v.credit <= -self.cfg.credit_cap {
+                    if capped && v.credit <= -CREDIT_CAP {
                         let now = self.now;
                         if v.state == RunState::Runnable {
                             self.remove_from_runq(i);
@@ -941,7 +920,6 @@ impl CreditScheduler {
 
     /// Fills every idle pCPU from its runqueue or by stealing.
     fn reschedule(&mut self) {
-        self.dirty_horizon();
         let t = self.now;
         self.preempt_where_needed(t);
         for pi in 0..self.pcpus.len() {
@@ -952,7 +930,7 @@ impl CreditScheduler {
             if let Some(vi) = next {
                 self.pcpus[pi].running = Some(vi);
                 self.pcpus[pi].last_charge = t;
-                self.pcpus[pi].slice_end = t + self.cfg.slice;
+                self.pcpus[pi].slice_end = t + SLICE;
                 self.set_state(vi, RunState::Running, t);
                 self.vcpus[vi].last_pcpu = PcpuId(pi as u32);
                 self.ctx_switches += 1;
@@ -1003,7 +981,7 @@ impl CreditScheduler {
             self.pcpus[from_pi].runq.remove(pos);
             self.pcpus[to_pi].running = Some(vi);
             self.pcpus[to_pi].last_charge = t;
-            self.pcpus[to_pi].slice_end = t + self.cfg.slice;
+            self.pcpus[to_pi].slice_end = t + SLICE;
             self.set_state(vi, RunState::Running, t);
             if self.vcpus[vi].last_pcpu != PcpuId(to_pi as u32) {
                 self.migrations += 1;
@@ -1069,13 +1047,10 @@ impl CreditScheduler {
             .expect("vcpu pinned to no pcpu")
     }
 
-    fn wake_vcpu(&mut self, vi: usize, mode: WakeMode, _force_boost: bool) {
+    fn wake_vcpu(&mut self, vi: usize, mode: WakeMode) {
         let now = self.now;
         let pending = std::mem::replace(&mut self.vcpus[vi].pending_boost, false);
-        let boost = pending
-            || (matches!(mode, WakeMode::Boost)
-                && self.cfg.boost_on_wake
-                && self.vcpus[vi].credit >= 0);
+        let boost = pending || (mode == WakeMode::Boost && self.vcpus[vi].credit >= 0);
         self.vcpus[vi].prio = if boost {
             Priority::Boost
         } else if self.vcpus[vi].credit >= 0 {
@@ -1138,27 +1113,23 @@ impl CreditScheduler {
             self.set_state(vi, state, t);
         }
     }
-
-    fn pick_vcpu_for_work(&self, dom: DomId) -> Result<usize, SchedError> {
-        self.vcpus_of(dom)?
-            .min_by_key(|&i| self.vcpus[i].work.len())
-            .ok_or(SchedError::NoVcpus)
-    }
 }
 
 /// The scheduler as a master-loop event source: its horizon is the next
 /// tick / slice expiry / burst completion, and advancing it emits the
-/// completions that occurred on the way. (The x86 island's component
-/// face — the platform registry drives every island through this trait.)
+/// completions that occurred on the way and returns the settled horizon.
+/// (The x86 island's component face — the platform registry drives every
+/// island through this trait.)
 impl simcore::Component for CreditScheduler {
     type Event = SchedEvent;
 
     fn next_event_time(&self) -> Option<Nanos> {
-        CreditScheduler::next_event_time(self)
+        self.horizon
     }
 
-    fn advance(&mut self, now: Nanos, out: &mut Vec<SchedEvent>) {
+    fn advance(&mut self, now: Nanos, out: &mut Vec<SchedEvent>) -> Option<Nanos> {
         self.on_timer(now, out);
+        self.horizon
     }
 }
 
@@ -1413,6 +1384,37 @@ mod tests {
     }
 
     #[test]
+    fn widening_affinity_runs_a_waiter_on_an_idle_pcpu_at_once() {
+        // Both domains are pinned to p0, so the second waits behind the
+        // first while p1 idles. Widening its affinity settles the
+        // scheduler at the pin instant: p1 steals the waiter.
+        let mut s = CreditScheduler::new(SchedConfig::new(2));
+        let runner = s.create_domain("runner", 256, 1);
+        let waiter = s.create_domain("waiter", 256, 1);
+        s.pin_domain(runner, &[PcpuId(0)]).unwrap();
+        s.pin_domain(waiter, &[PcpuId(0)]).unwrap();
+        for (d, tag) in [(runner, 1u64), (waiter, 2)] {
+            let burst = Burst::user(Nanos::from_secs(1), tag);
+            s.submit(Nanos::ZERO, d, burst, WakeMode::Plain).unwrap();
+        }
+        let t = Nanos::from_millis(5);
+        s.on_timer(t, &mut Vec::new());
+        assert_eq!(s.run_state(runner), Some(RunState::Running));
+        assert_eq!(s.run_state(waiter), Some(RunState::Runnable));
+        s.pin_domain(waiter, &[PcpuId(0), PcpuId(1)]).unwrap();
+        assert_eq!(s.run_state(waiter), Some(RunState::Running));
+        assert_eq!(s.migrations(), 1);
+        // It runs from the pin instant: 1 s of demand completes 1 s later.
+        let done = drive_until(&mut s, t + Nanos::from_secs(1));
+        assert!(done.contains(&SchedEvent::Completed {
+            dom: waiter,
+            tag: 2,
+            kind: BurstKind::User,
+            at: t + Nanos::from_secs(1),
+        }));
+    }
+
+    #[test]
     fn pin_validates_pcpu() {
         let mut s = CreditScheduler::new(SchedConfig::new(1));
         let a = s.create_domain("a", 256, 1);
@@ -1449,6 +1451,18 @@ mod tests {
             assert!(s.usage_snapshot().usage(ghost).is_none());
         }
         assert_eq!(s.domains().count(), 1);
+        // A call that errors passes no time, so it cannot produce a
+        // completion and drop it with its error.
+        let burst = Burst::user(Nanos::from_millis(1), 7);
+        s.submit(Nanos::ZERO, DomId(0), burst, WakeMode::Plain)
+            .unwrap();
+        let (later, ghost) = (Nanos::from_millis(5), DomId(1));
+        let burst = Burst::user(Nanos(1), 0);
+        assert!(s.submit(later, ghost, burst, WakeMode::Plain).is_err());
+        assert!(s.boost_front(later, ghost).is_err());
+        assert!(s.notify(later, ghost).is_err());
+        assert_eq!(s.now(), Nanos::ZERO);
+        assert_eq!(drive_until(&mut s, later).len(), 1);
     }
 
     #[test]
@@ -1763,11 +1777,11 @@ mod tests {
     }
 
     #[test]
-    fn cached_horizon_matches_recomputation_under_random_ops() {
+    fn settled_horizon_matches_a_fresh_scan_under_random_ops() {
         // Drive the scheduler through a long randomized operation mix and
-        // assert after every single operation that the memoized
-        // next_event_time equals a from-scratch horizon scan. Any missed
-        // dirty-flag invalidation shows up here.
+        // assert after every single operation that the settled `horizon`
+        // field equals a from-scratch scan. A public method that moves
+        // the horizon without settling shows up here.
         use simcore::SimRng;
         for seed in [1u64, 42, 0xDEAD] {
             let mut rng = SimRng::new(seed);
@@ -1800,17 +1814,22 @@ mod tests {
                     _ => match rng.below(4) {
                         0 => s.set_weight(dom, rng.range(1, 1024) as u32).unwrap(),
                         1 => s.set_cap(dom, rng.range(0, 150) as u32).unwrap(),
-                        2 => s.pin_domain(dom, &[PcpuId(rng.below(2) as u32)]).unwrap(),
+                        2 => {
+                            let pins: [&[PcpuId]; 4] =
+                                [&[PcpuId(0)], &[PcpuId(1)], &[PcpuId(0), PcpuId(1)], &[]];
+                            s.pin_domain(dom, pins[rng.below(4) as usize]).unwrap();
+                        }
                         _ => {
                             let _ = s.usage_snapshot();
                         }
                     },
                 }
                 assert_eq!(
-                    s.next_event_time(),
-                    s.compute_horizon(),
-                    "cached horizon diverged from recomputation (seed {seed})"
+                    s.horizon,
+                    s.scan_horizon(),
+                    "settled horizon diverged from a fresh scan (seed {seed})"
                 );
+                assert_eq!(s.next_event_time(), s.horizon);
             }
         }
     }

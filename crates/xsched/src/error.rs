@@ -10,8 +10,6 @@ use std::fmt;
 pub enum SchedError {
     /// The referenced domain does not exist.
     UnknownDomain(DomId),
-    /// A domain was created with zero VCPUs.
-    NoVcpus,
     /// A VCPU was pinned to a pCPU outside the platform.
     BadAffinity(u32),
 }
@@ -20,7 +18,6 @@ impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SchedError::UnknownDomain(d) => write!(f, "unknown domain {d}"),
-            SchedError::NoVcpus => write!(f, "domain must have at least one vcpu"),
             SchedError::BadAffinity(p) => write!(f, "pcpu {p} does not exist"),
         }
     }
@@ -38,7 +35,6 @@ mod tests {
             SchedError::UnknownDomain(DomId(7)).to_string(),
             "unknown domain dom7"
         );
-        assert!(SchedError::NoVcpus.to_string().contains("vcpu"));
         assert!(SchedError::BadAffinity(9).to_string().contains("pcpu 9"));
     }
 }

@@ -45,14 +45,12 @@
 
 mod burst;
 mod credit;
-mod ctl;
 mod domain;
 mod error;
 mod runstate;
 
 pub use burst::{Burst, BurstKind};
 pub use credit::{CreditScheduler, Priority, RunState, SchedConfig, SchedEvent, WakeMode};
-pub use ctl::XenCtl;
 pub use domain::{DomId, Domain, PcpuId, DEFAULT_WEIGHT};
 pub use error::SchedError;
 pub use runstate::{DomainUsage, RunstateSnapshot};

@@ -1,6 +1,7 @@
 //! Integration of the coordination stack without the full platform:
 //! policy → wire codec → mailbox → controller → island managers
-//! (XenCtl over the credit scheduler, thread knobs on the IXP island).
+//! (weights, BOOST and credit on the credit scheduler, thread knobs on
+//! the IXP island).
 
 use archipelago::coord::{
     wire, Action, Controller, CoordMsg, CoordinationPolicy, EntityId, IslandId, IslandKind,
@@ -9,7 +10,7 @@ use archipelago::coord::{
 use archipelago::ixp::{IxpConfig, IxpIsland};
 use archipelago::pcie::Mailbox;
 use archipelago::simcore::Nanos;
-use archipelago::xsched::{Burst, CreditScheduler, SchedConfig, WakeMode, XenCtl};
+use archipelago::xsched::{Burst, CreditScheduler, SchedConfig, WakeMode};
 
 const X86: IslandId = IslandId(0);
 const IXP: IslandId = IslandId(1);
@@ -82,9 +83,10 @@ fn tune_travels_policy_to_scheduler() {
             };
             assert_eq!(island, X86);
             let dom = archipelago::xsched::DomId(local_key as u32);
-            let mut ctl = XenCtl::new(&mut sched);
-            let new = ctl.adjust_weight(dom, delta as i64).expect("domain exists");
-            ctl_weights.push((local_key, new));
+            let new = sched.weight(dom).expect("domain exists") as i64 + delta as i64;
+            let new = new.clamp(1, 65_535) as u32;
+            sched.set_weight(dom, new).expect("domain exists");
+            ctl_weights.push((local_key, sched.weight(dom).unwrap()));
         }
     }
     // Read regime: web and app rise to 768; db stays at the 256 base.
@@ -158,8 +160,9 @@ fn trigger_grants_priority_and_credit() {
             .submit(Nanos::ZERO, victim, Burst::user(Nanos::from_micros(500), 9), WakeMode::Plain)
             .unwrap();
         if trigger {
-            let mut ctl = XenCtl::new(&mut sched);
-            ctl.trigger_boost(Nanos::from_micros(100), victim).unwrap();
+            let done = sched.boost_front(Nanos::from_micros(100), victim).unwrap();
+            assert!(done.is_empty(), "nothing completes in the first 100 us");
+            sched.grant_credit(victim, 100).unwrap();
         }
         let mut evs = Vec::new();
         loop {
