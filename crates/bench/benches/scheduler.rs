@@ -64,7 +64,7 @@ fn main() {
     let mut now = Nanos::ZERO;
     suite.bench("sched/trigger_boost_front", || {
         now += Nanos(1000);
-        black_box(s.boost_front(now, d).unwrap())
+        black_box(s.trigger(now, d).unwrap())
     });
 
     let mut s = loaded();

@@ -1,58 +1,8 @@
 //! Shared run-loop and reporting scaffolding for the probe binaries
-//! (`probe`, `sweep`, `schedprobe`) — each used to carry its own copy.
+//! (`probe`, `schedprobe`) — each used to carry its own copy.
 
 use platform::RunReport;
 use xsched::{CreditScheduler, DomId};
-
-/// The overall RUBiS response summary the calibration tools compare:
-/// throughput, response moments, and guest-side drops.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RubisOut {
-    /// Requests per second.
-    pub throughput: f64,
-    /// Mean response time (ms).
-    pub mean: f64,
-    /// Response-time standard deviation (ms).
-    pub sd: f64,
-    /// Maximum response time (ms).
-    pub max: f64,
-    /// Packets dropped at the guest receive queues.
-    pub drops: u64,
-}
-
-impl RubisOut {
-    /// Extracts the summary from a run report.
-    pub fn of(r: &RunReport) -> RubisOut {
-        let o = r.rubis.responses.overall();
-        RubisOut {
-            throughput: r.rubis.throughput,
-            mean: o.mean(),
-            sd: o.std_dev(),
-            max: o.max(),
-            drops: r.net.guest_drops,
-        }
-    }
-
-    /// Element-wise mean of several summaries (seed averaging).
-    pub fn average(outs: &[RubisOut]) -> RubisOut {
-        let n = outs.len().max(1) as f64;
-        let mut acc = RubisOut::default();
-        for o in outs {
-            acc.throughput += o.throughput;
-            acc.mean += o.mean;
-            acc.sd += o.sd;
-            acc.max += o.max;
-            acc.drops += o.drops;
-        }
-        RubisOut {
-            throughput: acc.throughput / n,
-            mean: acc.mean / n,
-            sd: acc.sd / n,
-            max: acc.max / n,
-            drops: acc.drops / outs.len().max(1) as u64,
-        }
-    }
-}
 
 /// Fraction of the QoS gap that strategic tenants open — measured as a
 /// mean-response-time increase over the honest baseline — which the

@@ -102,13 +102,6 @@ impl Controller {
     /// Enables the adversary defenses: per-entity Tune/Trigger rate
     /// limiting and reputation-weighted delta discounting. Off by
     /// default — an undefended controller behaves exactly as before.
-    pub fn with_defenses(mut self, cfg: PolicerConfig) -> Self {
-        self.set_defenses(cfg);
-        self
-    }
-
-    /// Enables the adversary defenses in place (see
-    /// [`with_defenses`](Self::with_defenses)).
     pub fn set_defenses(&mut self, cfg: PolicerConfig) {
         self.policer = Some(EntityPolicer::new(cfg));
     }

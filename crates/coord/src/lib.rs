@@ -40,7 +40,7 @@
 //! * [`TokenBucket`] — rate limiting for coordination traffic — and
 //!   [`EntityPolicer`] — the controller-side defense against strategic
 //!   tenants (per-entity rate limits plus reputation-weighted Tune
-//!   discounting; enable with [`Controller::with_defenses`]).
+//!   discounting; enable with [`Controller::set_defenses`]).
 //! * [`hierarchy`] — the paper's future-work extension: a two-level
 //!   coordination fabric (zone controllers + root directory) for
 //!   large-scale multi-island platforms.

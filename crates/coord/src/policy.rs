@@ -110,56 +110,45 @@ pub struct RequestTypePolicy {
     app: EntityId,
     db: EntityId,
     target: IslandId,
-    hi: i32,
-    lo: i32,
-    base: i32,
     regime: Option<bool>, // last applied class: Some(write?)
     communicated: [i32; 3],
 }
 
+/// [`RequestTypePolicy`]'s neutral starting weight (Xen's default).
+const RT_BASE: i32 = 256;
+/// [`RequestTypePolicy`]'s weight for the tiers a regime favours.
+const RT_HI: i32 = 768;
+/// [`RequestTypePolicy`]'s weight for the tier a regime disfavours.
+const RT_LO: i32 = 256;
+
 impl RequestTypePolicy {
-    /// Creates the policy for the three RUBiS tiers hosted on `target`.
-    /// Defaults: base weight 256, high regime weight 768, low 256.
+    /// Creates the policy for the three RUBiS tiers hosted on `target`:
+    /// base weight 256, high regime weight 768, low 256.
     pub fn new(web: EntityId, app: EntityId, db: EntityId, target: IslandId) -> Self {
         RequestTypePolicy {
             web,
             app,
             db,
             target,
-            hi: 768,
-            lo: 256,
-            base: 256,
             regime: None,
-            communicated: [256; 3],
+            communicated: [RT_BASE; 3],
         }
     }
 
-    /// Overrides the regime weights.
-    pub fn with_weights(mut self, hi: i32, lo: i32) -> Self {
-        self.hi = hi;
-        self.lo = lo.min(hi);
-        self
-    }
-
-    fn desired_for(&self, write: bool) -> [i32; 3] {
+    fn desired_for(write: bool) -> [i32; 3] {
         if write {
             // db up, app follows db; web stays at its base weight (the
             // paper raises db for servlet requests but never lowers web).
-            [self.base, self.hi, self.hi]
+            [RT_BASE, RT_HI, RT_HI]
         } else {
             // web up, app follows web, db down.
-            [self.hi, self.hi, self.lo]
+            [RT_HI, RT_HI, RT_LO]
         }
     }
 
     /// The weight regime weights currently communicated (diagnostics).
     pub fn communicated(&self) -> [i32; 3] {
         self.communicated
-    }
-
-    /// The neutral starting weight.
-    pub fn base(&self) -> i32 {
-        self.base
     }
 }
 
@@ -172,7 +161,7 @@ impl CoordinationPolicy for RequestTypePolicy {
             return; // same class as last request: regime holds
         }
         self.regime = Some(*write);
-        let desired = self.desired_for(*write);
+        let desired = Self::desired_for(*write);
         let entities = [self.web, self.app, self.db];
         for i in 0..3 {
             let delta = desired[i] - self.communicated[i];
@@ -202,21 +191,23 @@ pub struct StreamQosPolicy {
     cpu_island: IslandId,
     ixp_island: Option<IslandId>,
     hi_kbps: u32,
-    raise: i32,
-    lower: i32,
-    thread_raise: i32,
 }
 
+/// [`StreamQosPolicy`]'s weight delta for a high-rate stream's guest.
+const STREAM_RAISE: i32 = 128;
+/// [`StreamQosPolicy`]'s weight delta for a low-rate stream's guest.
+const STREAM_LOWER: i32 = -64;
+/// [`StreamQosPolicy`]'s tandem IXP dequeue-thread delta.
+const STREAM_THREAD_RAISE: i32 = 2;
+
 impl StreamQosPolicy {
-    /// Creates the policy: streams at or above `hi_kbps` are high-rate.
+    /// Creates the policy: streams at or above `hi_kbps` are high-rate and
+    /// gain 128 weight; the others give 64 back.
     pub fn new(cpu_island: IslandId, hi_kbps: u32) -> Self {
         StreamQosPolicy {
             cpu_island,
             ixp_island: None,
             hi_kbps,
-            raise: 128,
-            lower: -64,
-            thread_raise: 2,
         }
     }
 
@@ -226,12 +217,6 @@ impl StreamQosPolicy {
         self
     }
 
-    /// Overrides the weight adjustments.
-    pub fn with_adjustments(mut self, raise: i32, lower: i32) -> Self {
-        self.raise = raise;
-        self.lower = lower;
-        self
-    }
 }
 
 impl CoordinationPolicy for StreamQosPolicy {
@@ -242,20 +227,20 @@ impl CoordinationPolicy for StreamQosPolicy {
         if *kbps >= self.hi_kbps {
             out.push(CoordMsg::Tune {
                 entity: *entity,
-                delta: self.raise,
+                delta: STREAM_RAISE,
                 target: Some(self.cpu_island),
             });
             if let Some(ixp) = self.ixp_island {
                 out.push(CoordMsg::Tune {
                     entity: *entity,
-                    delta: self.thread_raise,
+                    delta: STREAM_THREAD_RAISE,
                     target: Some(ixp),
                 });
             }
         } else {
             out.push(CoordMsg::Tune {
                 entity: *entity,
-                delta: self.lower,
+                delta: STREAM_LOWER,
                 target: Some(self.cpu_island),
             });
         }
@@ -340,11 +325,13 @@ impl CoordinationPolicy for BufferTriggerPolicy {
 #[derive(Debug, Clone)]
 pub struct InferenceBatchPolicy {
     target: IslandId,
-    latency_lean: i32,
-    throughput_lean: i32,
     /// Tenants whose SLA regime has been communicated: (entity, class).
     communicated: Vec<(EntityId, bool)>,
 }
+
+/// [`InferenceBatchPolicy`]'s batch-shape lean: latency tenants get its
+/// negation, throughput tenants the lean itself.
+const INFERENCE_LEAN: i32 = 6;
 
 impl InferenceBatchPolicy {
     /// Creates the policy for the accelerator island `target` with a
@@ -352,17 +339,8 @@ impl InferenceBatchPolicy {
     pub fn new(target: IslandId) -> Self {
         InferenceBatchPolicy {
             target,
-            latency_lean: -6,
-            throughput_lean: 6,
             communicated: Vec::new(),
         }
-    }
-
-    /// Overrides the leans applied to latency/throughput tenants.
-    pub fn with_leans(mut self, latency: i32, throughput: i32) -> Self {
-        self.latency_lean = latency;
-        self.throughput_lean = throughput;
-        self
     }
 
     /// Tenants whose regime has been communicated (diagnostics).
@@ -382,9 +360,9 @@ impl CoordinationPolicy for InferenceBatchPolicy {
             None => self.communicated.push((*entity, *latency_sensitive)),
         }
         let delta = if *latency_sensitive {
-            self.latency_lean
+            -INFERENCE_LEAN
         } else {
-            self.throughput_lean
+            INFERENCE_LEAN
         };
         out.push(CoordMsg::Tune {
             entity: *entity,
@@ -410,12 +388,15 @@ pub struct HysteresisPolicy {
     app: EntityId,
     db: EntityId,
     target: IslandId,
-    alpha: f64,
     ewma_write: f64,
     regime: Regime,
-    swing: i32,
     communicated: [i32; 3],
 }
+
+/// [`HysteresisPolicy`]'s EWMA smoothing factor.
+const HYSTERESIS_ALPHA: f64 = 0.05;
+/// [`HysteresisPolicy`]'s weight swing between regimes.
+const HYSTERESIS_SWING: i32 = 128;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Regime {
@@ -432,25 +413,18 @@ impl HysteresisPolicy {
             app,
             db,
             target,
-            alpha: 0.05,
             ewma_write: 0.5,
             regime: Regime::Mixed,
-            swing: 128,
             communicated: [256; 3],
         }
     }
 
-    /// Overrides the EWMA smoothing factor (0 < alpha ≤ 1).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha.clamp(1e-6, 1.0);
-        self
-    }
-
-    fn desired_for(&self, regime: Regime) -> [i32; 3] {
+    fn desired_for(regime: Regime) -> [i32; 3] {
+        const S: i32 = HYSTERESIS_SWING;
         match regime {
-            Regime::Read => [256 + self.swing, 256 + self.swing, 256 - self.swing / 2],
-            Regime::Mixed => [256, 256 + self.swing / 2, 256],
-            Regime::Write => [256, 256 + self.swing, 256 + self.swing],
+            Regime::Read => [256 + S, 256 + S, 256 - S / 2],
+            Regime::Mixed => [256, 256 + S / 2, 256],
+            Regime::Write => [256, 256 + S, 256 + S],
         }
     }
 }
@@ -460,8 +434,8 @@ impl CoordinationPolicy for HysteresisPolicy {
         let Observation::Request { write, .. } = obs else {
             return;
         };
-        self.ewma_write =
-            (1.0 - self.alpha) * self.ewma_write + self.alpha * if *write { 1.0 } else { 0.0 };
+        let a = HYSTERESIS_ALPHA;
+        self.ewma_write = (1.0 - a) * self.ewma_write + a * if *write { 1.0 } else { 0.0 };
         let next = match self.regime {
             Regime::Read if self.ewma_write > 0.40 => Regime::Mixed,
             Regime::Write if self.ewma_write < 0.60 => Regime::Mixed,
@@ -473,7 +447,7 @@ impl CoordinationPolicy for HysteresisPolicy {
             return;
         }
         self.regime = next;
-        let desired = self.desired_for(next);
+        let desired = Self::desired_for(next);
         let entities = [self.web, self.app, self.db];
         for i in 0..3 {
             let delta = desired[i] - self.communicated[i];
@@ -655,16 +629,17 @@ mod tests {
 
     #[test]
     fn stream_qos_custom_adjustments() {
-        let mut p = StreamQosPolicy::new(X86, 500).with_adjustments(200, -20);
+        // The adjustments are the shipped constants, whatever the rates.
+        let mut p = StreamQosPolicy::new(X86, 500);
         let hi = Observation::StreamInfo { entity: WEB, kbps: 900, fps: 30 };
         let lo = Observation::StreamInfo { entity: APP, kbps: 100, fps: 10 };
         assert_eq!(
             p.observe_vec(Nanos::ZERO, &hi),
-            vec![CoordMsg::Tune { entity: WEB, delta: 200, target: Some(X86) }]
+            vec![CoordMsg::Tune { entity: WEB, delta: STREAM_RAISE, target: Some(X86) }]
         );
         assert_eq!(
             p.observe_vec(Nanos::ZERO, &lo),
-            vec![CoordMsg::Tune { entity: APP, delta: -20, target: Some(X86) }]
+            vec![CoordMsg::Tune { entity: APP, delta: STREAM_LOWER, target: Some(X86) }]
         );
     }
 
@@ -678,21 +653,17 @@ mod tests {
 
     #[test]
     fn hysteresis_alpha_controls_reaction_speed() {
-        let flips_needed = |alpha: f64| -> usize {
-            let mut p = HysteresisPolicy::new(WEB, APP, DB, X86).with_alpha(alpha);
-            for _ in 0..500 {
-                p.observe_vec(Nanos::ZERO, &read_req());
-            }
-            for i in 0..500 {
-                if !p.observe_vec(Nanos::ZERO, &write_req()).is_empty() {
-                    return i;
-                }
-            }
-            500
-        };
-        let fast = flips_needed(0.3);
-        let slow = flips_needed(0.02);
-        assert!(fast < slow, "larger alpha reacts sooner: {fast} vs {slow}");
+        // From a settled read regime (EWMA ≈ 0), the shipped alpha of 0.05
+        // crosses the 0.40 band on the write that lifts 1 − 0.95ⁿ above
+        // it: the 10th.
+        let mut p = HysteresisPolicy::new(WEB, APP, DB, X86);
+        for _ in 0..500 {
+            p.observe_vec(Nanos::ZERO, &read_req());
+        }
+        let first_tune = (1..=500)
+            .find(|_| !p.observe_vec(Nanos::ZERO, &write_req()).is_empty())
+            .expect("sustained writes leave the read regime");
+        assert_eq!(first_tune, 10);
     }
 
     #[test]
@@ -733,11 +704,12 @@ mod tests {
 
     #[test]
     fn inference_batch_custom_leans() {
-        let mut p = InferenceBatchPolicy::new(X86).with_leans(-2, 9);
+        // The leans are the shipped ±6, whichever island is the target.
+        let mut p = InferenceBatchPolicy::new(X86);
         let obs = Observation::InferenceArrival { entity: DB, latency_sensitive: false };
         assert_eq!(
             p.observe_vec(Nanos::ZERO, &obs),
-            vec![CoordMsg::Tune { entity: DB, delta: 9, target: Some(X86) }]
+            vec![CoordMsg::Tune { entity: DB, delta: INFERENCE_LEAN, target: Some(X86) }]
         );
     }
 

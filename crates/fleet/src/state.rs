@@ -65,11 +65,6 @@ impl FleetTopology {
     pub fn rack_of(&self, shard: u16) -> u16 {
         shard / self.rack_size
     }
-
-    /// The node-group (pair) a shard belongs to (depth-3 level 0).
-    pub fn group_of(&self, shard: u16) -> u16 {
-        shard / 2
-    }
 }
 
 /// Fleet-wide configuration.

@@ -240,23 +240,6 @@ impl IxpIsland {
         }
     }
 
-    /// Like [`set_flow_threads`](Self::set_flow_threads) but validates the
-    /// hardware thread budget first.
-    ///
-    /// # Errors
-    /// Returns the shortfall in threads if the assignment would exceed the
-    /// contexts available after the PCI engines' reservation.
-    pub fn try_set_flow_threads(&mut self, flow: FlowId, threads: u32) -> Result<(), u32> {
-        let current = self.flow_threads(flow);
-        let proposed = self.threads_allocated() - current + threads;
-        let budget = self.thread_budget();
-        if proposed > budget {
-            return Err(proposed - budget);
-        }
-        self.set_flow_threads(flow, threads);
-        Ok(())
-    }
-
     /// Current number of dequeuing threads serving `flow`.
     pub fn flow_threads(&self, flow: FlowId) -> u32 {
         self.flows
@@ -268,25 +251,6 @@ impl IxpIsland {
     /// The VM a flow was registered for.
     pub fn vm_of_flow(&self, flow: FlowId) -> Option<u32> {
         self.flows.get(flow.0 as usize).map(|f| f.vm)
-    }
-
-    /// Sets the polling interval of `flow`'s dequeuing threads.
-    pub fn set_flow_poll(&mut self, flow: FlowId, poll: Nanos) {
-        if let Some(f) = self.flows.get_mut(flow.0 as usize) {
-            f.pool.set_poll(poll);
-        }
-    }
-
-    /// Sets the number of threads serving `flow`'s *egress* queue (the Tx
-    /// scheduler of Figure 3).
-    pub fn set_flow_tx_threads(&mut self, flow: FlowId, threads: u32) {
-        let now = self.now;
-        if let Some(f) = self.flows.get_mut(flow.0 as usize) {
-            for pkt in f.egress.set_threads(threads) {
-                let t = now + Self::flow_service(&self.cfg, &pkt);
-                self.q.schedule(t, Internal { stage: Stage::Egress(flow), pkt });
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -412,24 +376,6 @@ impl IxpIsland {
     /// Packets whose destination VM had no registered flow.
     pub fn unroutable(&self) -> u64 {
         self.unroutable
-    }
-
-    /// Thread contexts in use across all pools.
-    pub fn threads_allocated(&self) -> u32 {
-        self.cfg.rx_threads
-            + self.cfg.classify_threads
-            + self.cfg.tx_threads
-            + self
-                .flows
-                .iter()
-                .map(|f| f.pool.threads() + f.egress.threads())
-                .sum::<u32>()
-    }
-
-    /// Threads available on the hardware after reserving two engines for
-    /// the PCI Rx/Tx engines (as in Figure 3).
-    pub fn thread_budget(&self) -> u32 {
-        self.cfg.geometry.total_threads() - 2 * self.cfg.geometry.threads_per_engine
     }
 
     // ------------------------------------------------------------------
@@ -768,16 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_accounting() {
-        let mut island = IxpIsland::new(IxpConfig::default());
-        let base = island.threads_allocated();
-        island.register_flow(1);
-        // Each flow allocates an Rx dequeue pool and an egress pool.
-        assert_eq!(island.threads_allocated(), base + 4);
-        assert_eq!(island.thread_budget(), 112); // 128 − 2 engines for PCI
-    }
-
-    #[test]
     fn set_flow_threads_releases_backlog() {
         let cfg = IxpConfig { flow_threads: 0, ..IxpConfig::default() }; // nothing drains initially
         let mut island = IxpIsland::new(cfg);
@@ -811,19 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_is_enforced_by_try_set() {
-        let mut island = IxpIsland::new(IxpConfig::default());
-        let flow = island.register_flow(1);
-        assert!(island.try_set_flow_threads(flow, 8).is_ok());
-        assert_eq!(island.flow_threads(flow), 8);
-        let headroom = island.thread_budget() - island.threads_allocated();
-        let too_many = 8 + headroom + 1;
-        let err = island.try_set_flow_threads(flow, too_many).unwrap_err();
-        assert_eq!(err, 1, "shortfall reported");
-        assert_eq!(island.flow_threads(flow), 8, "assignment unchanged");
-    }
-
-    #[test]
     fn egress_routes_through_per_flow_queue() {
         let mut island = IxpIsland::new(IxpConfig::default());
         let flow = island.register_flow(1);
@@ -843,39 +766,5 @@ mod tests {
         island.tx_from_host(Nanos::ZERO, Packet::new(6, u32::MAX, 1000, AppTag::Plain));
         drain(&mut island, Nanos::from_millis(1));
         assert_eq!(island.flow_stats(flow).unwrap().tx_packets, 0);
-    }
-
-    #[test]
-    fn egress_threads_partition_outbound_bandwidth() {
-        // Two VMs blast outbound traffic; the flow with more egress
-        // threads transmits proportionally more in the same window.
-        let cfg = IxpConfig {
-            flow_poll: Nanos::from_millis(10), // one pkt per thread per 10ms
-            ..IxpConfig::default()
-        };
-        let mut island = IxpIsland::new(cfg);
-        let fa = island.register_flow(1);
-        let fb = island.register_flow(2);
-        island.set_flow_tx_threads(fa, 1);
-        island.set_flow_tx_threads(fb, 4);
-        for i in 0..200u64 {
-            island.tx_from_host(
-                Nanos::ZERO,
-                Packet::new(i, u32::MAX, 1000, AppTag::Plain).with_src(1),
-            );
-            island.tx_from_host(
-                Nanos::ZERO,
-                Packet::new(1000 + i, u32::MAX, 1000, AppTag::Plain).with_src(2),
-            );
-        }
-        let evs = drain(&mut island, Nanos::from_millis(500));
-        let (mut a, mut b) = (0u32, 0u32);
-        for e in evs {
-            if let IxpEvent::TransmitToWire { pkt, .. } = e {
-                if pkt.id < 1000 { a += 1 } else { b += 1 }
-            }
-        }
-        assert!(b > a * 3, "4 threads ({b}) ≫ 1 thread ({a})");
-        assert!(a > 0, "the slow flow still makes progress");
     }
 }

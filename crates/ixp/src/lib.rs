@@ -13,9 +13,9 @@
 //!
 //! * per-packet processing costs derived from an instruction + memory
 //!   reference [`CostModel`] with multithreaded latency hiding;
-//! * per-flow service rates as a function of **thread assignment** and
-//!   **poll interval** ([`IxpIsland::set_flow_threads`],
-//!   [`IxpIsland::set_flow_poll`]) — the IXP-side Tune levers;
+//! * per-flow service rates as a function of **thread assignment**
+//!   ([`IxpIsland::set_flow_threads`], the IXP-side Tune lever) and the
+//!   configured **poll interval**;
 //! * deep-packet-inspection classification of incoming requests
 //!   ([`IxpEvent::Classified`]) — the input to RUBiS request-type
 //!   coordination;

@@ -9,11 +9,15 @@
 
 use simcore::Nanos;
 
+/// Re-fire interval during a sustained overload: the XScale monitor's
+/// polling period.
+const REFIRE: Nanos = Nanos::from_millis(100);
+
 /// Threshold detector over a byte-occupancy signal.
 ///
-/// Fires on the upward crossing, then re-fires every `refire` interval
-/// while the level stays at or above the threshold; fully re-arms below
-/// half the threshold.
+/// Fires on the upward crossing, then re-fires every 100 ms while the
+/// level stays at or above the threshold; fully re-arms below half the
+/// threshold.
 ///
 /// # Example
 ///
@@ -30,29 +34,20 @@ use simcore::Nanos;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferMonitor {
     threshold: Option<u64>,
-    refire: Nanos,
     armed: bool,
     last_fire: Option<Nanos>,
     alarms: u64,
 }
 
 impl BufferMonitor {
-    /// Creates a monitor with a 100 ms re-fire interval; `None` disables
-    /// alarming.
+    /// Creates a monitor; `None` disables alarming.
     pub fn new(threshold: Option<u64>) -> Self {
         BufferMonitor {
             threshold,
-            refire: Nanos::from_millis(100),
             armed: true,
             last_fire: None,
             alarms: 0,
         }
-    }
-
-    /// Overrides the re-fire interval for sustained overloads.
-    pub fn with_refire(mut self, refire: Nanos) -> Self {
-        self.refire = refire;
-        self
     }
 
     /// Reports the current occupancy at time `now`. Returns `true` exactly
@@ -62,7 +57,7 @@ impl BufferMonitor {
         if bytes >= th {
             let due = match self.last_fire {
                 None => true,
-                Some(t) => self.armed || now >= t + self.refire,
+                Some(t) => self.armed || now >= t + REFIRE,
             };
             if due {
                 self.armed = false;
@@ -80,13 +75,6 @@ impl BufferMonitor {
     /// Configured threshold.
     pub fn threshold(&self) -> Option<u64> {
         self.threshold
-    }
-
-    /// Replaces the threshold (re-arms).
-    pub fn set_threshold(&mut self, threshold: Option<u64>) {
-        self.threshold = threshold;
-        self.armed = true;
-        self.last_fire = None;
     }
 
     /// Total alarms fired.
@@ -121,10 +109,10 @@ mod tests {
 
     #[test]
     fn refires_during_sustained_overload() {
-        let mut m = BufferMonitor::new(Some(100)).with_refire(at(200));
+        let mut m = BufferMonitor::new(Some(100));
         assert!(m.on_level(at(0), 150));
-        assert!(!m.on_level(at(100), 150));
-        assert!(m.on_level(at(250), 150), "re-fires after the interval");
+        assert!(!m.on_level(at(99), 150));
+        assert!(m.on_level(at(100), 150), "re-fires after the interval");
         assert_eq!(m.alarms(), 2);
     }
 
@@ -136,15 +124,6 @@ mod tests {
         assert!(!m.on_level(at(2), 100)); // still disarmed, within refire
         assert!(!m.on_level(at(3), 49)); // re-armed
         assert!(m.on_level(at(4), 100));
-        assert_eq!(m.alarms(), 2);
-    }
-
-    #[test]
-    fn set_threshold_rearms() {
-        let mut m = BufferMonitor::new(Some(100));
-        assert!(m.on_level(at(0), 100));
-        m.set_threshold(Some(200));
-        assert!(m.on_level(at(1), 250));
         assert_eq!(m.alarms(), 2);
     }
 }

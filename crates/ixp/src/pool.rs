@@ -100,11 +100,6 @@ impl ThreadPool {
         started
     }
 
-    /// Updates the polling interval for idle threads.
-    pub fn set_poll(&mut self, poll: Nanos) {
-        self.poll = poll;
-    }
-
     /// Configured thread count.
     pub fn threads(&self) -> u32 {
         self.threads

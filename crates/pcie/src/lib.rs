@@ -10,8 +10,8 @@
 //! This crate models each of those pieces:
 //!
 //! * [`DmaModel`] — transfer latency as base cost + bytes / bandwidth;
-//! * [`HostLink`] — the bidirectional descriptor path with a bounded
-//!   host-bound ring and a [`NotifyMode`] (interrupt moderation vs. Dom0
+//! * [`HostLink`] — the host-bound descriptor path with a bounded
+//!   ring and a [`NotifyMode`] (interrupt moderation vs. Dom0
 //!   polling), whose service latency the *platform* couples to Dom0's CPU
 //!   scheduling — the source of the response-time variability the paper
 //!   attributes to the uncoordinated baseline;

@@ -7,9 +7,6 @@
 //! ([`HostLink::host_take`]). Crucially, the *drain* is driven by the
 //! platform only after Dom0 has been scheduled to run its driver burst, so
 //! host-side latency inherits Dom0's scheduling fortunes.
-//!
-//! IXP-bound: host transmissions DMA across and pop out as
-//! [`PcieEvent::TxArrived`] for the IXP island's Tx pipeline.
 
 use crate::DmaModel;
 use ixp::{FlowId, Packet};
@@ -66,14 +63,6 @@ pub enum PcieEvent {
         /// Notification time.
         at: Nanos,
     },
-    /// A host→IXP packet finished its DMA and is available to the IXP Tx
-    /// pipeline.
-    TxArrived {
-        /// The packet.
-        pkt: Packet,
-        /// Arrival time.
-        at: Nanos,
-    },
 }
 
 /// Link counters.
@@ -87,18 +76,17 @@ pub struct LinkStats {
     pub notifications: u64,
     /// Descriptors drained by the host.
     pub drained: u64,
-    /// Bytes moved in either direction.
+    /// Bytes posted host-bound.
     pub bytes: u64,
 }
 
 #[derive(Debug)]
 enum Transfer {
     ToHost { flow: FlowId, pkt: Packet },
-    ToIxp { pkt: Packet },
     Notify,
 }
 
-/// The bidirectional DMA + ring + notification state machine.
+/// The host-bound DMA + ring + notification state machine.
 #[derive(Debug)]
 pub struct HostLink {
     cfg: LinkConfig,
@@ -144,14 +132,6 @@ impl HostLink {
         true
     }
 
-    /// Host posts an IXP-bound packet for transmission.
-    pub fn post_to_ixp(&mut self, now: Nanos, pkt: Packet) {
-        self.now = self.now.max(now);
-        let t = now + self.cfg.dma.transfer_time(pkt.len_bytes);
-        self.q.schedule(t, Transfer::ToIxp { pkt });
-        self.stats.bytes += pkt.len_bytes as u64;
-    }
-
     /// The host messaging driver services the ring, draining up to `max`
     /// descriptors. Re-arms notification if descriptors remain. See
     /// [`host_take_into`](Self::host_take_into).
@@ -190,8 +170,7 @@ impl HostLink {
         self.q.peek_time()
     }
 
-    /// Advances to `now`, appending notifications and IXP-bound arrivals
-    /// to `out` (caller-owned and typically reused across calls).
+    /// Advances to `now`, appending host notifications to `out` (caller-owned and typically reused across calls).
     pub fn on_timer(&mut self, now: Nanos, out: &mut Vec<PcieEvent>) {
         self.now = self.now.max(now);
         while let Some(t) = self.q.peek_time() {
@@ -206,7 +185,6 @@ impl HostLink {
                         self.schedule_notify(t);
                     }
                 }
-                Transfer::ToIxp { pkt } => out.push(PcieEvent::TxArrived { pkt, at: t }),
                 Transfer::Notify => {
                     self.notify_scheduled = false;
                     if !self.ring.is_empty() && !self.notify_outstanding {
@@ -242,7 +220,7 @@ impl HostLink {
 
 /// The PCIe link as a master-loop event source: its horizon is the next
 /// DMA completion or moderated notification, and advancing it emits the
-/// host notifications and IXP-bound arrivals due at `now`.
+/// host notifications due at `now`.
 impl simcore::Component for HostLink {
     type Event = PcieEvent;
 
@@ -281,18 +259,12 @@ mod tests {
         let mut l = HostLink::new(LinkConfig::default());
         l.post_to_host(Nanos::ZERO, FlowId(0), pkt(1, 1000));
         let evs = drain_events(&mut l, Nanos::from_millis(1));
-        let notify = evs
-            .iter()
-            .find_map(|e| match e {
-                PcieEvent::HostNotify { pending, at } => Some((*pending, *at)),
-                _ => None,
-            })
-            .expect("notified");
-        assert_eq!(notify.0, 1);
+        let PcieEvent::HostNotify { pending, at } = *evs.first().expect("notified");
+        assert_eq!(pending, 1);
         // DMA = 2 µs + 1 µs; interrupt not before max(arrival, period).
-        assert!(notify.1 >= Nanos::from_micros(3));
+        assert!(at >= Nanos::from_micros(3));
         assert_eq!(l.ring_len(), 1);
-        let taken = l.host_take(notify.1, 64);
+        let taken = l.host_take(at, 64);
         assert_eq!(taken.len(), 1);
         assert_eq!(taken[0].1.id, 1);
         assert_eq!(l.stats().drained, 1);
@@ -311,14 +283,9 @@ mod tests {
             l.post_to_host(Nanos::from_micros(i), FlowId(0), pkt(i, 100));
         }
         let evs = drain_events(&mut l, Nanos::from_millis(1));
-        let notifies: Vec<_> = evs
-            .iter()
-            .filter(|e| matches!(e, PcieEvent::HostNotify { .. }))
-            .collect();
-        assert_eq!(notifies.len(), 1, "one interrupt covers the batch");
-        if let PcieEvent::HostNotify { pending, .. } = notifies[0] {
-            assert_eq!(*pending, 10);
-        }
+        assert_eq!(evs.len(), 1, "one interrupt covers the batch");
+        let PcieEvent::HostNotify { pending, .. } = evs[0];
+        assert_eq!(pending, 10);
     }
 
     #[test]
@@ -328,21 +295,12 @@ mod tests {
             l.post_to_host(Nanos::ZERO, FlowId(0), pkt(i, 100));
         }
         let evs = drain_events(&mut l, Nanos::from_millis(1));
-        let first_at = evs
-            .iter()
-            .find_map(|e| match e {
-                PcieEvent::HostNotify { at, .. } => Some(*at),
-                _ => None,
-            })
-            .unwrap();
+        let PcieEvent::HostNotify { at: first_at, .. } = evs[0];
         // Host takes only 2; the link must schedule another notification.
         let taken = l.host_take(first_at, 2);
         assert_eq!(taken.len(), 2);
         let evs = drain_events(&mut l, Nanos::from_millis(2));
-        assert!(
-            evs.iter().any(|e| matches!(e, PcieEvent::HostNotify { .. })),
-            "residue re-notified"
-        );
+        assert!(!evs.is_empty(), "residue re-notified");
     }
 
     #[test]
@@ -356,13 +314,7 @@ mod tests {
         let mut l = HostLink::new(cfg);
         l.post_to_host(Nanos::from_micros(7), FlowId(0), pkt(1, 100));
         let evs = drain_events(&mut l, Nanos::from_millis(1));
-        let at = evs
-            .iter()
-            .find_map(|e| match e {
-                PcieEvent::HostNotify { at, .. } => Some(*at),
-                _ => None,
-            })
-            .unwrap();
+        let PcieEvent::HostNotify { at, .. } = evs[0];
         assert_eq!(at.as_nanos() % 50_000, 0, "poll happens on the grid");
     }
 
@@ -382,29 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn tx_direction_arrives_after_dma() {
-        let mut l = HostLink::new(LinkConfig::default());
-        l.post_to_ixp(Nanos::ZERO, pkt(5, 1000));
-        let evs = drain_events(&mut l, Nanos::from_millis(1));
-        let (p, at) = evs
-            .iter()
-            .find_map(|e| match e {
-                PcieEvent::TxArrived { pkt, at } => Some((*pkt, *at)),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(p.id, 5);
-        assert_eq!(at, Nanos::from_micros(3)); // 2 µs base + 1 µs payload
-    }
-
-    #[test]
-    fn stats_track_both_directions() {
+    fn stats_track_posted_bytes_and_notifications() {
         let mut l = HostLink::new(LinkConfig::default());
         l.post_to_host(Nanos::ZERO, FlowId(0), pkt(1, 500));
-        l.post_to_ixp(Nanos::ZERO, pkt(2, 700));
+        l.post_to_host(Nanos::ZERO, FlowId(0), pkt(2, 700));
         drain_events(&mut l, Nanos::from_millis(1));
         let s = l.stats();
-        assert_eq!(s.posted, 1);
+        assert_eq!(s.posted, 2);
         assert_eq!(s.bytes, 1200);
         assert_eq!(s.notifications, 1);
     }
@@ -437,18 +373,12 @@ mod tests {
             l.post_to_host(Nanos::from_micros(i * 100), FlowId(0), pkt(i, 100));
             evs.clear();
             l.on_timer(Nanos::from_micros(i * 100 + 50), &mut evs);
-            for ev in &evs {
-                if let PcieEvent::HostNotify { at, .. } = ev {
-                    notifies += 1;
-                    l.host_take(*at, usize::MAX);
-                }
-            }
-        }
-        for ev in drain_events(&mut l, Nanos::from_millis(20)) {
-            if matches!(ev, PcieEvent::HostNotify { .. }) {
+            for &PcieEvent::HostNotify { at, .. } in &evs {
                 notifies += 1;
+                l.host_take(at, usize::MAX);
             }
         }
+        notifies += drain_events(&mut l, Nanos::from_millis(20)).len();
         assert!(
             notifies <= 12,
             "≤ ~1 interrupt per moderation period: {notifies}"

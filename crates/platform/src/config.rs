@@ -333,7 +333,6 @@ pub struct PlatformBuilder {
     pub(crate) notify: NotifyMode,
     pub(crate) costs: HostCosts,
     pub(crate) ixp_overrides: Option<IxpConfig>,
-    pub(crate) policy_weights: Option<(i32, i32)>,
     pub(crate) trigger_rate: Option<f64>,
     pub(crate) power_cap: Option<(f64, Strategy)>,
     pub(crate) energy: Option<EnergyConfig>,
@@ -366,7 +365,6 @@ impl PlatformBuilder {
             },
             costs: HostCosts::default(),
             ixp_overrides: None,
-            policy_weights: None,
             trigger_rate: None,
             power_cap: None,
             energy: None,
@@ -434,12 +432,6 @@ impl PlatformBuilder {
     /// Replaces the IXP island configuration wholesale (ablation A4).
     pub fn ixp_config(mut self, cfg: IxpConfig) -> Self {
         self.ixp_overrides = Some(cfg);
-        self
-    }
-
-    /// Overrides the request-type policy's high/low regime weights.
-    pub fn policy_weights(mut self, hi: i32, lo: i32) -> Self {
-        self.policy_weights = Some((hi, lo));
         self
     }
 

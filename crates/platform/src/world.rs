@@ -304,13 +304,7 @@ pub(crate) struct CoordCounters {
     pub triggers_applied: u64,
 }
 
-/// Island index of the x86 host (queue, sched, link, mailboxes, retx).
-const X86_ISLAND: usize = 0;
-/// Island index of the IXP network processor.
-const IXP_ISLAND: usize = 1;
-/// Island index of the batching accelerator (+ doorbell lane).
-const ACCEL_ISLAND: usize = 2;
-/// Island names, indexed by the island consts.
+/// Island names, indexed by the [`X86`], [`IXP`] and [`ACCEL`] ids.
 const ISLAND_NAMES: [&str; 3] = ["x86", "ixp", "accel"];
 
 /// One registry entry per event source: what the master loop iterates
@@ -320,8 +314,8 @@ const ISLAND_NAMES: [&str; 3] = ["x86", "ixp", "accel"];
 struct SourceSpec {
     /// Short stable name (the report's `events_by_source` key).
     name: &'static str,
-    /// Island index ([`X86_ISLAND`] etc.).
-    island: usize,
+    /// The island the source belongs to ([`X86`], [`IXP`] or [`ACCEL`]).
+    island: IslandId,
     /// The source's cached horizon ([`Tracked::horizon`]).
     horizon: fn(&mut Platform) -> Nanos,
     /// Whether the source's cache is stale or matches a fresh peek
@@ -353,15 +347,15 @@ const NSRC: usize = 9;
 /// is the array order (lowest index wins) — changing this table's order
 /// changes committed artifacts.
 const SOURCES: [SourceSpec; NSRC] = [
-    source!(q, "queue", X86_ISLAND, dispatch_queue),
-    source!(sched, "sched", X86_ISLAND, dispatch_sched),
-    source!(ixp, "ixp", IXP_ISLAND, dispatch_ixp),
-    source!(link, "link", X86_ISLAND, dispatch_link),
-    source!(mbx, "coord-mbx", X86_ISLAND, dispatch_coord_mbx),
-    source!(ack_mbx, "ack-mbx", X86_ISLAND, dispatch_ack_mbx),
-    source!(rel_tx, "retx", X86_ISLAND, dispatch_retx),
-    source!(accel, "accel", ACCEL_ISLAND, dispatch_accel),
-    source!(accel_mbx, "accel-mbx", ACCEL_ISLAND, dispatch_accel_mbx),
+    source!(q, "queue", X86, dispatch_queue),
+    source!(sched, "sched", X86, dispatch_sched),
+    source!(ixp, "ixp", IXP, dispatch_ixp),
+    source!(link, "link", X86, dispatch_link),
+    source!(mbx, "coord-mbx", X86, dispatch_coord_mbx),
+    source!(ack_mbx, "ack-mbx", X86, dispatch_ack_mbx),
+    source!(rel_tx, "retx", X86, dispatch_retx),
+    source!(accel, "accel", ACCEL, dispatch_accel),
+    source!(accel_mbx, "accel-mbx", ACCEL, dispatch_accel_mbx),
 ];
 
 /// Events the master loop dispatched per source, indexed like
@@ -382,7 +376,7 @@ impl DispatchCounts {
             .zip(self.0)
             .map(|(spec, events)| SourceEvents {
                 name: spec.name,
-                island: ISLAND_NAMES[spec.island],
+                island: ISLAND_NAMES[usize::from(spec.island.0)],
                 events,
             })
             .collect()
@@ -392,13 +386,10 @@ impl DispatchCounts {
     fn island_events(&self) -> IslandEvents {
         let mut by_island = [0; ISLAND_NAMES.len()];
         for (spec, n) in SOURCES.iter().zip(self.0) {
-            by_island[spec.island] += n;
+            by_island[usize::from(spec.island.0)] += n;
         }
-        IslandEvents {
-            x86: by_island[X86_ISLAND],
-            ixp: by_island[IXP_ISLAND],
-            accel: by_island[ACCEL_ISLAND],
-        }
+        let [x86, ixp, accel] = by_island;
+        IslandEvents { x86, ixp, accel }
     }
 }
 
@@ -487,7 +478,7 @@ pub struct Platform {
     // Reusable dispatch buffers: each `on_timer` arm of the master loop
     // takes its buffer, appends into it, drains it, and puts it back, so
     // steady-state dispatch allocates nothing. Re-entrant absorb paths
-    // (e.g. link → tx_from_host → absorb_ixp) use the by-value input
+    // (e.g. sched → tx_from_host → absorb_ixp) use the by-value input
     // methods and never touch these.
     pub(crate) scratch_sched: Vec<SchedEvent>,
     pub(crate) scratch_ixp: Vec<IxpEvent>,
@@ -691,13 +682,12 @@ impl Platform {
         p.add_vm("app", 256, 2, true);
         p.add_vm("db", 256, 3, true);
         p.policy = match b.policy {
-            PolicyKind::RequestType => {
-                let mut pol = RequestTypePolicy::new(EntityId(1), EntityId(2), EntityId(3), X86);
-                if let Some((hi, lo)) = b.policy_weights {
-                    pol = pol.with_weights(hi, lo);
-                }
-                Box::new(pol)
-            }
+            PolicyKind::RequestType => Box::new(RequestTypePolicy::new(
+                EntityId(1),
+                EntityId(2),
+                EntityId(3),
+                X86,
+            )),
             PolicyKind::RequestTypeHysteresis => Box::new(HysteresisPolicy::new(
                 EntityId(1),
                 EntityId(2),
@@ -1294,22 +1284,13 @@ impl Platform {
 
     fn absorb_link_drain(&mut self, evs: &mut Vec<PcieEvent>) {
         for ev in evs.drain(..) {
-            match ev {
-                PcieEvent::HostNotify { pending, .. } => {
-                    if !self.driver_pending {
-                        self.driver_pending = true;
-                        let cost = self.costs.driver_base
-                            + self.costs.driver_per_desc * pending as u64;
-                        let tag = self.tags.insert(Ctx::DriverService);
-                        let dom0 = self.dom0;
-                        self.submit(dom0, Burst::system(cost, tag), WakeMode::Boost);
-                    }
-                }
-                PcieEvent::TxArrived { pkt, .. } => {
-                    let now = self.now;
-                    let evs = self.ixp.tx_from_host(now, pkt);
-                    self.absorb_ixp(evs);
-                }
+            let PcieEvent::HostNotify { pending, .. } = ev;
+            if !self.driver_pending {
+                self.driver_pending = true;
+                let cost = self.costs.driver_base + self.costs.driver_per_desc * pending as u64;
+                let tag = self.tags.insert(Ctx::DriverService);
+                let dom0 = self.dom0;
+                self.submit(dom0, Burst::system(cost, tag), WakeMode::Boost);
             }
         }
     }
@@ -1591,12 +1572,8 @@ impl Platform {
             Action::ApplyTrigger { island, local_key } if island == X86 => {
                 let dom = DomId(local_key as u32);
                 let now = self.now;
-                if let Ok(evs) = self.sched.boost_front(now, dom) {
+                if let Ok(evs) = self.sched.trigger(now, dom) {
                     self.absorb_sched(evs);
-                    // §3.3: the x86 island translates the preemptive
-                    // request into a credit adjustment as well as the
-                    // runqueue promotion.
-                    let _ = self.sched.grant_credit(dom, 100);
                     self.coord.triggers_applied += 1;
                     self.trace.record(now, TraceEvent::Trigger { dom });
                 }

@@ -38,15 +38,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent generator for a named sub-stream.
-    ///
-    /// Useful to give each simulation component its own stream so adding a
-    /// component does not perturb the draws of the others.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        let base = self.next_u64();
-        SimRng::new(base ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -128,19 +119,6 @@ impl SimRng {
         mean + std_dev * z
     }
 
-    /// Pareto-distributed value with scale `xm` and shape `alpha`.
-    ///
-    /// Used for heavy-tailed service-demand perturbation.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        let u = loop {
-            let u = self.f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        xm / u.powf(1.0 / alpha)
-    }
-
     /// Samples an index according to `weights` (need not be normalised).
     ///
     /// # Panics
@@ -165,11 +143,6 @@ impl SimRng {
     pub fn exp_nanos(&mut self, mean: Nanos) -> Nanos {
         Nanos::from_secs_f64(self.exponential(mean.as_secs_f64()))
     }
-
-    /// Normally distributed duration, truncated at zero.
-    pub fn normal_nanos(&mut self, mean: Nanos, std_dev: Nanos) -> Nanos {
-        Nanos::from_secs_f64(self.normal(mean.as_secs_f64(), std_dev.as_secs_f64()))
-    }
 }
 
 #[cfg(test)]
@@ -190,15 +163,6 @@ mod tests {
         let mut a = SimRng::new(1);
         let mut b = SimRng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 4);
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = SimRng::new(9);
-        let mut s1 = root.fork(1);
-        let mut s2 = root.fork(2);
-        let same = (0..64).filter(|_| s1.next_u64() == s2.next_u64()).count();
         assert!(same < 4);
     }
 
@@ -252,14 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_is_at_least_scale() {
-        let mut r = SimRng::new(11);
-        for _ in 0..10_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
     fn weighted_index_respects_weights() {
         let mut r = SimRng::new(12);
         let w = [1.0, 0.0, 3.0];
@@ -284,7 +240,5 @@ mod tests {
         let mut r = SimRng::new(14);
         let d = r.exp_nanos(Nanos::from_millis(5));
         assert!(d.as_nanos() > 0);
-        let n = r.normal_nanos(Nanos::from_millis(5), Nanos::ZERO);
-        assert_eq!(n, Nanos::from_millis(5));
     }
 }

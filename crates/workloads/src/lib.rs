@@ -37,7 +37,7 @@
 //! use workloads::rubis::{Mix, RubisModel, RubisConfig};
 //!
 //! let mut model = RubisModel::new(RubisConfig::default(), 42);
-//! let rt = model.next_request();
+//! let rt = model.next_request_for(0);
 //! assert!(!rt.name.is_empty());
 //! let demands = model.demands(rt);
 //! assert!(demands.total().as_nanos() > 0);

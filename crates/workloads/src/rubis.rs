@@ -223,12 +223,6 @@ impl RubisModel {
         &CATALOG[idx]
     }
 
-    /// Draws the next request type ignoring session phases (stationary
-    /// mix), used by stateless callers.
-    pub fn next_request(&mut self) -> &'static RequestType {
-        self.next_request_for(0)
-    }
-
     /// The stationary write fraction of the configured mix.
     pub fn write_fraction(&self) -> f64 {
         self.write_fraction
@@ -336,7 +330,7 @@ mod tests {
         };
         let mut m = RubisModel::new(cfg, 1);
         for _ in 0..1000 {
-            assert!(!m.next_request().write);
+            assert!(!m.next_request_for(0).write);
         }
     }
 
@@ -345,7 +339,7 @@ mod tests {
         let mut m = RubisModel::new(RubisConfig::default(), 1);
         let (mut reads, mut writes) = (0, 0);
         for _ in 0..2000 {
-            if m.next_request().write {
+            if m.next_request_for(0).write {
                 writes += 1;
             } else {
                 reads += 1;

@@ -10,15 +10,12 @@ use std::fmt;
 pub enum SchedError {
     /// The referenced domain does not exist.
     UnknownDomain(DomId),
-    /// A VCPU was pinned to a pCPU outside the platform.
-    BadAffinity(u32),
 }
 
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SchedError::UnknownDomain(d) => write!(f, "unknown domain {d}"),
-            SchedError::BadAffinity(p) => write!(f, "pcpu {p} does not exist"),
         }
     }
 }
@@ -35,6 +32,5 @@ mod tests {
             SchedError::UnknownDomain(DomId(7)).to_string(),
             "unknown domain dom7"
         );
-        assert!(SchedError::BadAffinity(9).to_string().contains("pcpu 9"));
     }
 }

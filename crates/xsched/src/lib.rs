@@ -13,10 +13,9 @@
 //! * A VCPU woken by an event channel with non-negative credit enters
 //!   **BOOST** priority and preempts lower-priority work — Xen's I/O
 //!   latency optimisation, and the landing pad for the paper's *Trigger*
-//!   coordination mechanism ([`CreditScheduler::boost_front`]).
-//! * Idle pCPUs steal runnable VCPUs from other runqueues (respecting
-//!   pinning), and optional per-domain **caps** park VCPUs that exhaust
-//!   their capped allowance.
+//!   coordination mechanism ([`CreditScheduler::trigger`]).
+//! * Idle pCPUs steal runnable VCPUs from other runqueues, and optional
+//!   per-domain **caps** park VCPUs that exhaust their capped allowance.
 //!
 //! Work arrives as [`Burst`]s — CPU demands tagged by the caller — queued
 //! per VCPU; the scheduler emits [`SchedEvent::Completed`] when a burst

@@ -18,6 +18,28 @@ restore_results() {
 }
 trap restore_results EXIT
 
+# Checks every table the last experiments pass wrote against a pinned
+# digest file: one `<table> <FNV-1a hex>` line per table, in run order.
+check_table_digests() {
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+pins, label = sys.argv[1:3]
+def fnv1a(data):
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+tables = json.load(open("results/BENCH_experiments.json"))["tables"]
+pinned = [line.split() for line in open(pins)]
+if [slug for slug, _ in pinned] != tables:
+    sys.exit(f"{pins} names other tables than the {label} pass wrote")
+for slug, digest in pinned:
+    if f"{fnv1a(open(f'results/{slug}.csv', 'rb').read()):016x}" != digest:
+        sys.exit(f"results/{slug}.csv differs from its digest in {pins}")
+print(f"    ok: {len(pinned)} release {label} tables match {pins}")
+EOF
+}
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
@@ -162,22 +184,11 @@ if s["offered"] != s["admitted"] + s["rejected"]:
     sys.exit(f"BENCH_experiments.json: fleet sessions not conserved {s}")
 print(f"    ok: {events} events = islands = sum over {len(per)} experiments; "
       f"fleet shards and sessions conserved")
+EOF
 # results/DIGESTS pins the smoke tables. tests/table_digests.rs checks the
 # debug build against it and this checks the release pass, so the two
 # builds agree (the master loop's horizon sweep is debug-only).
-def fnv1a(data):
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-pinned = [line.split() for line in open("results/DIGESTS")]
-if [slug for slug, _ in pinned] != r["tables"]:
-    sys.exit("results/DIGESTS names other tables than the smoke pass wrote")
-for slug, digest in pinned:
-    if f"{fnv1a(open(f'results/{slug}.csv', 'rb').read()):016x}" != digest:
-        sys.exit(f"results/{slug}.csv differs from its digest in results/DIGESTS")
-print(f"    ok: {len(pinned)} release smoke tables match results/DIGESTS")
-EOF
+check_table_digests results/DIGESTS smoke
 
 # The shape checks below read the tables the smoke pass above wrote.
 echo "==> accel smoke checks (i1/i2 inference tables)"
@@ -375,6 +386,13 @@ for csv in f1_fleet_scale f2_fleet_determinism; do
 done
 echo "    ok: 2-shard fleet CSVs byte-identical across worker counts"
 rm -rf "$fleet_tmp"
+
+echo "==> full-length tables (--jobs $smoke_jobs all) vs results/DIGESTS.full"
+# The smoke passes above cut every run short; this one runs each table at
+# full length (about half a minute on two cores) and pins it, so a change
+# that moves only the long-run results still fails here.
+./target/release/experiments --jobs "$smoke_jobs" all > /dev/null
+check_table_digests results/DIGESTS.full full
 
 echo "==> chaos shrink replay check (SIMTEST_SEED reproducibility)"
 chaos_log=$(mktemp)

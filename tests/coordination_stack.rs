@@ -160,9 +160,8 @@ fn trigger_grants_priority_and_credit() {
             .submit(Nanos::ZERO, victim, Burst::user(Nanos::from_micros(500), 9), WakeMode::Plain)
             .unwrap();
         if trigger {
-            let done = sched.boost_front(Nanos::from_micros(100), victim).unwrap();
+            let done = sched.trigger(Nanos::from_micros(100), victim).unwrap();
             assert!(done.is_empty(), "nothing completes in the first 100 us");
-            sched.grant_credit(victim, 100).unwrap();
         }
         let mut evs = Vec::new();
         loop {

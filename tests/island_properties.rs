@@ -65,9 +65,8 @@ fn pcie_link_conserves_descriptors() {
                 // Interleave servicing so the ring occupancy varies: on a
                 // notification, the host drains a bounded batch.
                 for ev in timer_events(&mut link, now) {
-                    if let PcieEvent::HostNotify { at, .. } = ev {
-                        link.host_take(at, *batch as usize);
-                    }
+                    let PcieEvent::HostNotify { at, .. } = ev;
+                    link.host_take(at, *batch as usize);
                 }
                 let s = link.stats();
                 st_assert!(
@@ -127,16 +126,14 @@ fn pcie_link_drains_in_fifo_order() {
                 now += Nanos::from_micros(10);
                 link.post_to_host(now, FlowId(0), pkt(id, 256));
                 for ev in timer_events(&mut link, now) {
-                    if let PcieEvent::HostNotify { at, .. } = ev {
-                        take(&mut link, at);
-                    }
+                    let PcieEvent::HostNotify { at, .. } = ev;
+                    take(&mut link, at);
                 }
             }
             let far = now + Nanos::from_secs(1);
             for ev in settle(&mut link, far) {
-                if let PcieEvent::HostNotify { at, .. } = ev {
-                    take(&mut link, at);
-                }
+                let PcieEvent::HostNotify { at, .. } = ev;
+                take(&mut link, at);
             }
             while link.ring_len() > 0 {
                 take(&mut link, far);
@@ -177,17 +174,15 @@ fn pcie_link_moderates_interrupt_rate() {
                 now += Nanos::from_micros(gap);
                 link.post_to_host(now, FlowId(0), pkt(i as u64, 128));
                 for ev in timer_events(&mut link, now) {
-                    if let PcieEvent::HostNotify { at, .. } = ev {
-                        notify_times.push(at);
-                        link.host_take(at, *batch as usize);
-                    }
+                    let PcieEvent::HostNotify { at, .. } = ev;
+                    notify_times.push(at);
+                    link.host_take(at, *batch as usize);
                 }
             }
             for ev in settle(&mut link, now + Nanos::from_secs(1)) {
-                if let PcieEvent::HostNotify { at, .. } = ev {
-                    notify_times.push(at);
-                    link.host_take(at, usize::MAX);
-                }
+                let PcieEvent::HostNotify { at, .. } = ev;
+                notify_times.push(at);
+                link.host_take(at, usize::MAX);
             }
             for w in notify_times.windows(2) {
                 st_assert!(
