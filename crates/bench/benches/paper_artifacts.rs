@@ -20,7 +20,6 @@ fn main() {
         ("paper", "fig6"),
         ("paper", "fig7"),
         ("ablations", "a1_channel_latency"),
-        ("ablations", "a2_hysteresis"),
         ("ablations", "a5_trigger_rate"),
         ("extensions", "p1_power_capping"),
         ("extensions", "s1_fabric_scalability"),

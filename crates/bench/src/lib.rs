@@ -215,7 +215,8 @@ fn yesno(b: bool) -> String {
 /// The §3.1 RUBiS unit: the uncoordinated and coord-ixp-dom0 runs of the
 /// read-write mix, and of the browsing mix for Figure 4's footnote, each
 /// made once and rendered as Figure 2, Table 1, Figure 4 (both mixes),
-/// Table 2, Figure 5 and the coordination overhead.
+/// Table 2, Figure 5 and the coordination overhead; plus the read-write
+/// hysteresis run, which ablation A2 compares with the read-write pair.
 pub fn rubis(cx: &mut Runner, seed: u64) -> Vec<Table> {
     let pair = |cx: &mut Runner, scenario: fn(u32) -> RubisScenario, clients| {
         [PolicyKind::None, PolicyKind::RequestType]
@@ -227,6 +228,12 @@ pub fn rubis(cx: &mut Runner, seed: u64) -> Vec<Table> {
     // always right — best visible when the web tier is not pinned at
     // saturation.
     let [browse_base, browse_coord] = pair(cx, RubisScenario::browsing_mix, 12);
+    let hysteresis = run_rubis(
+        cx,
+        PolicyKind::RequestTypeHysteresis,
+        RubisScenario::read_write_mix(24),
+        seed,
+    );
     vec![
         fig2(&base),
         table1(&base, &coord),
@@ -235,6 +242,7 @@ pub fn rubis(cx: &mut Runner, seed: u64) -> Vec<Table> {
         table2(&base, &coord),
         fig5(&base, &coord),
         overhead(&coord),
+        ablation_a2(&base, &coord, &hysteresis),
     ]
 }
 
@@ -596,18 +604,13 @@ pub fn ablation_a1(cx: &mut Runner, seed: u64) -> Table {
 }
 
 /// A2: per-request regime switching vs the hysteresis extension the paper
-/// defers to future work.
-pub fn ablation_a2(cx: &mut Runner, seed: u64) -> Table {
+/// defers to future work, from the `rubis` unit's read-write runs.
+pub fn ablation_a2(base: &RunReport, coord: &RunReport, hysteresis: &RunReport) -> Table {
     let mut t = Table::new(
         "A2 — per-request coordination vs hysteresis damping",
         &["Policy", "X (req/s)", "mean", "sd", "max", "msgs", "drops"],
     );
-    for (label, policy) in [
-        ("none", PolicyKind::None),
-        ("per-request", PolicyKind::RequestType),
-        ("hysteresis", PolicyKind::RequestTypeHysteresis),
-    ] {
-        let r = run_rubis(cx, policy, RubisScenario::read_write_mix(24), seed);
+    for (label, r) in [("none", base), ("per-request", coord), ("hysteresis", hysteresis)] {
         let o = r.rubis.responses.overall().clone();
         t.row_owned(vec![
             label.into(),
@@ -1819,8 +1822,17 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         id: "rubis",
         alias: None,
-        groups: &[],
-        slugs: &["fig2", "table1", "fig4", "fig4_browsing", "table2", "fig5", "overhead"],
+        groups: &["ablations"],
+        slugs: &[
+            "fig2",
+            "table1",
+            "fig4",
+            "fig4_browsing",
+            "table2",
+            "fig5",
+            "overhead",
+            "a2_hysteresis",
+        ],
         run: rubis,
     },
     one!("fig6", None, &[], fig6),
@@ -1832,7 +1844,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         run: fig7,
     },
     one!("a1_channel_latency", None, &["ablations"], ablation_a1),
-    one!("a2_hysteresis", None, &["ablations"], ablation_a2),
     one!("a3_notification", None, &["ablations"], ablation_a3),
     one!("a4_ixp_threads", None, &["ablations"], ablation_a4),
     one!("a5_trigger_rate", None, &["ablations"], ablation_a5),

@@ -221,11 +221,6 @@ pub fn decode_envelope(buf: &[u8]) -> Result<(u32, u64, u16, CoordMsg, usize), C
     Ok((seq, lamport, source, msg, 15 + inner))
 }
 
-/// `true` when the buffer starts with a cross-node envelope.
-pub fn is_envelope(buf: &[u8]) -> bool {
-    buf.first() == Some(&TAG_ENVELOPE)
-}
-
 /// Decodes one message from the front of `buf`, returning it and the
 /// number of bytes consumed.
 ///
@@ -429,7 +424,6 @@ mod tests {
         let n = encode_envelope(0xABCD_1234, u64::MAX - 1, 0xBEEF, &msg, &mut buf);
         assert_eq!(n, buf.len());
         assert_eq!(n, 15 + 11, "envelope header + inner Tune");
-        assert!(is_envelope(&buf));
         let (seq, lamport, source, decoded, consumed) = decode_envelope(&buf).unwrap();
         assert_eq!(
             (seq, lamport, source, decoded, consumed),
@@ -440,7 +434,6 @@ mod tests {
         // disjoint: each decoder rejects the other tags.
         let mut plain = Vec::new();
         encode(&msg, &mut plain);
-        assert!(!is_envelope(&plain));
         assert_eq!(decode_envelope(&plain), Err(CodecError::BadTag(TAG_TUNE)));
         assert_eq!(decode(&buf), Err(CodecError::BadTag(TAG_ENVELOPE)));
         assert_eq!(decode_framed(&buf), Err(CodecError::BadTag(TAG_ENVELOPE)));

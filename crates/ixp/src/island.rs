@@ -336,8 +336,7 @@ impl IxpIsland {
     /// Next internal completion time, if any work is in flight.
     ///
     /// This is a read-only O(1) peek: the island's event horizon is the
-    /// head of its internal queue, which keeps itself clean of cancelled
-    /// tombstones on mutation.
+    /// head of its internal queue.
     pub fn next_event_time(&self) -> Option<Nanos> {
         self.q.peek_time()
     }

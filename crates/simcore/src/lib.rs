@@ -3,11 +3,11 @@
 //! The foundation every other `archipelago` crate builds on. It provides:
 //!
 //! * [`Nanos`] / [`Cycles`] — simulated-time and clock-domain arithmetic.
-//! * [`EventQueue`] — a time-ordered, FIFO-stable, cancellable event heap.
+//! * [`EventQueue`] — a time-ordered, FIFO-stable event heap.
 //! * [`SimRng`] — a small, fully deterministic PRNG with the distribution
 //!   samplers the workload models need (no external dependency).
 //! * [`stats`] — online statistics: Welford mean/variance, min/max,
-//!   logarithmic histograms, time-weighted averages and time series.
+//!   logarithmic histograms and time series.
 //! * [`trace`] — bounded ring-buffer tracing for debugging simulations.
 //! * [`Component`] / [`Tracked`] — the event-source contract and the
 //!   cached-horizon wrapper the platform's master loop schedules by.
@@ -43,6 +43,6 @@ pub mod trace;
 
 pub use component::{Component, Tracked};
 pub use idmap::{IdHasher, IdMap};
-pub use queue::{EventKey, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{Cycles, Nanos};

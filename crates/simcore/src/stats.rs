@@ -1,6 +1,6 @@
 //! Online statistics used by every measurement in the reproduction:
-//! Welford mean/variance, min/max tracking, logarithmic histograms,
-//! time-weighted averages (utilization) and raw time series.
+//! Welford mean/variance, min/max tracking, logarithmic histograms and
+//! raw time series.
 
 use crate::Nanos;
 use std::fmt;
@@ -265,69 +265,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal — the tool for CPU
-/// utilization accounting.
-///
-/// # Example
-///
-/// ```
-/// use simcore::{Nanos, stats::TimeWeighted};
-/// let mut u = TimeWeighted::new(Nanos::ZERO, 0.0);
-/// u.set(Nanos::from_millis(10), 1.0);   // busy from 10ms
-/// u.set(Nanos::from_millis(30), 0.0);   // idle from 30ms
-/// assert!((u.average(Nanos::from_millis(40)) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: Nanos,
-    value: f64,
-    weighted_sum: f64,
-    start: Nanos,
-}
-
-impl TimeWeighted {
-    /// Creates a signal with an initial value at `start`.
-    pub fn new(start: Nanos, initial: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            value: initial,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Updates the signal value at time `now` (must not precede the last
-    /// update; equal times are fine).
-    pub fn set(&mut self, now: Nanos, value: f64) {
-        debug_assert!(now >= self.last_time, "time went backwards");
-        self.weighted_sum += self.value * (now.saturating_sub(self.last_time)).as_secs_f64();
-        self.last_time = now;
-        self.value = value;
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Average over `[start, now]`.
-    pub fn average(&self, now: Nanos) -> f64 {
-        let span = now.saturating_sub(self.start).as_secs_f64();
-        if span <= 0.0 {
-            return self.value;
-        }
-        let tail = self.value * now.saturating_sub(self.last_time).as_secs_f64();
-        (self.weighted_sum + tail) / span
-    }
-
-    /// Resets the accounting window to begin at `now` with the current value.
-    pub fn reset(&mut self, now: Nanos) {
-        self.weighted_sum = 0.0;
-        self.last_time = now;
-        self.start = now;
-    }
-}
-
 /// A captured `(time, value)` series, e.g. for Figure 7's CPU/buffer traces.
 #[derive(Debug, Clone, Default)]
 pub struct Series {
@@ -481,26 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_average() {
-        let mut u = TimeWeighted::new(Nanos::ZERO, 0.0);
-        u.set(Nanos::from_millis(10), 1.0);
-        u.set(Nanos::from_millis(30), 0.0);
-        let avg = u.average(Nanos::from_millis(40));
-        assert!((avg - 0.5).abs() < 1e-12, "avg {avg}");
-        assert_eq!(u.current(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_reset() {
-        let mut u = TimeWeighted::new(Nanos::ZERO, 1.0);
-        u.set(Nanos::from_millis(10), 1.0);
-        u.reset(Nanos::from_millis(10));
-        u.set(Nanos::from_millis(20), 0.0);
-        let avg = u.average(Nanos::from_millis(20));
-        assert!((avg - 1.0).abs() < 1e-12, "avg {avg}");
-    }
-
-    #[test]
     fn series_capture() {
         let mut s = Series::new();
         assert!(s.is_empty());
@@ -534,15 +451,5 @@ mod tests {
         assert!(text.contains("n=0"), "{text}");
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_same_instant_updates() {
-        let mut u = TimeWeighted::new(Nanos::ZERO, 0.0);
-        u.set(Nanos::from_millis(5), 1.0);
-        u.set(Nanos::from_millis(5), 3.0); // same instant: last wins
-        assert_eq!(u.current(), 3.0);
-        let avg = u.average(Nanos::from_millis(10));
-        assert!((avg - 1.5).abs() < 1e-12, "avg {avg}");
     }
 }

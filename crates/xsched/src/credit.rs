@@ -35,7 +35,7 @@
 //! returns it.
 
 use crate::runstate::UsageAccum;
-use crate::{Burst, BurstKind, DomId, Domain, PcpuId, RunstateSnapshot, SchedError};
+use crate::{Burst, BurstKind, DomId, Domain, RunstateSnapshot, SchedError};
 use simcore::Nanos;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -157,7 +157,7 @@ struct Vcpu {
     state_since: Nanos,
     work: VecDeque<Burst>,
     pending_boost: bool,
-    last_pcpu: PcpuId,
+    last_pcpu: usize,
     consumed_in_period: Nanos,
     consumed_since_tick: Nanos,
     /// Trigger-granted BOOST persists until this instant (survives ticks,
@@ -303,7 +303,7 @@ impl CreditScheduler {
                 state_since: self.now,
                 work: VecDeque::new(),
                 pending_boost: false,
-                last_pcpu: PcpuId(idx as u32 % self.cfg.ncpus),
+                last_pcpu: idx % self.cfg.ncpus as usize,
                 consumed_in_period: Nanos::ZERO,
                 consumed_since_tick: Nanos::ZERO,
                 boost_until: Nanos::ZERO,
@@ -717,7 +717,7 @@ impl CreditScheduler {
             if self.pcpus[pi].running.is_some() && self.pcpus[pi].slice_end <= t {
                 let vi = self.pcpus[pi].running.take().expect("running checked");
                 self.set_state(vi, RunState::Runnable, t);
-                self.insert_runq(PcpuId(pi as u32), vi, false);
+                self.insert_runq(pi, vi, false);
                 self.ctx_switches += 1;
             }
         }
@@ -880,7 +880,7 @@ impl CreditScheduler {
             if self.vcpus[head].prio.rank() < self.vcpus[vi].prio.rank() {
                 self.pcpus[pi].running = None;
                 self.set_state(vi, RunState::Runnable, t);
-                self.insert_runq(PcpuId(pi as u32), vi, false);
+                self.insert_runq(pi, vi, false);
                 self.preemptions += 1;
                 self.ctx_switches += 1;
             }
@@ -901,7 +901,7 @@ impl CreditScheduler {
                 self.pcpus[pi].last_charge = t;
                 self.pcpus[pi].slice_end = t + SLICE;
                 self.set_state(vi, RunState::Running, t);
-                self.vcpus[vi].last_pcpu = PcpuId(pi as u32);
+                self.vcpus[vi].last_pcpu = pi;
                 self.ctx_switches += 1;
             }
         }
@@ -938,7 +938,7 @@ impl CreditScheduler {
             // Demote the runner, migrate the waiter in.
             let out = self.pcpus[to_pi].running.take().expect("victim runs");
             self.set_state(out, RunState::Runnable, t);
-            self.insert_runq(PcpuId(to_pi as u32), out, false);
+            self.insert_runq(to_pi, out, false);
             let pos = self.pcpus[from_pi]
                 .runq
                 .iter()
@@ -949,10 +949,10 @@ impl CreditScheduler {
             self.pcpus[to_pi].last_charge = t;
             self.pcpus[to_pi].slice_end = t + SLICE;
             self.set_state(vi, RunState::Running, t);
-            if self.vcpus[vi].last_pcpu != PcpuId(to_pi as u32) {
+            if self.vcpus[vi].last_pcpu != to_pi {
                 self.migrations += 1;
             }
-            self.vcpus[vi].last_pcpu = PcpuId(to_pi as u32);
+            self.vcpus[vi].last_pcpu = to_pi;
             self.preemptions += 1;
             self.ctx_switches += 1;
         }
@@ -979,11 +979,11 @@ impl CreditScheduler {
     }
 
     /// Prefers an idle pCPU, then the one `vi` last ran on.
-    fn choose_pcpu(&self, vi: usize) -> PcpuId {
+    fn choose_pcpu(&self, vi: usize) -> usize {
         self.pcpus
             .iter()
             .position(|pc| pc.running.is_none() && pc.runq.is_empty())
-            .map_or(self.vcpus[vi].last_pcpu, |p| PcpuId(p as u32))
+            .unwrap_or(self.vcpus[vi].last_pcpu)
     }
 
     fn wake_vcpu(&mut self, vi: usize, mode: WakeMode) {
@@ -1004,9 +1004,9 @@ impl CreditScheduler {
 
     /// Inserts into the pCPU's runqueue at the tail (or head, for
     /// triggered boosts) of the VCPU's priority class.
-    fn insert_runq(&mut self, p: PcpuId, vi: usize, front_of_class: bool) {
+    fn insert_runq(&mut self, p: usize, vi: usize, front_of_class: bool) {
         let rank = self.vcpus[vi].prio.rank();
-        let q = &mut self.pcpus[p.0 as usize].runq;
+        let q = &mut self.pcpus[p].runq;
         let pos = if front_of_class {
             q.iter()
                 .position(|&o| self.vcpus[o].prio.rank() >= rank)

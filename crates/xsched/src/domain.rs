@@ -2,9 +2,6 @@
 
 use std::fmt;
 
-/// The Xen default scheduling weight for a new domain.
-pub const DEFAULT_WEIGHT: u32 = 256;
-
 /// Identifies a domain (VM). `DomId(0)` is Dom0, the privileged controller
 /// domain, by convention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,16 +20,6 @@ impl DomId {
 impl fmt::Display for DomId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "dom{}", self.0)
-    }
-}
-
-/// Identifies a physical CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PcpuId(pub u32);
-
-impl fmt::Display for PcpuId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pcpu{}", self.0)
     }
 }
 
@@ -100,7 +87,6 @@ mod tests {
         assert!(DomId::DOM0.is_dom0());
         assert!(!DomId(3).is_dom0());
         assert_eq!(DomId(2).to_string(), "dom2");
-        assert_eq!(PcpuId(1).to_string(), "pcpu1");
     }
 
     #[test]

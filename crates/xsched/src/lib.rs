@@ -50,6 +50,6 @@ mod runstate;
 
 pub use burst::{Burst, BurstKind};
 pub use credit::{CreditScheduler, Priority, RunState, SchedConfig, SchedEvent, WakeMode};
-pub use domain::{DomId, Domain, PcpuId, DEFAULT_WEIGHT};
+pub use domain::{DomId, Domain};
 pub use error::SchedError;
 pub use runstate::{DomainUsage, RunstateSnapshot};

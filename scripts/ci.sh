@@ -132,15 +132,22 @@ base = sys.argv[2]
 # when no baseline exists (fresh clone, offline git). A baseline recorded
 # under another smoke cap runs a different mix of simulations, so its
 # rate says nothing about this one: that fails whatever the tolerance.
+# So does a baseline whose units or per-unit event counts differ from
+# this run's.
 tol_raw = os.environ.get("ARCH_RATE_TOLERANCE", "0.25")
+rerecord = ("re-record results/BENCH_experiments.json with "
+            "`experiments --smoke --jobs 2 all`")
 if os.path.isfile(base) and os.path.getsize(base) > 0:
     baseline = json.load(open(base))
     if baseline.get("smoke_cap_secs") != r.get("smoke_cap_secs"):
         sys.exit(f"committed baseline has smoke_cap_secs="
                  f"{baseline.get('smoke_cap_secs')}, this run "
-                 f"{r.get('smoke_cap_secs')}: re-record "
-                 f"results/BENCH_experiments.json with "
-                 f"`experiments --smoke --jobs 2 all`")
+                 f"{r.get('smoke_cap_secs')}: {rerecord}")
+    mix = lambda rep: [(p["id"], p["events"]) for p in rep.get("per_experiment", [])]
+    if mix(baseline) != mix(r):
+        sys.exit(f"committed baseline ran another simulation mix "
+                 f"(per_experiment ids or events differ from this run's): "
+                 f"{rerecord}")
     b = baseline.get("sim_rate", {})
     if b.get("events_per_sec", 0) > 0:
         ratio = rate / b["events_per_sec"]

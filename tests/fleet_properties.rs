@@ -89,10 +89,6 @@ fn envelope_codec_roundtrips_generated_messages() {
                 let lamport = lamport0.wrapping_add(i as u64);
                 wire::encode_envelope(seq, lamport, *source, msg, &mut buf);
             }
-            st_assert!(
-                msgs.is_empty() || wire::is_envelope(&buf),
-                "encoded buffer must carry the envelope tag"
-            );
             // Decode sequentially and compare field-for-field.
             let mut off = 0;
             for (i, msg) in msgs.iter().enumerate() {

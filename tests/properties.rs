@@ -42,51 +42,19 @@ fn event_queue_pops_in_time_order() {
     });
 }
 
-#[test]
-fn event_queue_cancellation_removes_exactly_the_cancelled() {
-    let input = zip2(
-        vec_of(Gen::u64_in(0, 999_999), 1, 99),
-        vec_of(Gen::bool_any(), 1, 99),
-    );
-    check(
-        "event_queue_cancellation_removes_exactly_the_cancelled",
-        &input,
-        |(times, cancel_mask)| {
-            let mut q = EventQueue::new();
-            let keys: Vec<_> = times.iter().map(|&t| q.schedule(Nanos(t), t)).collect();
-            let mut expected = 0;
-            for (i, k) in keys.iter().enumerate() {
-                if *cancel_mask.get(i).unwrap_or(&false) {
-                    st_assert!(q.cancel(*k), "cancel of live event must succeed");
-                } else {
-                    expected += 1;
-                }
-            }
-            let mut seen = 0;
-            while q.pop().is_some() {
-                seen += 1;
-            }
-            st_assert_eq!(seen, expected);
-            Ok(())
-        },
-    );
-}
-
-/// Arbitrary interleavings of schedule/cancel/pop stay in lock-step with
-/// a brute-force reference model: `peek_time` always reports the live
-/// minimum, `len` counts exactly the live entries, pops come out in
-/// (time, FIFO) order, and cancelled entries never surface. Exercises the
-/// tombstone sweep and the amortized compaction across mixed traffic.
+/// Arbitrary interleavings of schedule/pop stay in lock-step with a
+/// brute-force reference model: `peek_time` always reports the pending
+/// minimum, `len` counts exactly the pending entries, and pops come out
+/// in (time, FIFO) order.
 #[test]
 fn event_queue_interleaving_matches_reference_model() {
-    let ops = vec_of(zip2(Gen::u64_in(0, 2), Gen::u64_in(0, 999_999)), 1, 300);
+    let ops = vec_of(zip2(Gen::u64_in(0, 1), Gen::u64_in(0, 999_999)), 1, 300);
     check(
         "event_queue_interleaving_matches_reference_model",
         &ops,
         |ops| {
             let mut q = EventQueue::new();
-            let mut keys = Vec::new(); // insertion index -> cancellation key
-            let mut model: Vec<Option<u64>> = Vec::new(); // index -> live time
+            let mut model: Vec<Option<u64>> = Vec::new(); // index -> pending time
             let live_min = |model: &[Option<u64>]| {
                 model
                     .iter()
@@ -99,35 +67,19 @@ fn event_queue_interleaving_matches_reference_model() {
                 st_assert_eq!(
                     q.peek_time(),
                     min.map(|(t, _)| Nanos(t)),
-                    "peek reports the live minimum"
+                    "peek reports the pending minimum"
                 );
                 st_assert_eq!(q.len(), model.iter().flatten().count());
                 match op {
                     0 => {
-                        keys.push(q.schedule(Nanos(arg), model.len()));
+                        q.schedule(Nanos(arg), model.len());
                         model.push(Some(arg));
-                    }
-                    1 => {
-                        let live: Vec<usize> = model
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, t)| t.map(|_| i))
-                            .collect();
-                        if live.is_empty() {
-                            st_assert!(q.pop().is_none(), "empty queue has nothing to pop");
-                            continue;
-                        }
-                        let i = live[(arg % live.len() as u64) as usize];
-                        st_assert!(q.cancel(keys[i]), "cancel of a live entry succeeds");
-                        st_assert!(!q.cancel(keys[i]), "double cancel is rejected");
-                        model[i] = None;
                     }
                     _ => match min {
                         None => st_assert!(q.pop().is_none(), "empty queue has nothing to pop"),
                         Some((t, i)) => {
                             let (pt, pi) = q.pop().expect("model says an entry is pending");
                             st_assert_eq!((pt, pi), (Nanos(t), i), "pop follows (time, FIFO) order");
-                            st_assert!(!q.cancel(keys[i]), "cancel after pop is rejected");
                             model[i] = None;
                         }
                     },
@@ -140,9 +92,9 @@ fn event_queue_interleaving_matches_reference_model() {
             }
             st_assert!(
                 model.iter().all(Option::is_none),
-                "every live model entry was drained"
+                "every pending model entry was drained"
             );
-            st_assert_eq!(q.storage_len(), 0, "drained queue holds no tombstones");
+            st_assert!(q.is_empty(), "drained queue is empty");
             Ok(())
         },
     );
@@ -165,17 +117,16 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
         &ops,
         |ops| {
             let mut q = EventQueue::new();
-            // Reference model: a flat vec of (time, seq, id), popped by
-            // scanning for the (time, seq) minimum.
-            let mut model: Vec<(u64, u64, usize)> = Vec::new();
-            let mut keys = Vec::new();
+            // Reference model: a flat vec of (time, seq), popped by
+            // scanning for its minimum. Each event's payload is its seq.
+            let mut model: Vec<(u64, u64)> = Vec::new();
             let mut seq: u64 = 0;
             let mut now: u64 = 0;
             for &(op, class, raw) in ops {
                 let ref_min = model.iter().min().copied();
                 st_assert_eq!(
                     q.peek_time(),
-                    ref_min.map(|(t, _, _)| Nanos(t)),
+                    ref_min.map(|(t, _)| Nanos(t)),
                     "peek reports the reference minimum"
                 );
                 st_assert_eq!(q.len(), model.len());
@@ -187,23 +138,14 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
                             _ => raw % 100_000_000, // long timers
                         };
                         let t = now + horizon;
-                        keys.push(q.schedule(Nanos(t), keys.len()));
-                        model.push((t, seq, keys.len() - 1));
+                        q.schedule(Nanos(t), seq);
+                        model.push((t, seq));
                         seq += 1;
-                    }
-                    3 => {
-                        if model.is_empty() {
-                            continue;
-                        }
-                        let pick = (raw % model.len() as u64) as usize;
-                        let (_, _, id) = model.swap_remove(pick);
-                        st_assert!(q.cancel(keys[id]), "cancel of a live entry succeeds");
-                        st_assert!(!q.cancel(keys[id]), "double cancel is rejected");
                     }
                     _ => match ref_min {
                         None => st_assert!(q.pop().is_none(), "empty queue has nothing to pop"),
                         Some(m) => {
-                            let (t, _, id) = m;
+                            let (t, id) = m;
                             let (pt, pid) = q.pop().expect("reference has a pending entry");
                             st_assert_eq!(
                                 (pt, pid),
@@ -218,7 +160,7 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
                 }
             }
             model.sort();
-            for &(t, _, id) in &model {
+            for &(t, id) in &model {
                 st_assert_eq!(
                     q.pop(),
                     Some((Nanos(t), id)),
@@ -226,75 +168,7 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
                 );
             }
             st_assert!(q.pop().is_none(), "both empty after drain");
-            st_assert_eq!(q.storage_len(), 0, "drained queue retains no storage");
-            Ok(())
-        },
-    );
-}
-
-/// Cancel-heavy traffic that forces tombstone compaction between pops.
-/// Each round schedules a batch with times in a narrow window (so ties
-/// abound and overlap earlier rounds), cancels three quarters of it, then
-/// pops half of what is live. The queue's minimum is never cancelled, so
-/// no top sweep can hide a tombstone: storage shrinks on a cancel only
-/// through the `retain` rebuild. After every cancel storage stays within
-/// `max(2·len, 64)`, and every pop matches the `(time, FIFO)` minimum of
-/// a reference model, so equal-timestamp order survives each rebuild.
-#[test]
-fn event_queue_compaction_keeps_fifo_ties_and_bounds_storage() {
-    let times = vec_of(Gen::u64_in(0, 7), 128, 300);
-    check(
-        "event_queue_compaction_keeps_fifo_ties_and_bounds_storage",
-        &times,
-        |times| {
-            let mut q = EventQueue::new();
-            let mut keys = Vec::new();
-            // Live entries as (time, id); ids rise with schedule order, so
-            // the tuple order is the queue's (time, seq) order.
-            let mut model: Vec<(u64, usize)> = Vec::new();
-            let mut rebuilds = 0;
-            for round in 0..3u64 {
-                let first = keys.len();
-                for &t in times {
-                    let t = t + 4 * round;
-                    model.push((t, keys.len()));
-                    keys.push(q.schedule(Nanos(t), keys.len()));
-                }
-                let head = *model.iter().min().expect("just scheduled");
-                for (id, &key) in keys.iter().enumerate().skip(first) {
-                    if id % 4 == 0 || head.1 == id {
-                        continue;
-                    }
-                    let before = q.storage_len();
-                    st_assert!(q.cancel(key), "cancel of a live entry succeeds");
-                    model.retain(|&(_, i)| i != id);
-                    st_assert!(
-                        q.storage_len() <= (2 * q.len()).max(64),
-                        "{} stored for {} live after a cancel",
-                        q.storage_len(),
-                        q.len()
-                    );
-                    if q.storage_len() < before {
-                        rebuilds += 1;
-                    }
-                }
-                for _ in 0..model.len() / 2 {
-                    let min = *model.iter().min().expect("model holds live entries");
-                    st_assert_eq!(
-                        q.pop(),
-                        Some((Nanos(min.0), min.1)),
-                        "pop follows (time, FIFO) order"
-                    );
-                    model.retain(|&e| e != min);
-                }
-            }
-            st_assert!(rebuilds > 0, "three quarters cancelled but never compacted");
-            model.sort();
-            for &(t, id) in &model {
-                st_assert_eq!(q.pop(), Some((Nanos(t), id)), "drain order");
-            }
-            st_assert!(q.pop().is_none(), "both empty after drain");
-            st_assert_eq!(q.storage_len(), 0, "drained queue holds no tombstones");
+            st_assert!(q.is_empty(), "drained queue is empty");
             Ok(())
         },
     );
