@@ -3,7 +3,8 @@
 //! (about 1 ms) and far (up to 100 ms) — plus a mixed workload shaped like
 //! the platform's steady state. The heap treats every horizon alike; the
 //! regimes (and bench names) are kept so results compare across
-//! implementations.
+//! implementations. `queue/churn_fixed_delay` runs the master queue's
+//! RTO pattern once through the heap and once through the FIFO lane.
 
 use simcore::{EventQueue, Nanos, SimRng};
 use simtest::BenchSuite;
@@ -75,6 +76,43 @@ fn main() {
         }
         black_box(q.len())
     });
+
+    // The master queue on `inference_mix`: about 350 pending 500 ms
+    // timers (one per request sent in the last RTO period) under a stream
+    // of imminent events. Every iteration arms one timer at `now + 500 ms`
+    // and schedules one imminent event, then pops twice, so depth stays
+    // flat and the earliest timer fires stale. `heap` arms the timer with
+    // `schedule`, `lane` with `schedule_fifo`.
+    for (name, lane) in [
+        ("queue/churn_fixed_delay/heap", false),
+        ("queue/churn_fixed_delay/lane", true),
+    ] {
+        const RTO: u64 = 500_000_000;
+        let arm = |q: &mut EventQueue<u64>, t: u64| {
+            if lane {
+                q.schedule_fifo(Nanos(t), 0)
+            } else {
+                q.schedule(Nanos(t), 0)
+            }
+        };
+        let mut rng = SimRng::new(15);
+        let mut q = EventQueue::new();
+        let mut now = 0u64;
+        for i in 0..350u64 {
+            arm(&mut q, i * RTO / 350);
+        }
+        suite.bench(name, || {
+            arm(&mut q, now + RTO);
+            q.schedule(Nanos(now + 1 + rng.next_u64() % 2_000), 1);
+            for _ in 0..2 {
+                if let Some((t, v)) = q.pop() {
+                    now = t.0;
+                    black_box(v);
+                }
+            }
+            black_box(q.len())
+        });
+    }
 
     suite.finish();
 }

@@ -1,8 +1,10 @@
 //! Calibration probe: quick, detailed looks at the headline scenarios.
 //!
-//! Usage: `probe [all|rubis|static|mplayer|trigger|energy|fleet]`
+//! Usage: `probe [all|rubis|inference|static|mplayer|trigger|energy|fleet]`
 //!
 //! * `rubis` — baseline vs coordinated read-write mix with per-type stats
+//! * `inference` — the benchmark's `inference_mix` platform (four mixed
+//!   tenants, `InferenceBatch`, seed 42, 150 s) with per-tenant stats
 //! * `static` — static weight assignments (sanity-checks the scheduler's
 //!   sensitivity outside the coordination loop)
 //! * `mplayer` — the three Figure 6 weight configurations
@@ -15,7 +17,7 @@
 use bench::summary;
 use coord::PolicyKind;
 use fleet::BusConfig;
-use platform::{EnergyConfig, MplayerScenario, PlatformBuilder, RubisScenario};
+use platform::{EnergyConfig, InferenceScenario, MplayerScenario, PlatformBuilder, RubisScenario};
 use simcore::Nanos;
 
 fn rubis(policy: PolicyKind, label: &str) {
@@ -55,6 +57,27 @@ fn rubis_w(policy: PolicyKind, label: &str, weights: Option<(u32, u32, u32)>) {
     );
     println!("  guest_drops {}", r.net.guest_drops);
     summary::print_responses(&r);
+}
+
+fn inference() {
+    let mut sim = PlatformBuilder::new()
+        .seed(42)
+        .policy(PolicyKind::InferenceBatch)
+        .build_inference(InferenceScenario::mixed_tenants());
+    let r = sim.run(Nanos::from_secs(150));
+    println!(
+        "== inference mixed tenants (sim rate {:.0} events/s)",
+        r.sim_rate.events_per_sec
+    );
+    summary::print_cpu(&r, false);
+    summary::print_islands(&r);
+    summary::print_sources(&r);
+    for t in summary::accel_tenants(&r) {
+        println!(
+            "  {:12} p99 {:7.1} ms  goodput {:6.1}/s  batch {:4.1}  queue p99 {:6.1} ms",
+            t.name, t.p99_ms, t.goodput, t.mean_batch, t.queue_p99_ms
+        );
+    }
 }
 
 fn mplayer(w1: u32, w2: u32) {
@@ -106,6 +129,9 @@ fn main() {
     if which == "all" || which == "rubis" {
         rubis(PolicyKind::None, "baseline");
         rubis(PolicyKind::RequestType, "coordinated");
+    }
+    if which == "inference" {
+        inference();
     }
     if which == "static" {
         rubis_w(PolicyKind::None, "static 256/512/512", Some((256, 512, 512)));

@@ -83,13 +83,19 @@ impl<W: Copy> ClientTable<W> {
 
 impl Platform {
     /// Puts copy `attempt` of request `req` on the wire and arms its
-    /// retransmission timer (doubling per attempt, at most 16×).
+    /// retransmission timer (doubling per attempt, at most 16×). Attempt
+    /// 0's timer is due `now + rto_initial`, which never decreases, so it
+    /// goes through the master queue's FIFO lane.
     pub(crate) fn transmit(&mut self, req: u64, attempt: u32, mut pkt: Packet) {
         pkt.id = req;
         let now = self.now;
         self.q.schedule(now + self.costs.wire_latency, Ev::WireArrive(pkt));
-        let rto = self.costs.rto_initial * (1u64 << attempt.min(4));
-        self.q.schedule(now + rto, Ev::Rto { req, attempt });
+        let rto = Ev::Rto { req, attempt };
+        if attempt == 0 {
+            self.q.schedule_fifo(now + self.costs.rto_initial, rto);
+        } else {
+            self.q.schedule(now + self.costs.rto_initial * (1u64 << attempt.min(4)), rto);
+        }
     }
 
     /// Hands request `req`'s response to the IXP Tx pipeline.

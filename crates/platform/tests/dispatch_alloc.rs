@@ -16,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use platform::{
-    AdversarySpec, FaultProfile, Jitter, Platform, PlatformBuilder, PolicerConfig, PolicyKind,
-    ReliableConfig, RubisScenario,
+    AdversarySpec, FaultProfile, InferenceScenario, Jitter, Platform, PlatformBuilder,
+    PolicerConfig, PolicyKind, ReliableConfig, RubisScenario,
 };
 use simcore::{EventQueue, Nanos};
 
@@ -140,16 +140,26 @@ fn empty_event_queue_allocates_nothing() {
     drop(q);
 }
 
-/// Bytes that building the default RUBiS platform may request: about
-/// 17 KiB measured, with headroom.
+/// Bytes that building a default platform may request: 17,164 measured
+/// for RUBiS and 19,594 for inference, with headroom.
 const BUILD_BYTES_MAX: u64 = 32 * 1024;
 
 #[test]
 fn building_the_default_rubis_platform_is_cheap() {
-    // Every island's event queue starts empty, so construction pays only
-    // for the platform's own tables.
+    // Every island's event queue starts empty and no event is scheduled
+    // before the first `run`, so construction pays only for the
+    // platform's own tables.
     let (_, bytes, sim) =
         allocated_by(|| PlatformBuilder::new().build_rubis(RubisScenario::read_write_mix(24)));
+    assert!(bytes <= BUILD_BYTES_MAX, "building allocated {bytes} bytes");
+    drop(sim);
+}
+
+#[test]
+fn building_the_default_inference_platform_is_cheap() {
+    let (_, bytes, sim) = allocated_by(|| {
+        PlatformBuilder::new().build_inference(InferenceScenario::mixed_tenants())
+    });
     assert!(bytes <= BUILD_BYTES_MAX, "building allocated {bytes} bytes");
     drop(sim);
 }

@@ -3,7 +3,8 @@
 //! The foundation every other `archipelago` crate builds on. It provides:
 //!
 //! * [`Nanos`] / [`Cycles`] — simulated-time and clock-domain arithmetic.
-//! * [`EventQueue`] — a time-ordered, FIFO-stable event heap.
+//! * [`EventQueue`] — a time-ordered, FIFO-stable event heap, with a FIFO
+//!   lane for fixed-delay timers.
 //! * [`SimRng`] — a small, fully deterministic PRNG with the distribution
 //!   samplers the workload models need (no external dependency).
 //! * [`stats`] — online statistics: Welford mean/variance, min/max,

@@ -1,5 +1,6 @@
-//! Time-ordered event queue with FIFO tie-breaking, implemented as one
-//! binary min-heap of `(time, seq, event)` entries.
+//! Time-ordered event queue with FIFO tie-breaking: one binary min-heap
+//! of `(time, seq, event)` entries, plus one FIFO lane for fixed-delay
+//! timers.
 //!
 //! The queue is the innermost loop of every simulation in the workspace:
 //! the master platform loop, the IXP pipeline, the PCIe link, the
@@ -10,12 +11,21 @@
 //! simplest and the fastest index: every entry is pushed and popped
 //! exactly once, whatever its horizon. There is no cancellation: a timer
 //! no longer wanted (a stale RTO) fires and its handler ignores it.
+//!
+//! A timer armed at a fixed delay from a clock that never goes back
+//! (the platform's first-transmission RTO) is due no earlier than the
+//! one armed before it. [`EventQueue::schedule_fifo`] appends it to a
+//! `VecDeque` lane in O(1); an entry due before the lane's last falls
+//! back to the heap. Lane and heap share one `seq` counter and `pop`
+//! takes the smaller `(time, seq)` of the two heads, so pop order is
+//! exactly `(time, seq)`. Queues that never use the lane pay one length
+//! check per `pop` and `peek_time`.
 
 use crate::Nanos;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// A heap entry, ordered by `(time, seq)` alone.
+/// A heap or lane entry, ordered by `(time, seq)` alone.
 #[derive(Debug)]
 struct Entry<E> {
     time: Nanos,
@@ -60,6 +70,9 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// `schedule_fifo` entries in non-decreasing time, hence `(time, seq)`,
+    /// order.
+    lane: VecDeque<Entry<E>>,
     next_seq: u64,
 }
 
@@ -70,37 +83,63 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue. Allocates nothing until the first
-    /// `schedule`.
+    /// Creates an empty queue. Allocates nothing until the first event
+    /// is scheduled.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+        EventQueue { heap: BinaryHeap::new(), lane: VecDeque::new(), next_seq: 0 }
+    }
+
+    fn entry(&mut self, time: Nanos, event: E) -> Entry<E> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Entry { time, seq, event }
     }
 
     /// Schedules `event` at absolute time `time`.
     pub fn schedule(&mut self, time: Nanos, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
+        let e = self.entry(time, event);
+        self.heap.push(Reverse(e));
+    }
+
+    /// Schedules `event` at absolute time `time`, like
+    /// [`schedule`](Self::schedule), through the FIFO lane: O(1) when
+    /// `time` is no earlier than the last lane entry's, which holds for a
+    /// fixed delay added to a clock that never goes back. An earlier
+    /// `time` goes to the heap, so the pop order is the same either way.
+    pub fn schedule_fifo(&mut self, time: Nanos, event: E) {
+        let e = self.entry(time, event);
+        match self.lane.back() {
+            Some(last) if time < last.time => self.heap.push(Reverse(e)),
+            _ => self.lane.push_back(e),
+        }
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        let top = self.heap.peek().map(|Reverse(e)| e.time);
+        match self.lane.front() {
+            None => top,
+            Some(l) => Some(top.map_or(l.time, |t| t.min(l.time))),
+        }
     }
 
     /// Removes and returns the earliest pending event with its time.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+        let e = match self.lane.front() {
+            Some(l) if self.heap.peek().is_none_or(|Reverse(h)| l < h) => self.lane.pop_front(),
+            _ => self.heap.pop().map(|Reverse(e)| e),
+        };
+        e.map(|e| (e.time, e.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// `true` if no pending events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 }
 
@@ -199,5 +238,54 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Nanos(5)));
         assert_eq!(q.pop(), Some((Nanos(5), 'q')));
         assert_eq!(q.pop(), Some((Nanos(10_000_000), 'f')));
+    }
+
+    #[test]
+    fn lane_and_heap_entries_at_equal_time_pop_in_seq_order() {
+        let mut q = EventQueue::new();
+        q.schedule(Nanos(5), 'a');
+        q.schedule_fifo(Nanos(5), 'b');
+        q.schedule(Nanos(5), 'c');
+        q.schedule_fifo(Nanos(5), 'd');
+        for c in ['a', 'b', 'c', 'd'] {
+            assert_eq!(q.pop(), Some((Nanos(5), c)));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn lane_fallback_keeps_the_order() {
+        // The second and fourth `schedule_fifo` calls are earlier than
+        // the lane's last entry and fall back to the heap.
+        let mut q = EventQueue::new();
+        q.schedule_fifo(Nanos(30), 'a');
+        q.schedule_fifo(Nanos(10), 'b');
+        q.schedule_fifo(Nanos(30), 'c');
+        q.schedule_fifo(Nanos(20), 'd');
+        q.schedule(Nanos(25), 'e');
+        q.schedule_fifo(Nanos(40), 'f');
+        assert_eq!(q.peek_time(), Some(Nanos(10)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [(10, 'b'), (20, 'd'), (25, 'e'), (30, 'a'), (30, 'c'), (40, 'f')]
+                .map(|(t, c)| (Nanos(t), c))
+        );
+    }
+
+    #[test]
+    fn len_and_is_empty_count_lane_and_heap() {
+        let mut q = EventQueue::new();
+        q.schedule_fifo(Nanos(7), 1);
+        assert_eq!((q.len(), q.is_empty()), (1, false));
+        q.schedule(Nanos(9), 2);
+        assert_eq!((q.len(), q.is_empty()), (2, false));
+        assert_eq!(q.pop(), Some((Nanos(7), 1)));
+        assert_eq!((q.len(), q.is_empty(), q.peek_time()), (1, false, Some(Nanos(9))));
+        assert_eq!(q.pop(), Some((Nanos(9), 2)));
+        q.schedule_fifo(Nanos(3), 3);
+        assert_eq!((q.len(), q.is_empty(), q.peek_time()), (1, false, Some(Nanos(3))));
+        assert_eq!(q.pop(), Some((Nanos(3), 3)));
+        assert_eq!((q.len(), q.is_empty(), q.peek_time()), (0, true, None));
     }
 }

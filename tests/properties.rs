@@ -106,9 +106,17 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
     // drawn from three horizon classes spanning five orders of magnitude:
     // a couple of microseconds, about a millisecond, and up to 100 ms
     // (the platform's RTOs and think times). Pops move `now` forward, so
-    // new events interleave with long-pending ones.
+    // new events interleave with long-pending ones. Ops 3 and 4 arm a
+    // timer a fixed delay per class from `now` through the FIFO lane
+    // (the RTO pattern): same-class calls fill the lane in order, and a
+    // shorter class after a longer one falls back to the heap, as do
+    // most of op 5's arbitrary offsets. Op 2 puts the same fixed delay
+    // on the heap, so lane and heap entries tie in time and must pop in
+    // `seq` order.
+    const SPAN: [u64; 3] = [2_048, 1_100_000, 100_000_000];
+    const FIXED: [u64; 3] = [1_500, 900_000, 500_000_000];
     let ops = vec_of(
-        zip3(Gen::u64_in(0, 5), Gen::u64_in(0, 2), Gen::u64_in(0, u64::MAX / 2)),
+        zip3(Gen::u64_in(0, 8), Gen::u64_in(0, 2), Gen::u64_in(0, u64::MAX / 2)),
         1,
         400,
     );
@@ -130,15 +138,19 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
                     "peek reports the reference minimum"
                 );
                 st_assert_eq!(q.len(), model.len());
+                st_assert_eq!(q.is_empty(), model.is_empty());
                 match op {
-                    0..=2 => {
-                        let horizon = match class {
-                            0 => raw % 2_048,       // imminent
-                            1 => raw % 1_100_000,   // about a millisecond
-                            _ => raw % 100_000_000, // long timers
+                    0..=5 => {
+                        let c = class as usize;
+                        let t = match op {
+                            2..=4 => now + FIXED[c],
+                            _ => now + raw % SPAN[c],
                         };
-                        let t = now + horizon;
-                        q.schedule(Nanos(t), seq);
+                        if op < 3 {
+                            q.schedule(Nanos(t), seq);
+                        } else {
+                            q.schedule_fifo(Nanos(t), seq);
+                        }
                         model.push((t, seq));
                         seq += 1;
                     }
