@@ -319,7 +319,11 @@ impl AccelIsland {
     /// caller sees this synchronously, like a doorbell write bouncing.
     pub fn submit(&mut self, now: Nanos, req: AccelRequest) -> bool {
         let idx = req.tenant.0 as usize;
-        assert!(idx < self.tenants.len(), "submit to unregistered {}", req.tenant);
+        assert!(
+            idx < self.tenants.len(),
+            "submit to unregistered {}",
+            req.tenant
+        );
         if self.hbm_used + req.bytes > self.cfg.hbm_capacity {
             self.hbm_rejects += 1;
             self.tenants[idx].stats.rejected += 1;
@@ -393,7 +397,9 @@ impl AccelIsland {
         if t.forced || t.queue.len() >= t.batch_budget as usize {
             return true;
         }
-        t.queue.front().is_some_and(|h| now >= h.enq + self.cfg.batch_timeout)
+        t.queue
+            .front()
+            .is_some_and(|h| now >= h.enq + self.cfg.batch_timeout)
     }
 
     fn form_and_launch(&mut self, now: Nanos) {
@@ -440,7 +446,9 @@ impl AccelIsland {
 
     fn check_alarms(&mut self, now: Nanos, out: &mut Vec<AccelEvent>) {
         for (i, t) in self.tenants.iter_mut().enumerate() {
-            let Some(threshold) = t.alarm_bytes else { continue };
+            let Some(threshold) = t.alarm_bytes else {
+                continue;
+            };
             let bytes: u64 = t.queue.iter().map(|q| q.req.bytes).sum();
             if t.alarm_armed && bytes >= threshold {
                 t.alarm_armed = false;
@@ -583,8 +591,10 @@ mod tests {
         isl.submit(Nanos::ZERO, req(1, t, 100));
         let evs = drain(&mut isl, Nanos::from_secs(1));
         let expect = cfg.batch_timeout + cfg.launch_overhead + Nanos::from_micros(100);
-        assert!(matches!(evs[0], AccelEvent::Completed { at, batch_size: 1, queued, .. }
-            if at == expect && queued == cfg.batch_timeout));
+        assert!(
+            matches!(evs[0], AccelEvent::Completed { at, batch_size: 1, queued, .. }
+            if at == expect && queued == cfg.batch_timeout)
+        );
     }
 
     #[test]
@@ -598,7 +608,7 @@ mod tests {
         let a = isl.register_tenant(1);
         let b = isl.register_tenant(2);
         isl.apply_tune(Nanos::ZERO, EntityId(b.0), -10).unwrap(); // b: weight 20
-        // Backlog both tenants while the unit is busy with a first batch.
+                                                                  // Backlog both tenants while the unit is busy with a first batch.
         for i in 0..4 {
             isl.submit(Nanos::ZERO, req(i, a, 500));
             isl.submit(Nanos::ZERO, req(10 + i, b, 500));
@@ -624,9 +634,7 @@ mod tests {
         assert_eq!(isl.weight(t), Some(1)); // floor
         isl.apply_tune(Nanos::ZERO, EntityId(t.0), -1000).unwrap();
         assert_eq!(isl.batch_budget(t), Some(1)); // floor
-        assert!(isl
-            .apply_tune(Nanos::ZERO, EntityId(99), 1)
-            .is_err());
+        assert!(isl.apply_tune(Nanos::ZERO, EntityId(99), 1).is_err());
     }
 
     #[test]
@@ -713,7 +721,14 @@ mod tests {
             .filter(|e| matches!(e, AccelEvent::QueueAlarm { .. }))
             .collect();
         assert_eq!(alarms.len(), 1, "one alarm per upward crossing: {out:?}");
-        assert!(matches!(alarms[0], AccelEvent::QueueAlarm { depth: 3, queued_bytes: 12288, .. }));
+        assert!(matches!(
+            alarms[0],
+            AccelEvent::QueueAlarm {
+                depth: 3,
+                queued_bytes: 12288,
+                ..
+            }
+        ));
         assert_eq!(isl.stats(t).unwrap().alarms, 1);
     }
 
@@ -741,6 +756,9 @@ mod tests {
         let isl = AccelIsland::with_island(AccelConfig::default(), IslandId(7));
         assert_eq!(isl.island(), IslandId(7));
         assert_eq!(isl.kind(), IslandKind::Accelerator);
-        assert_eq!(AccelIsland::new(AccelConfig::default()).island(), IslandId(2));
+        assert_eq!(
+            AccelIsland::new(AccelConfig::default()).island(),
+            IslandId(2)
+        );
     }
 }

@@ -11,7 +11,15 @@ fn drive_packets(island: &mut IxpIsland, n: u64) -> usize {
     let mut now = Nanos::ZERO;
     for i in 0..n {
         now += Nanos(2_000); // 500 kpps offered
-        let pkt = Packet::new(i, 1, 1400, AppTag::Http { class_id: 3, write: false });
+        let pkt = Packet::new(
+            i,
+            1,
+            1400,
+            AppTag::Http {
+                class_id: 3,
+                write: false,
+            },
+        );
         delivered += island.rx_from_wire(now, pkt).len();
         // Open the window as fast as packets appear.
         let evs = island.host_ack(now, ixp::FlowId(0), 4);
@@ -37,7 +45,10 @@ fn main() {
         black_box(drive_packets(&mut island, 1000))
     });
     suite.bench_n("ixp/rx_pipeline/dpi_classify_1k_pkts", 30, || {
-        let cfg = IxpConfig { dpi: true, ..IxpConfig::default() };
+        let cfg = IxpConfig {
+            dpi: true,
+            ..IxpConfig::default()
+        };
         let mut island = IxpIsland::new(cfg);
         island.register_flow(1);
         black_box(drive_packets(&mut island, 1000))

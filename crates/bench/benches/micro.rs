@@ -23,7 +23,9 @@ fn main() {
     });
     let mut buf = Vec::new();
     wire::encode(&msg, &mut buf);
-    suite.bench("wire/decode_tune", || wire::decode(black_box(&buf)).unwrap());
+    suite.bench("wire/decode_tune", || {
+        wire::decode(black_box(&buf)).unwrap()
+    });
 
     let mut rng = SimRng::new(7);
     suite.bench("event_queue/schedule_pop_1k", || {

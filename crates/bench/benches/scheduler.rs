@@ -11,8 +11,13 @@ fn loaded() -> CreditScheduler {
     let mut s = CreditScheduler::new(SchedConfig::new(2));
     for i in 0..4 {
         let d = s.create_domain(&format!("d{i}"), 256, 1);
-        s.submit(Nanos::ZERO, d, Burst::user(Nanos::from_secs(3600), i), WakeMode::Plain)
-            .unwrap();
+        s.submit(
+            Nanos::ZERO,
+            d,
+            Burst::user(Nanos::from_secs(3600), i),
+            WakeMode::Plain,
+        )
+        .unwrap();
     }
     s
 }
@@ -42,8 +47,13 @@ fn main() {
     let mut evs = Vec::new();
     suite.bench("sched/submit_and_complete", || {
         tag += 1;
-        s.submit(now, d, Burst::user(Nanos::from_micros(10), tag), WakeMode::Boost)
-            .unwrap();
+        s.submit(
+            now,
+            d,
+            Burst::user(Nanos::from_micros(10), tag),
+            WakeMode::Boost,
+        )
+        .unwrap();
         let t = s.next_event_time().expect("completion pending");
         now = t;
         evs.clear();

@@ -55,8 +55,18 @@ fn list() {
     println!("select `all`, or a unit by its id, alias, group or one of its tables:");
     println!("{:<22} {:<6} {:<11} tables", "id", "alias", "groups");
     for e in bench::EXPERIMENTS {
-        let groups = if e.groups.is_empty() { "-".into() } else { e.groups.join(",") };
-        println!("{:<22} {:<6} {:<11} {}", e.id, e.alias.unwrap_or("-"), groups, e.slugs.join(" "));
+        let groups = if e.groups.is_empty() {
+            "-".into()
+        } else {
+            e.groups.join(",")
+        };
+        println!(
+            "{:<22} {:<6} {:<11} {}",
+            e.id,
+            e.alias.unwrap_or("-"),
+            groups,
+            e.slugs.join(" ")
+        );
     }
 }
 
@@ -80,7 +90,9 @@ fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
         if a == "--smoke" {
             runner = runner.with_smoke_cap(bench::SMOKE_CAP_SECS);
         } else if let Some(v) = a.strip_prefix("--smoke=") {
-            let secs = v.parse().map_err(|_| format!("--smoke: cannot parse '{v}'"))?;
+            let secs = v
+                .parse()
+                .map_err(|_| format!("--smoke: cannot parse '{v}'"))?;
             runner = runner.with_smoke_cap(secs);
         } else if let Some(first) = &which {
             return Err(format!("one selection at a time, got '{first}' and '{a}'"));
@@ -88,7 +100,12 @@ fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
             which = Some(a);
         }
     }
-    Ok(Cli { jobs, runner, seed, which: which.unwrap_or_else(|| "all".into()) })
+    Ok(Cli {
+        jobs,
+        runner,
+        seed,
+        which: which.unwrap_or_else(|| "all".into()),
+    })
 }
 
 /// Sums `f` over every fleet report.
@@ -161,7 +178,11 @@ fn main() {
         .map(FleetReport::sessions)
         .fold((0, 0, 0), |(o, a, r), s| (o + s.0, a + s.1, r + s.2));
     let bus = |f: fn(&BusStats) -> u64| sum(fleets, |r| f(&r.fleet_bus) + f(&r.rack_bus));
-    let (sent, delivered, late) = (bus(|b| b.frames_sent), bus(|b| b.delivered), bus(|b| b.late));
+    let (sent, delivered, late) = (
+        bus(|b| b.frames_sent),
+        bus(|b| b.delivered),
+        bus(|b| b.late),
+    );
     let tunes: [u64; 3] = std::array::from_fn(|level| sum(fleets, |r| r.tunes[level]));
     let mut per_shard_events: Vec<u64> = Vec::new();
     for s in fleets.iter().flat_map(|r| &r.per_shard) {
@@ -240,7 +261,10 @@ fn main() {
                         ("late", num(late)),
                     ]),
                 ),
-                ("tunes_by_level", Json::Arr(tunes.into_iter().map(num).collect())),
+                (
+                    "tunes_by_level",
+                    Json::Arr(tunes.into_iter().map(num).collect()),
+                ),
             ]),
         ),
         ("per_experiment", Json::Arr(per_experiment)),
@@ -265,13 +289,32 @@ mod tests {
 
     #[test]
     fn flags_parse_into_the_runner_settings() {
-        let cli = parse(&["--seed", "7", "--shards=3", "--smoke", "--jobs", "2", "fig2"]).unwrap();
+        let cli = parse(&[
+            "--seed",
+            "7",
+            "--shards=3",
+            "--smoke",
+            "--jobs",
+            "2",
+            "fig2",
+        ])
+        .unwrap();
         assert_eq!((cli.jobs, cli.seed, cli.which.as_str()), (2, 7, "fig2"));
-        assert_eq!((cli.runner.shards(), cli.runner.smoke_cap_secs()), (3, Some(5)));
+        assert_eq!(
+            (cli.runner.shards(), cli.runner.smoke_cap_secs()),
+            (3, Some(5))
+        );
         let cli = parse(&[]).unwrap();
         assert_eq!((cli.seed, cli.which.as_str()), (bench::SEED, "all"));
-        assert_eq!((cli.runner.shards(), cli.runner.smoke_cap_secs()), (12, None));
-        assert_eq!(parse(&["--shards", "100"]).unwrap().runner.shards(), 64, "clamped");
+        assert_eq!(
+            (cli.runner.shards(), cli.runner.smoke_cap_secs()),
+            (12, None)
+        );
+        assert_eq!(
+            parse(&["--shards", "100"]).unwrap().runner.shards(),
+            64,
+            "clamped"
+        );
     }
 
     #[test]
@@ -291,13 +334,23 @@ mod tests {
 
     #[test]
     fn smoke_cap_is_recorded_as_applied() {
-        assert_eq!(parse(&["--smoke=0"]).unwrap().runner.smoke_cap_secs(), Some(1));
-        assert_eq!(parse(&["--smoke=3"]).unwrap().runner.smoke_cap_secs(), Some(3));
+        assert_eq!(
+            parse(&["--smoke=0"]).unwrap().runner.smoke_cap_secs(),
+            Some(1)
+        );
+        assert_eq!(
+            parse(&["--smoke=3"]).unwrap().runner.smoke_cap_secs(),
+            Some(3)
+        );
     }
 
     /// The ids of the units a selection name resolves to.
     fn ids(name: &str) -> Vec<&'static str> {
-        bench::select(name).unwrap_or_default().iter().map(|e| e.id).collect()
+        bench::select(name)
+            .unwrap_or_default()
+            .iter()
+            .map(|e| e.id)
+            .collect()
     }
 
     #[test]

@@ -119,7 +119,11 @@ fn fleet_probe(coordinated: bool) {
     let r = bench::run_fleet(&mut bench::Runner::new(), cfg, 3, 20, 1);
     println!(
         "== fleet {} (6 shards, depth 2)",
-        if coordinated { "coordinated" } else { "uncoordinated" }
+        if coordinated {
+            "coordinated"
+        } else {
+            "uncoordinated"
+        }
     );
     summary::print_fleet(&r);
 }
@@ -134,8 +138,16 @@ fn main() {
         inference();
     }
     if which == "static" {
-        rubis_w(PolicyKind::None, "static 256/512/512", Some((256, 512, 512)));
-        rubis_w(PolicyKind::None, "static 512/512/160", Some((512, 512, 160)));
+        rubis_w(
+            PolicyKind::None,
+            "static 256/512/512",
+            Some((256, 512, 512)),
+        );
+        rubis_w(
+            PolicyKind::None,
+            "static 512/512/160",
+            Some((512, 512, 160)),
+        );
         rubis_w(PolicyKind::None, "static 64/64/64", Some((64, 64, 64)));
     }
     if which == "all" || which == "mplayer" {
@@ -149,7 +161,10 @@ fn main() {
     }
     if which == "energy" {
         energy(EnergyConfig::frozen(800.0), "frozen (metering only)");
-        energy(EnergyConfig::coordinated(800.0), "coordinated, target 800 ms");
+        energy(
+            EnergyConfig::coordinated(800.0),
+            "coordinated, target 800 ms",
+        );
     }
     if which == "trigger" {
         for policy in [PolicyKind::None, PolicyKind::BufferTrigger] {

@@ -19,8 +19,13 @@ fn main() {
     let mut next_arrival1 = Nanos::ZERO;
     let mut next_arrival2 = Nanos::ZERO;
     for tag in [1u64, 2] {
-        s.submit(Nanos::ZERO, dom0, Burst::system(Nanos::from_millis(30), tag), WakeMode::Plain)
-            .unwrap();
+        s.submit(
+            Nanos::ZERO,
+            dom0,
+            Burst::system(Nanos::from_millis(30), tag),
+            WakeMode::Plain,
+        )
+        .unwrap();
     }
     let t_end = Nanos::from_secs(60);
     let mut now = Nanos::ZERO;
@@ -31,15 +36,25 @@ fn main() {
         now = t;
         if t == next_arrival1 {
             pending.extend(
-                s.submit(t, d1, Burst::user(Nanos::from_millis(32), 10), WakeMode::Boost)
-                    .unwrap(),
+                s.submit(
+                    t,
+                    d1,
+                    Burst::user(Nanos::from_millis(32), 10),
+                    WakeMode::Boost,
+                )
+                .unwrap(),
             );
             next_arrival1 += Nanos::from_micros(47_600);
         }
         if t == next_arrival2 {
             pending.extend(
-                s.submit(t, d2, Burst::user(Nanos::from_millis(35), 20), WakeMode::Boost)
-                    .unwrap(),
+                s.submit(
+                    t,
+                    d2,
+                    Burst::user(Nanos::from_millis(35), 20),
+                    WakeMode::Boost,
+                )
+                .unwrap(),
             );
             next_arrival2 += Nanos::from_micros(38_100);
         }
@@ -57,5 +72,10 @@ fn main() {
 }
 
 fn pending_resubmit(s: &mut CreditScheduler, t: Nanos, dom: xsched::DomId, tag: u64) {
-    let _ = s.submit(t, dom, Burst::system(Nanos::from_millis(30), tag), WakeMode::Plain);
+    let _ = s.submit(
+        t,
+        dom,
+        Burst::system(Nanos::from_millis(30), tag),
+        WakeMode::Plain,
+    );
 }

@@ -94,7 +94,11 @@ pub struct Runner {
 
 impl Default for Runner {
     fn default() -> Self {
-        Runner { smoke_cap_secs: u64::MAX, shards: 12, ledger: RunLedger::default() }
+        Runner {
+            smoke_cap_secs: u64::MAX,
+            shards: 12,
+            ledger: RunLedger::default(),
+        }
     }
 }
 
@@ -133,7 +137,10 @@ impl Runner {
 
     /// The same settings with an empty ledger.
     pub fn fresh(&self) -> Self {
-        Runner { ledger: RunLedger::default(), ..*self }
+        Runner {
+            ledger: RunLedger::default(),
+            ..*self
+        }
     }
 
     fn capped(&self, secs: u64) -> Nanos {
@@ -149,12 +156,7 @@ impl Runner {
     }
 }
 
-fn run_rubis(
-    cx: &mut Runner,
-    policy: PolicyKind,
-    scenario: RubisScenario,
-    seed: u64,
-) -> RunReport {
+fn run_rubis(cx: &mut Runner, policy: PolicyKind, scenario: RubisScenario, seed: u64) -> RunReport {
     let mut sim = PlatformBuilder::new()
         .seed(seed)
         .policy(policy)
@@ -481,7 +483,11 @@ pub fn fig7(cx: &mut Runner, seed: u64) -> Vec<Table> {
             .build_mplayer(MplayerScenario::trigger_setup());
         cx.run(&mut sim, TRIGGER_SECS)
     });
-    vec![fig7_series(&base, &coord), fig7_summary(&base, &coord), table3(&base, &coord)]
+    vec![
+        fig7_series(&base, &coord),
+        fig7_summary(&base, &coord),
+        table3(&base, &coord),
+    ]
 }
 
 /// Figure 7: the trigger run's time series — boosted domain CPU
@@ -489,7 +495,12 @@ pub fn fig7(cx: &mut Runner, seed: u64) -> Vec<Table> {
 pub fn fig7_series(base: &RunReport, coord: &RunReport) -> Table {
     let mut series = Table::new(
         "Figure 7 — boosted domain CPU% and IXP buffer occupancy over time",
-        &["t (s)", "no-coord cpu%", "coord cpu%", "coord buffer (bytes)"],
+        &[
+            "t (s)",
+            "no-coord cpu%",
+            "coord cpu%",
+            "coord buffer (bytes)",
+        ],
     );
     let pick = |r: &RunReport| {
         r.cpu_series
@@ -582,7 +593,13 @@ pub fn table3(base: &RunReport, coord: &RunReport) -> Table {
 pub fn ablation_a1(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A1 — coordination channel latency vs response-time damage",
-        &["one-way latency", "mean (ms)", "sd (ms)", "max (ms)", "drops"],
+        &[
+            "one-way latency",
+            "mean (ms)",
+            "sd (ms)",
+            "max (ms)",
+            "drops",
+        ],
     );
     for us in [1u64, 30, 300, 3_000, 30_000] {
         let mut sim = PlatformBuilder::new()
@@ -610,7 +627,11 @@ pub fn ablation_a2(base: &RunReport, coord: &RunReport, hysteresis: &RunReport) 
         "A2 — per-request coordination vs hysteresis damping",
         &["Policy", "X (req/s)", "mean", "sd", "max", "msgs", "drops"],
     );
-    for (label, r) in [("none", base), ("per-request", coord), ("hysteresis", hysteresis)] {
+    for (label, r) in [
+        ("none", base),
+        ("per-request", coord),
+        ("hysteresis", hysteresis),
+    ] {
         let o = r.rubis.responses.overall().clone();
         t.row_owned(vec![
             label.into(),
@@ -667,7 +688,12 @@ pub fn ablation_a3(cx: &mut Runner, seed: u64) -> Table {
 pub fn ablation_a4(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A4 — IXP flow threads vs delivered ingress bandwidth",
-        &["threads", "delivered pkts", "fps dom1", "IXP buffer mean (bytes)"],
+        &[
+            "threads",
+            "delivered pkts",
+            "fps dom1",
+            "IXP buffer mean (bytes)",
+        ],
     );
     for threads in [1u32, 2, 4, 8] {
         let ixp_cfg = ixp::IxpConfig {
@@ -734,11 +760,20 @@ pub fn ablation_a5(cx: &mut Runner, seed: u64) -> Table {
 pub fn ablation_a6(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "A6 — credit accounting mode vs RUBiS outcomes",
-        &["Accounting", "Policy", "X (req/s)", "mean (ms)", "sd (ms)", "drops"],
+        &[
+            "Accounting",
+            "Policy",
+            "X (req/s)",
+            "mean (ms)",
+            "sd (ms)",
+            "drops",
+        ],
     );
     for (acct_label, precise) in [("precise", true), ("tick-sampled", false)] {
-        for (pol_label, policy) in [("none", PolicyKind::None), ("coord", PolicyKind::RequestType)]
-        {
+        for (pol_label, policy) in [
+            ("none", PolicyKind::None),
+            ("coord", PolicyKind::RequestType),
+        ] {
             let mut sim = PlatformBuilder::new()
                 .seed(seed)
                 .policy(policy)
@@ -768,7 +803,14 @@ pub fn ablation_a6(cx: &mut Runner, seed: u64) -> Table {
 pub fn extension_p1(cx: &mut Runner, seed: u64) -> Table {
     let mut t = Table::new(
         "P1 — platform power capping: coordinated vs per-tile victim choice",
-        &["Config", "mean W", "max W", "dom1 fps", "dom2 fps", "cap actions"],
+        &[
+            "Config",
+            "mean W",
+            "max W",
+            "dom1 fps",
+            "dom2 fps",
+            "cap actions",
+        ],
     );
     let mut run = |label: &str, cap: Option<(f64, PowerStrategy)>| {
         let mut b = PlatformBuilder::new().seed(seed);
@@ -781,8 +823,12 @@ pub fn extension_p1(cx: &mut Runner, seed: u64) -> Table {
             label.into(),
             format!("{:.1}", r.power.mean_watts),
             format!("{:.1}", r.power.max_watts),
-            r.player("dom1").map(|p| fmt(p.achieved_fps)).unwrap_or_default(),
-            r.player("dom2").map(|p| fmt(p.achieved_fps)).unwrap_or_default(),
+            r.player("dom1")
+                .map(|p| fmt(p.achieved_fps))
+                .unwrap_or_default(),
+            r.player("dom2")
+                .map(|p| fmt(p.achieved_fps))
+                .unwrap_or_default(),
             r.power.cap_actions.to_string(),
         ]);
     };
@@ -793,7 +839,10 @@ pub fn extension_p1(cx: &mut Runner, seed: u64) -> Table {
     );
     run(
         "cap 105W, coordinated priority",
-        Some((105.0, PowerStrategy::Priority(vec!["dom0".into(), "dom1".into(), "dom2".into()]))),
+        Some((
+            105.0,
+            PowerStrategy::Priority(vec!["dom0".into(), "dom1".into(), "dom2".into()]),
+        )),
     );
     run(
         "cap 100W, biggest-consumer",
@@ -801,7 +850,10 @@ pub fn extension_p1(cx: &mut Runner, seed: u64) -> Table {
     );
     run(
         "cap 100W, coordinated priority",
-        Some((100.0, PowerStrategy::Priority(vec!["dom0".into(), "dom1".into(), "dom2".into()]))),
+        Some((
+            100.0,
+            PowerStrategy::Priority(vec!["dom0".into(), "dom1".into(), "dom2".into()]),
+        )),
     );
     t
 }
@@ -814,7 +866,13 @@ pub fn extension_s1(seed: u64) -> Table {
     use coord::{CoordMsg, EntityId, IslandId, IslandKind};
     let mut t = Table::new(
         "S1 — coordination fabric scalability (100k tunes, 90% zone-local)",
-        &["zones", "islands", "root lookups", "max zone load", "centralized load"],
+        &[
+            "zones",
+            "islands",
+            "root lookups",
+            "max zone load",
+            "centralized load",
+        ],
     );
     for zones in [1u16, 2, 4, 8, 16] {
         let islands_per_zone = 4u16;
@@ -826,8 +884,7 @@ pub fn extension_s1(seed: u64) -> Table {
                 let island = IslandId(z * islands_per_zone + i);
                 h.register_island(ZoneId(z), island, IslandKind::GeneralPurpose);
                 for e in 0..entities_per_island {
-                    let entity =
-                        EntityId((island.0 as u32) * entities_per_island + e);
+                    let entity = EntityId((island.0 as u32) * entities_per_island + e);
                     h.register_entity(ZoneId(z), entity, island, e as u64);
                     all_entities.push((ZoneId(z), entity));
                 }
@@ -849,7 +906,11 @@ pub fn extension_s1(seed: u64) -> Table {
             h.handle(
                 Nanos::ZERO,
                 origin,
-                CoordMsg::Tune { entity, delta: 1, target: None },
+                CoordMsg::Tune {
+                    entity,
+                    delta: 1,
+                    target: None,
+                },
             );
         }
         let max_zone_load = (0..zones)
@@ -938,7 +999,14 @@ pub fn reliability_r1(cx: &mut Runner, seed: u64) -> Table {
     let mut b = 0.0;
     for s in seed..seed + R1_SEEDS {
         let none = FaultProfile::none();
-        b += mean_response_ms(&run_rubis_faulty(cx, PolicyKind::None, scenario, s, none, None));
+        b += mean_response_ms(&run_rubis_faulty(
+            cx,
+            PolicyKind::None,
+            scenario,
+            s,
+            none,
+            None,
+        ));
     }
     let b = b / n;
     for loss in [0.0, 0.05, 0.10, 0.20] {
@@ -994,7 +1062,9 @@ pub fn reliability_r2(cx: &mut Runner, seed: u64) -> Table {
     let faults = FaultProfile::none()
         .with_drop(0.10)
         .with_dup(0.05)
-        .with_jitter(Jitter::Exponential { mean: Nanos::from_micros(20) });
+        .with_jitter(Jitter::Exponential {
+            mean: Nanos::from_micros(20),
+        });
     let mut t = Table::new(
         "R2 — delivery strategy under loss + jitter + duplication (RUBiS)",
         &[
@@ -1013,10 +1083,21 @@ pub fn reliability_r2(cx: &mut Runner, seed: u64) -> Table {
     let variants: [(&str, FaultProfile, Option<ReliableConfig>); 3] = [
         ("f&f, clean channel", FaultProfile::none(), None),
         ("f&f, faulty channel", faults, None),
-        ("ack/retry, faulty channel", faults, Some(ReliableConfig::default())),
+        (
+            "ack/retry, faulty channel",
+            faults,
+            Some(ReliableConfig::default()),
+        ),
     ];
     for (name, profile, reliable) in variants {
-        let r = run_rubis_faulty(cx, PolicyKind::RequestType, scenario, seed, profile, reliable);
+        let r = run_rubis_faulty(
+            cx,
+            PolicyKind::RequestType,
+            scenario,
+            seed,
+            profile,
+            reliable,
+        );
         t.row_owned(vec![
             name.to_owned(),
             fmt(mean_response_ms(&r)),
@@ -1121,8 +1202,7 @@ pub fn anarchy_a1(cx: &mut Runner, seed: u64) -> Table {
         let advs = adversary_mix(n);
         // The cooperative counterfactual: same tenant count, all honest
         // (free-riders consume CPU but send nothing).
-        let well_behaved: Vec<AdversarySpec> =
-            (0..n).map(|_| AdversarySpec::free_ride()).collect();
+        let well_behaved: Vec<AdversarySpec> = (0..n).map(|_| AdversarySpec::free_ride()).collect();
         let (mut load, mut nc, mut co, mut de) = (0.0, 0.0, 0.0, 0.0);
         let (mut throttled, mut discounted) = (0u64, 0u64);
         for s in seed..seed + A1_SEEDS {
@@ -1213,13 +1293,23 @@ pub fn inference_i1(cx: &mut Runner, seed: u64) -> Table {
     );
     let secs = |r: &RunReport| r.duration.as_secs_f64().max(1e-9);
     for tb in &base.accel.tenants {
-        let Some(tc) = coord.accel.tenant(&tb.name) else { continue };
+        let Some(tc) = coord.accel.tenant(&tb.name) else {
+            continue;
+        };
         let p99b = base.rubis.responses.percentile(&tb.name, 0.99);
         let p99c = coord.rubis.responses.percentile(&tb.name, 0.99);
-        let pct = if p99b > 0.0 { (p99c / p99b - 1.0) * 100.0 } else { 0.0 };
+        let pct = if p99b > 0.0 {
+            (p99c / p99b - 1.0) * 100.0
+        } else {
+            0.0
+        };
         t.row_owned(vec![
             tb.name.clone(),
-            if tb.latency_sensitive { "latency".into() } else { "throughput".into() },
+            if tb.latency_sensitive {
+                "latency".into()
+            } else {
+                "throughput".into()
+            },
             format!("{p99b:.1}"),
             format!("{p99c:.1}"),
             format!("{pct:+.1}"),
@@ -1246,10 +1336,16 @@ pub fn inference_i2(cx: &mut Runner, seed: u64) -> Table {
         &["Metric", "no-coord", "coord-trigger", "% change"],
     );
     let pct = |b: f64, c: f64| {
-        if b.abs() > 1e-12 { format!("{:+.2}", (c / b - 1.0) * 100.0) } else { "0.00".into() }
+        if b.abs() > 1e-12 {
+            format!("{:+.2}", (c / b - 1.0) * 100.0)
+        } else {
+            "0.00".into()
+        }
     };
     for tb in &base.accel.tenants {
-        let Some(tc) = coord.accel.tenant(&tb.name) else { continue };
+        let Some(tc) = coord.accel.tenant(&tb.name) else {
+            continue;
+        };
         let (qb, qc) = (tb.queue_p99_ms, tc.queue_p99_ms);
         t.row_owned(vec![
             format!("{} queue p99 ms", tb.name),
@@ -1472,7 +1568,13 @@ pub fn energy_e1(cx: &mut Runner, seed: u64) -> Table {
     );
     row(
         "coordinated energy",
-        energy_arm(cx, scenario, seed, EnergyConfig::coordinated(E_TARGET_MS), None),
+        energy_arm(
+            cx,
+            scenario,
+            seed,
+            EnergyConfig::coordinated(E_TARGET_MS),
+            None,
+        ),
     );
     t
 }
@@ -1525,19 +1627,43 @@ pub fn energy_e2(cx: &mut Runner, seed: u64) -> Table {
     row("frozen (all knobs pinned)", frozen);
     row(
         "dvfs only",
-        energy_arm(cx, scenario, seed, EnergyConfig::dvfs_only(E_TARGET_MS), None),
+        energy_arm(
+            cx,
+            scenario,
+            seed,
+            EnergyConfig::dvfs_only(E_TARGET_MS),
+            None,
+        ),
     );
     row(
         "cache ways only",
-        energy_arm(cx, scenario, seed, EnergyConfig::cache_only(E_TARGET_MS), None),
+        energy_arm(
+            cx,
+            scenario,
+            seed,
+            EnergyConfig::cache_only(E_TARGET_MS),
+            None,
+        ),
     );
     row(
         "membw share only",
-        energy_arm(cx, scenario, seed, EnergyConfig::membw_only(E_TARGET_MS), None),
+        energy_arm(
+            cx,
+            scenario,
+            seed,
+            EnergyConfig::membw_only(E_TARGET_MS),
+            None,
+        ),
     );
     row(
         "coordinated (all three)",
-        energy_arm(cx, scenario, seed, EnergyConfig::coordinated(E_TARGET_MS), None),
+        energy_arm(
+            cx,
+            scenario,
+            seed,
+            EnergyConfig::coordinated(E_TARGET_MS),
+            None,
+        ),
     );
     t
 }
@@ -1578,7 +1704,13 @@ fn fleet_plans(shards: u16) -> Vec<ShardPlan> {
 /// uniform at 48 concurrent sessions per shard (clamped to 8..=96), a
 /// rebalance corrects half the pressure imbalance per round, and every
 /// coordination round waits 2 ms for envelopes before acting.
-pub fn fleet_cfg(seed: u64, shards: u16, depth: u8, bus: BusConfig, coordinated: bool) -> FleetConfig {
+pub fn fleet_cfg(
+    seed: u64,
+    shards: u16,
+    depth: u8,
+    bus: BusConfig,
+    coordinated: bool,
+) -> FleetConfig {
     FleetConfig {
         topo: FleetTopology::new(shards, depth, 4),
         bus,
@@ -1646,7 +1778,11 @@ fn f1_buses(base_latency: Nanos) -> Vec<(&'static str, BusConfig)> {
         fault: FaultProfile::none().with_drop(0.25),
         reliable: reliable(slow_lat),
     };
-    vec![("fast 100us", fast), ("slow 3ms", slow), ("lossy 3ms/25%", lossy)]
+    vec![
+        ("fast 100us", fast),
+        ("slow 3ms", slow),
+        ("lossy 3ms/25%", lossy),
+    ]
 }
 
 /// F1: fleet-scale coordination benefit vs tree depth × cross-node bus
@@ -1682,14 +1818,24 @@ pub fn fleet_f1(cx: &mut Runner, seed: u64) -> Table {
     );
     let base = run_fleet(
         cx,
-        fleet_cfg(seed, shards, 1, BusConfig::perfect(Nanos::from_micros(100)), false),
+        fleet_cfg(
+            seed,
+            shards,
+            1,
+            BusConfig::perfect(Nanos::from_micros(100)),
+            false,
+        ),
         F1_SLICES,
         F1_SLICE_SECS,
         jobs,
     );
     let mut row = |bus: &str, depth: &str, arm: &str, r: &FleetReport| {
         let (offered, admitted, _) = r.sessions();
-        let adm = if offered > 0 { admitted as f64 * 100.0 / offered as f64 } else { 0.0 };
+        let adm = if offered > 0 {
+            admitted as f64 * 100.0 / offered as f64
+        } else {
+            0.0
+        };
         let vs = if base.mean_ms() > 0.0 {
             (r.mean_ms() / base.mean_ms() - 1.0) * 100.0
         } else {
@@ -1697,8 +1843,11 @@ pub fn fleet_f1(cx: &mut Runner, seed: u64) -> Table {
         };
         let delivered = r.fleet_bus.delivered + r.rack_bus.delivered;
         let late = r.fleet_bus.late + r.rack_bus.late;
-        let late_pct =
-            if delivered > 0 { late as f64 * 100.0 / delivered as f64 } else { 0.0 };
+        let late_pct = if delivered > 0 {
+            late as f64 * 100.0 / delivered as f64
+        } else {
+            0.0
+        };
         t.row_owned(vec![
             bus.to_owned(),
             depth.to_owned(),
@@ -1749,7 +1898,15 @@ pub fn fleet_f2(cx: &mut Runner, seed: u64) -> Table {
     let cfg = fleet_cfg(seed, shards, 2, bus, true);
     let mut t = Table::new(
         "F2 — N-shard replay bit-identity across thread counts",
-        &["run", "shards", "depth", "events", "completed", "digest", "matches jobs=1"],
+        &[
+            "run",
+            "shards",
+            "depth",
+            "events",
+            "completed",
+            "digest",
+            "matches jobs=1",
+        ],
     );
     let runs = [("jobs=1", 1usize), ("jobs=4", 4), ("replay jobs=1", 1)];
     let mut first: Option<u64> = None;
@@ -1795,7 +1952,12 @@ impl Experiment {
     /// Runs the unit and pairs each table with its slug.
     pub fn tables(&self, cx: &mut Runner, seed: u64) -> Vec<(&'static str, Table)> {
         let tables = (self.run)(cx, seed);
-        assert_eq!(tables.len(), self.slugs.len(), "{}: one table per slug", self.id);
+        assert_eq!(
+            tables.len(),
+            self.slugs.len(),
+            "{}: one table per slug",
+            self.id
+        );
         self.slugs.iter().copied().zip(tables).collect()
     }
 }
@@ -1850,11 +2012,23 @@ pub const EXPERIMENTS: &[Experiment] = &[
     one!("a6_accounting_mode", None, &["ablations"], ablation_a6),
     one!("a1_price_of_anarchy", Some("a1"), &[], anarchy_a1),
     one!("p1_power_capping", None, &["extensions"], extension_p1),
-    one!("s1_fabric_scalability", None, &["extensions"], |_, seed| extension_s1(seed)),
+    one!("s1_fabric_scalability", None, &["extensions"], |_, seed| {
+        extension_s1(seed)
+    }),
     one!("r1_loss_sweep", None, &[], reliability_r1),
     one!("r2_reliability", None, &[], reliability_r2),
-    one!("i1_inference_batching", Some("i1"), &["inference"], inference_i1),
-    one!("i2_batch_preemption", Some("i2"), &["inference"], inference_i2),
+    one!(
+        "i1_inference_batching",
+        Some("i1"),
+        &["inference"],
+        inference_i1
+    ),
+    one!(
+        "i2_batch_preemption",
+        Some("i2"),
+        &["inference"],
+        inference_i2
+    ),
     one!("e1_energy_qos", Some("e1"), &["energy"], energy_e1),
     one!("e2_energy_ablation", Some("e2"), &["energy"], energy_e2),
     one!("f1_fleet_scale", Some("f1"), &["fleet"], fleet_f1),
@@ -1932,7 +2106,12 @@ mod tests {
     #[test]
     fn fig2_rows_have_ordered_summary_statistics() {
         let mut cx = Runner::new();
-        let r = run_rubis(&mut cx, PolicyKind::None, RubisScenario::read_write_mix(24), SEED);
+        let r = run_rubis(
+            &mut cx,
+            PolicyKind::None,
+            RubisScenario::read_write_mix(24),
+            SEED,
+        );
         let t = fig2(&r);
         assert!(!t.is_empty(), "fig2 reports at least one request type");
         for row in csv_rows(&t) {

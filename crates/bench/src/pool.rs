@@ -55,7 +55,10 @@ pub fn take_flag<T: std::str::FromStr>(
             i += 1;
             continue;
         };
-        value = Some(raw.parse().map_err(|_| format!("{name}: cannot parse '{raw}'"))?);
+        value = Some(
+            raw.parse()
+                .map_err(|_| format!("{name}: cannot parse '{raw}'"))?,
+        );
     }
     Ok(value)
 }
@@ -77,8 +80,7 @@ where
     if jobs <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let slots: Vec<Mutex<Option<T>>> =
-        items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     // Each slot holds the item's result or the panic payload `f` died
     // with. A worker panic used to poison its result mutex and surface
     // at the merge as `PoisonError` on `into_inner().unwrap()` — masking
@@ -87,8 +89,7 @@ where
     // here: a failed item's slot stays `None` and is never read as a
     // result).
     type Caught = Box<dyn std::any::Any + Send>;
-    let results: Vec<Mutex<Option<Result<U, Caught>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<Result<U, Caught>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(n) {
@@ -98,8 +99,7 @@ where
                     break;
                 }
                 let item = slots[i].lock().unwrap().take().expect("item claimed once");
-                let out =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
                 *results[i].lock().unwrap() = Some(out);
             });
         }
@@ -181,8 +181,10 @@ mod tests {
 
     #[test]
     fn jobs_flag_parsing() {
-        let mut args: Vec<String> =
-            ["a", "--jobs", "3", "b"].iter().map(|s| s.to_string()).collect();
+        let mut args: Vec<String> = ["a", "--jobs", "3", "b"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert_eq!(take_jobs_flag(&mut args), Ok(3));
         assert_eq!(args, ["a", "b"]);
         let mut args: Vec<String> = ["--jobs=5"].iter().map(|s| s.to_string()).collect();
@@ -192,21 +194,30 @@ mod tests {
         assert_eq!(take_jobs_flag(&mut args), Ok(1), "zero clamps to one");
         for bad in [&["--jobs=two"][..], &["--jobs", "-1"], &["all", "--jobs"]] {
             let mut args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(take_jobs_flag(&mut args).is_err(), "{bad:?} must be rejected");
+            assert!(
+                take_jobs_flag(&mut args).is_err(),
+                "{bad:?} must be rejected"
+            );
         }
     }
 
     #[test]
     fn shards_flag_parsing() {
-        let mut args: Vec<String> =
-            ["fleet", "--shards", "4"].iter().map(|s| s.to_string()).collect();
+        let mut args: Vec<String> = ["fleet", "--shards", "4"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert_eq!(take_flag::<u16>(&mut args, "--shards"), Ok(Some(4)));
         assert_eq!(args, ["fleet"]);
         let mut args: Vec<String> = ["--shards=16"].iter().map(|s| s.to_string()).collect();
         assert_eq!(take_flag::<u16>(&mut args, "--shards"), Ok(Some(16)));
         assert!(args.is_empty());
         let mut args: Vec<String> = ["fleet"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_flag::<u16>(&mut args, "--shards"), Ok(None), "default is no override");
+        assert_eq!(
+            take_flag::<u16>(&mut args, "--shards"),
+            Ok(None),
+            "default is no override"
+        );
         // `--shardsx=3` is not the flag; it is left for the caller.
         let mut args: Vec<String> = ["--shardsx=3"].iter().map(|s| s.to_string()).collect();
         assert_eq!(take_flag::<u16>(&mut args, "--shards"), Ok(None));

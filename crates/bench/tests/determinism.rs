@@ -39,7 +39,10 @@ fn render(units: &[bench::UnitOutput]) -> String {
 /// A ledger's deterministic part: per-island events and each fleet's
 /// canonical report (wall time excluded).
 fn exact(ledger: &RunLedger) -> (IslandEvents, Vec<String>) {
-    (ledger.islands, ledger.fleets.iter().map(|f| f.canonical()).collect())
+    (
+        ledger.islands,
+        ledger.fleets.iter().map(|f| f.canonical()).collect(),
+    )
 }
 
 #[test]
@@ -62,7 +65,11 @@ fn serial_and_parallel_experiments_are_byte_identical() {
         for ((unit, _, s), (punit, _, p)) in serial_units.into_iter().zip(parallel_units) {
             let id = unit.id;
             assert_eq!(id, punit.id, "seed {seed}: submission order");
-            assert_eq!(exact(&s), exact(&p), "seed {seed}: {id}'s ledger moved under --jobs 4");
+            assert_eq!(
+                exact(&s),
+                exact(&p),
+                "seed {seed}: {id}'s ledger moved under --jobs 4"
+            );
             merged.merge(p);
         }
         // ... and their merge is the whole pass run through one runner.
@@ -70,8 +77,15 @@ fn serial_and_parallel_experiments_are_byte_identical() {
         for unit in &units {
             unit.tables(&mut whole, seed);
         }
-        assert_eq!(exact(&merged), exact(&whole.ledger), "seed {seed}: merged totals");
-        assert!(merged.events() > 0 && merged.fleets.len() == 13, "seed {seed}");
+        assert_eq!(
+            exact(&merged),
+            exact(&whole.ledger),
+            "seed {seed}: merged totals"
+        );
+        assert!(
+            merged.events() > 0 && merged.fleets.len() == 13,
+            "seed {seed}"
+        );
     }
 }
 
@@ -109,25 +123,34 @@ fn chaos_none_is_bit_identical_to_a_chaos_free_build() {
     let dur = Nanos::from_secs(2);
     for seed in [bench::SEED, 7, 1234] {
         let rubis = |chaos: Option<ChaosPlan>| {
-            let mut b = PlatformBuilder::new().seed(seed).policy(PolicyKind::RequestType);
+            let mut b = PlatformBuilder::new()
+                .seed(seed)
+                .policy(PolicyKind::RequestType);
             if let Some(plan) = chaos {
                 b = b.chaos(plan);
             }
             fingerprint(&b.build_rubis(RubisScenario::read_write_mix(8)).run(dur))
         };
         let mplayer = |chaos: Option<ChaosPlan>| {
-            let mut b = PlatformBuilder::new().seed(seed).policy(PolicyKind::BufferTrigger);
+            let mut b = PlatformBuilder::new()
+                .seed(seed)
+                .policy(PolicyKind::BufferTrigger);
             if let Some(plan) = chaos {
                 b = b.chaos(plan);
             }
             fingerprint(&b.build_mplayer(MplayerScenario::trigger_setup()).run(dur))
         };
         let inference = |chaos: Option<ChaosPlan>| {
-            let mut b = PlatformBuilder::new().seed(seed).policy(PolicyKind::InferenceBatch);
+            let mut b = PlatformBuilder::new()
+                .seed(seed)
+                .policy(PolicyKind::InferenceBatch);
             if let Some(plan) = chaos {
                 b = b.chaos(plan);
             }
-            fingerprint(&b.build_inference(InferenceScenario::mixed_tenants()).run(dur))
+            fingerprint(
+                &b.build_inference(InferenceScenario::mixed_tenants())
+                    .run(dur),
+            )
         };
         assert_eq!(
             rubis(None),
@@ -162,7 +185,9 @@ fn drive_conformant<C: simcore::Component>(name: &str, c: &mut C, max_steps: usi
     let mut out = Vec::new();
     let mut events = 0;
     for _ in 0..max_steps {
-        let Some(t) = Component::next_event_time(c) else { break };
+        let Some(t) = Component::next_event_time(c) else {
+            break;
+        };
         let returned = Component::advance(c, t, &mut out);
         events += out.len();
         out.clear();
@@ -215,7 +240,15 @@ fn every_island_component_keeps_a_monotone_horizon() {
     // x86 island: the PCIe link's DMA + notification pipeline.
     let mut link = pcie::HostLink::new(pcie::LinkConfig::default());
     for i in 0..20u64 {
-        let pkt = Packet::new(i, 1, 1500, AppTag::Http { class_id: 0, write: false });
+        let pkt = Packet::new(
+            i,
+            1,
+            1500,
+            AppTag::Http {
+                class_id: 0,
+                write: false,
+            },
+        );
         link.post_to_host(Nanos::from_micros(i), ixp::FlowId(0), pkt);
     }
     assert!(drive_conformant("link", &mut link, 1_000) > 0);
@@ -233,7 +266,11 @@ fn every_island_component_keeps_a_monotone_horizon() {
     for i in 0..4u32 {
         tx.send(
             Nanos::from_micros(i as u64),
-            coord::CoordMsg::Tune { entity: coord::EntityId(i), delta: 1, target: None },
+            coord::CoordMsg::Tune {
+                entity: coord::EntityId(i),
+                delta: 1,
+                target: None,
+            },
         );
     }
     drive_conformant("retx", &mut tx, 1_000);
@@ -245,7 +282,15 @@ fn every_island_component_keeps_a_monotone_horizon() {
     for i in 0..30u64 {
         island.rx_from_wire(
             Nanos::from_micros(i * 2),
-            Packet::new(i, 1, 1000, AppTag::Http { class_id: 0, write: false }),
+            Packet::new(
+                i,
+                1,
+                1000,
+                AppTag::Http {
+                    class_id: 0,
+                    write: false,
+                },
+            ),
         );
     }
     assert!(drive_conformant("ixp", &mut island, 10_000) > 0);
@@ -259,7 +304,12 @@ fn every_island_component_keeps_a_monotone_horizon() {
     for i in 0..20u64 {
         isl.submit(
             Nanos::ZERO,
-            accel::AccelRequest { id: i, tenant: t0, cost: Nanos::from_micros(300), bytes: 4096 },
+            accel::AccelRequest {
+                id: i,
+                tenant: t0,
+                cost: Nanos::from_micros(300),
+                bytes: 4096,
+            },
         );
     }
     assert!(drive_conformant("accel", &mut isl, 10_000) > 0);
@@ -287,14 +337,18 @@ fn same_seed_runs_replay_identically() {
     let faulty = FaultProfile::none()
         .with_drop(0.10)
         .with_dup(0.05)
-        .with_jitter(Jitter::Exponential { mean: Nanos::from_micros(20) });
+        .with_jitter(Jitter::Exponential {
+            mean: Nanos::from_micros(20),
+        });
     for seed in [bench::SEED, 7, 1234] {
         for faults in [None, Some(faulty)] {
             for chaos in [None, Some(ChaosPlan::seeded(seed, 6))] {
                 let builder = |policy| {
                     let mut b = PlatformBuilder::new().seed(seed).policy(policy);
                     if let Some(profile) = faults {
-                        b = b.fault_profile(profile).reliable_delivery(ReliableConfig::default());
+                        b = b
+                            .fault_profile(profile)
+                            .reliable_delivery(ReliableConfig::default());
                     }
                     if let Some(plan) = chaos.clone() {
                         b = b.chaos(plan);
@@ -314,7 +368,11 @@ fn same_seed_runs_replay_identically() {
                     chaos.is_some()
                 );
                 let first = run_surface(build_rubis(), dur);
-                assert_eq!(first, run_surface(build_rubis(), dur), "rubis replay diverged ({ctx})");
+                assert_eq!(
+                    first,
+                    run_surface(build_rubis(), dur),
+                    "rubis replay diverged ({ctx})"
+                );
                 let first = run_surface(build_inference(), dur);
                 assert_eq!(
                     first,
@@ -352,12 +410,19 @@ fn registry_names_are_unique_and_unknown_names_are_rejected() {
         assert_ne!(pair[0], pair[1], "`{}` names two things", pair[0]);
     }
     for reserved in ["all", "list"] {
-        assert!(!names.contains(&reserved), "`{reserved}` is a command, not a unit");
+        assert!(
+            !names.contains(&reserved),
+            "`{reserved}` is a command, not a unit"
+        );
     }
     for name in names {
         let units = bench::select(name).unwrap_or_else(|| panic!("`{name}` selects nothing"));
         let group = units.iter().all(|e| e.groups.contains(&name));
-        assert!(group || units.len() == 1, "`{name}` selects {} units", units.len());
+        assert!(
+            group || units.len() == 1,
+            "`{name}` selects {} units",
+            units.len()
+        );
     }
     assert!(bench::select("no_such_experiment").is_none());
 }

@@ -243,9 +243,7 @@ impl EnergyController {
             self.violations += 1;
         }
         self.osc.observe(now, violating);
-        if now < self.last_decision + self.cfg.decision_period
-            && !self.last_decision.is_zero()
-        {
+        if now < self.last_decision + self.cfg.decision_period && !self.last_decision.is_zero() {
             return None;
         }
         if now < self.frozen_until {
@@ -283,7 +281,10 @@ impl EnergyController {
         self.backoffs += 1;
         self.last_decision = now;
         self.last_stepped = Some(axis);
-        Some(KnobSetting { axis, rung: self.point.rung(axis) })
+        Some(KnobSetting {
+            axis,
+            rung: self.point.rung(axis),
+        })
     }
 
     /// Deepens the next axis (round-robin) that still has rungs left.
@@ -298,7 +299,10 @@ impl EnergyController {
                 self.descents += 1;
                 self.last_decision = now;
                 self.last_stepped = Some(axis);
-                return Some(KnobSetting { axis, rung: self.point.rung(axis) });
+                return Some(KnobSetting {
+                    axis,
+                    rung: self.point.rung(axis),
+                });
             }
         }
         None
@@ -338,7 +342,14 @@ mod tests {
         assert_eq!(s1.axis, KnobAxis::Dvfs);
         assert_eq!(s2.axis, KnobAxis::CacheWays);
         assert_eq!(s3.axis, KnobAxis::MembwShare);
-        assert_eq!(c.point(), KnobPoint { dvfs: 1, ways: 1, membw: 1 });
+        assert_eq!(
+            c.point(),
+            KnobPoint {
+                dvfs: 1,
+                ways: 1,
+                membw: 1
+            }
+        );
         assert_eq!(c.descents(), 3);
     }
 
@@ -347,7 +358,13 @@ mod tests {
         let mut c = EnergyController::new(cfg(400.0));
         c.observe(Nanos::from_secs(1), 100.0); // dvfs → 1
         let s = c.observe(Nanos::from_secs(2), 500.0).unwrap();
-        assert_eq!(s, KnobSetting { axis: KnobAxis::Dvfs, rung: 0 });
+        assert_eq!(
+            s,
+            KnobSetting {
+                axis: KnobAxis::Dvfs,
+                rung: 0
+            }
+        );
         assert_eq!(c.violations(), 1);
         assert_eq!(c.backoffs(), 1);
     }

@@ -71,8 +71,8 @@
 mod controller;
 mod energy;
 mod entity;
-pub mod hierarchy;
 mod error;
+pub mod hierarchy;
 mod island;
 mod limits;
 mod msg;
@@ -81,9 +81,7 @@ mod reliable;
 pub mod wire;
 
 pub use controller::{Action, Controller, ControllerStats};
-pub use energy::{
-    EnergyController, EnergyControllerConfig, KnobAxis, KnobPoint, KnobSetting,
-};
+pub use energy::{EnergyController, EnergyControllerConfig, KnobAxis, KnobPoint, KnobSetting};
 pub use entity::{EntityId, Registry};
 pub use error::CoordError;
 pub use island::{IslandId, IslandKind, ResourceManager};

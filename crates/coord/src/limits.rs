@@ -46,7 +46,10 @@ impl TokenBucket {
     /// # Panics
     /// Panics if `rate_per_sec` or `burst` is not positive.
     pub fn new(rate_per_sec: f64, burst: f64) -> Self {
-        assert!(rate_per_sec > 0.0 && burst > 0.0, "rate and burst must be positive");
+        assert!(
+            rate_per_sec > 0.0 && burst > 0.0,
+            "rate and burst must be positive"
+        );
         TokenBucket {
             rate_per_sec,
             burst,
@@ -155,7 +158,10 @@ impl OscillationDetector {
         // Count instead of evicting: queries take `&self`, and the stale
         // entries are cheap to skip (they are bounded by one burst and are
         // physically evicted on the next `observe`).
-        self.flips.iter().filter(|&&f| f + self.window >= now).count() as u32
+        self.flips
+            .iter()
+            .filter(|&&f| f + self.window >= now)
+            .count() as u32
     }
 }
 
@@ -264,7 +270,10 @@ impl EntityPolicer {
         // the first message.
         let _ = TokenBucket::new(cfg.tune_rate_per_sec, cfg.tune_burst);
         let _ = TokenBucket::new(cfg.trigger_rate_per_sec, cfg.trigger_burst);
-        EntityPolicer { cfg, meters: BTreeMap::new() }
+        EntityPolicer {
+            cfg,
+            meters: BTreeMap::new(),
+        }
     }
 
     /// The active configuration.
@@ -333,15 +342,16 @@ impl EntityPolicer {
     pub fn reputation(&self, entity: EntityId) -> f64 {
         let cap = self.cfg.displacement_cap.max(1);
         self.meters.get(&entity.0).map_or(1.0, |m| {
-            let used =
-                m.stats.net_applied.unsigned_abs().min(cap as u64) as f64 / cap as f64;
+            let used = m.stats.net_applied.unsigned_abs().min(cap as u64) as f64 / cap as f64;
             1.0 - used * used
         })
     }
 
     /// Per-entity counters (zero if the entity was never seen).
     pub fn stats_for(&self, entity: EntityId) -> MeterStats {
-        self.meters.get(&entity.0).map_or_else(MeterStats::default, |m| m.stats)
+        self.meters
+            .get(&entity.0)
+            .map_or_else(MeterStats::default, |m| m.stats)
     }
 
     /// Counters summed across every entity (net displacements included,
@@ -411,7 +421,10 @@ mod tests {
         let mut d = OscillationDetector::new(Nanos::from_secs(10), 1);
         d.observe(Nanos::from_millis(0), false);
         assert_eq!(d.observe(Nanos::from_millis(1), true), 1);
-        assert!(!d.is_oscillating(Nanos::from_millis(1)), "one flip is within threshold");
+        assert!(
+            !d.is_oscillating(Nanos::from_millis(1)),
+            "one flip is within threshold"
+        );
     }
 
     #[test]
@@ -500,7 +513,10 @@ mod tests {
                 admitted += 1;
             }
         }
-        assert!(admitted <= 4 + 2 * 10 + 1, "spam admitted {admitted} triggers");
+        assert!(
+            admitted <= 4 + 2 * 10 + 1,
+            "spam admitted {admitted} triggers"
+        );
         assert!(p.stats_for(e).throttled > 0);
         let s = p.stats_for(e);
         assert_eq!(s.admitted + s.throttled, 200);

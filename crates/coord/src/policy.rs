@@ -216,7 +216,6 @@ impl StreamQosPolicy {
         self.ixp_island = Some(ixp_island);
         self
     }
-
 }
 
 impl CoordinationPolicy for StreamQosPolicy {
@@ -294,7 +293,12 @@ impl BufferTriggerPolicy {
 
 impl CoordinationPolicy for BufferTriggerPolicy {
     fn observe(&mut self, now: Nanos, obs: &Observation, out: &mut Vec<CoordMsg>) {
-        let Observation::BufferLevel { entity, crossed: true, .. } = obs else {
+        let Observation::BufferLevel {
+            entity,
+            crossed: true,
+            ..
+        } = obs
+        else {
             return;
         };
         if self.bucket.try_take(now) {
@@ -351,7 +355,11 @@ impl InferenceBatchPolicy {
 
 impl CoordinationPolicy for InferenceBatchPolicy {
     fn observe(&mut self, _now: Nanos, obs: &Observation, out: &mut Vec<CoordMsg>) {
-        let Observation::InferenceArrival { entity, latency_sensitive } = obs else {
+        let Observation::InferenceArrival {
+            entity,
+            latency_sensitive,
+        } = obs
+        else {
             return;
         };
         match self.communicated.iter_mut().find(|(e, _)| e == entity) {
@@ -489,11 +497,17 @@ mod tests {
     const X86: IslandId = IslandId(0);
 
     fn read_req() -> Observation {
-        Observation::Request { class_id: 1, write: false }
+        Observation::Request {
+            class_id: 1,
+            write: false,
+        }
     }
 
     fn write_req() -> Observation {
-        Observation::Request { class_id: 11, write: true }
+        Observation::Request {
+            class_id: 11,
+            write: true,
+        }
     }
 
     #[test]
@@ -508,8 +522,16 @@ mod tests {
         let mut p = RequestTypePolicy::new(WEB, APP, DB, X86);
         let msgs = p.observe_vec(Nanos::ZERO, &read_req());
         // From base 256: web +512 → 768, app +512 → 768, db stays (lo=256).
-        assert!(msgs.contains(&CoordMsg::Tune { entity: WEB, delta: 512, target: Some(X86) }));
-        assert!(msgs.contains(&CoordMsg::Tune { entity: APP, delta: 512, target: Some(X86) }));
+        assert!(msgs.contains(&CoordMsg::Tune {
+            entity: WEB,
+            delta: 512,
+            target: Some(X86)
+        }));
+        assert!(msgs.contains(&CoordMsg::Tune {
+            entity: APP,
+            delta: 512,
+            target: Some(X86)
+        }));
         assert_eq!(p.communicated(), [768, 768, 256]);
     }
 
@@ -517,7 +539,11 @@ mod tests {
     fn write_request_enters_write_regime() {
         let mut p = RequestTypePolicy::new(WEB, APP, DB, X86);
         let msgs = p.observe_vec(Nanos::ZERO, &write_req());
-        assert!(msgs.contains(&CoordMsg::Tune { entity: DB, delta: 512, target: Some(X86) }));
+        assert!(msgs.contains(&CoordMsg::Tune {
+            entity: DB,
+            delta: 512,
+            target: Some(X86)
+        }));
         // Web stays at base in the write regime (the paper never lowers it).
         assert_eq!(p.communicated(), [256, 768, 768]);
     }
@@ -539,46 +565,98 @@ mod tests {
     #[test]
     fn non_request_observations_ignored() {
         let mut p = RequestTypePolicy::new(WEB, APP, DB, X86);
-        let obs = Observation::BufferLevel { entity: WEB, bytes: 1, crossed: true };
+        let obs = Observation::BufferLevel {
+            entity: WEB,
+            bytes: 1,
+            crossed: true,
+        };
         assert!(p.observe_vec(Nanos::ZERO, &obs).is_empty());
     }
 
     #[test]
     fn stream_qos_raises_high_rate_lowers_low_rate() {
         let mut p = StreamQosPolicy::new(X86, 500);
-        let hi = Observation::StreamInfo { entity: WEB, kbps: 1000, fps: 25 };
-        let lo = Observation::StreamInfo { entity: APP, kbps: 300, fps: 20 };
+        let hi = Observation::StreamInfo {
+            entity: WEB,
+            kbps: 1000,
+            fps: 25,
+        };
+        let lo = Observation::StreamInfo {
+            entity: APP,
+            kbps: 300,
+            fps: 20,
+        };
         let m1 = p.observe_vec(Nanos::ZERO, &hi);
-        assert_eq!(m1, vec![CoordMsg::Tune { entity: WEB, delta: 128, target: Some(X86) }]);
+        assert_eq!(
+            m1,
+            vec![CoordMsg::Tune {
+                entity: WEB,
+                delta: 128,
+                target: Some(X86)
+            }]
+        );
         let m2 = p.observe_vec(Nanos::ZERO, &lo);
-        assert_eq!(m2, vec![CoordMsg::Tune { entity: APP, delta: -64, target: Some(X86) }]);
+        assert_eq!(
+            m2,
+            vec![CoordMsg::Tune {
+                entity: APP,
+                delta: -64,
+                target: Some(X86)
+            }]
+        );
     }
 
     #[test]
     fn stream_qos_tandem_tunes_ixp_too() {
         let ixp = IslandId(1);
         let mut p = StreamQosPolicy::new(X86, 500).with_tandem_ixp(ixp);
-        let hi = Observation::StreamInfo { entity: WEB, kbps: 1000, fps: 25 };
+        let hi = Observation::StreamInfo {
+            entity: WEB,
+            kbps: 1000,
+            fps: 25,
+        };
         let msgs = p.observe_vec(Nanos::ZERO, &hi);
         assert_eq!(msgs.len(), 2);
-        assert!(msgs.contains(&CoordMsg::Tune { entity: WEB, delta: 2, target: Some(ixp) }));
+        assert!(msgs.contains(&CoordMsg::Tune {
+            entity: WEB,
+            delta: 2,
+            target: Some(ixp)
+        }));
     }
 
     #[test]
     fn buffer_trigger_fires_on_crossings_only() {
         let mut p = BufferTriggerPolicy::new(X86);
-        let quiet = Observation::BufferLevel { entity: WEB, bytes: 10, crossed: false };
+        let quiet = Observation::BufferLevel {
+            entity: WEB,
+            bytes: 10,
+            crossed: false,
+        };
         assert!(p.observe_vec(Nanos::ZERO, &quiet).is_empty());
-        let crossed = Observation::BufferLevel { entity: WEB, bytes: 1 << 17, crossed: true };
+        let crossed = Observation::BufferLevel {
+            entity: WEB,
+            bytes: 1 << 17,
+            crossed: true,
+        };
         let msgs = p.observe_vec(Nanos::ZERO, &crossed);
-        assert_eq!(msgs, vec![CoordMsg::Trigger { entity: WEB, target: Some(X86) }]);
+        assert_eq!(
+            msgs,
+            vec![CoordMsg::Trigger {
+                entity: WEB,
+                target: Some(X86)
+            }]
+        );
         assert_eq!(p.fired(), 1);
     }
 
     #[test]
     fn buffer_trigger_rate_limited() {
         let mut p = BufferTriggerPolicy::new(X86).with_rate_limit(1.0, 1.0);
-        let crossed = Observation::BufferLevel { entity: WEB, bytes: 1 << 17, crossed: true };
+        let crossed = Observation::BufferLevel {
+            entity: WEB,
+            bytes: 1 << 17,
+            crossed: true,
+        };
         assert_eq!(p.observe_vec(Nanos::ZERO, &crossed).len(), 1);
         assert_eq!(p.observe_vec(Nanos::from_millis(100), &crossed).len(), 0);
         assert_eq!(p.suppressed(), 1);
@@ -631,22 +709,42 @@ mod tests {
     fn stream_qos_custom_adjustments() {
         // The adjustments are the shipped constants, whatever the rates.
         let mut p = StreamQosPolicy::new(X86, 500);
-        let hi = Observation::StreamInfo { entity: WEB, kbps: 900, fps: 30 };
-        let lo = Observation::StreamInfo { entity: APP, kbps: 100, fps: 10 };
+        let hi = Observation::StreamInfo {
+            entity: WEB,
+            kbps: 900,
+            fps: 30,
+        };
+        let lo = Observation::StreamInfo {
+            entity: APP,
+            kbps: 100,
+            fps: 10,
+        };
         assert_eq!(
             p.observe_vec(Nanos::ZERO, &hi),
-            vec![CoordMsg::Tune { entity: WEB, delta: STREAM_RAISE, target: Some(X86) }]
+            vec![CoordMsg::Tune {
+                entity: WEB,
+                delta: STREAM_RAISE,
+                target: Some(X86)
+            }]
         );
         assert_eq!(
             p.observe_vec(Nanos::ZERO, &lo),
-            vec![CoordMsg::Tune { entity: APP, delta: STREAM_LOWER, target: Some(X86) }]
+            vec![CoordMsg::Tune {
+                entity: APP,
+                delta: STREAM_LOWER,
+                target: Some(X86)
+            }]
         );
     }
 
     #[test]
     fn stream_qos_threshold_is_inclusive() {
         let mut p = StreamQosPolicy::new(X86, 500);
-        let edge = Observation::StreamInfo { entity: WEB, kbps: 500, fps: 25 };
+        let edge = Observation::StreamInfo {
+            entity: WEB,
+            kbps: 500,
+            fps: 25,
+        };
         let msgs = p.observe_vec(Nanos::ZERO, &edge);
         assert!(matches!(msgs[0], CoordMsg::Tune { delta, .. } if delta > 0));
     }
@@ -668,27 +766,53 @@ mod tests {
 
     #[test]
     fn policies_ignore_foreign_observations() {
-        let buf = Observation::BufferLevel { entity: WEB, bytes: 1, crossed: true };
+        let buf = Observation::BufferLevel {
+            entity: WEB,
+            bytes: 1,
+            crossed: true,
+        };
         let req = read_req();
-        assert!(StreamQosPolicy::new(X86, 500).observe_vec(Nanos::ZERO, &buf).is_empty());
-        assert!(StreamQosPolicy::new(X86, 500).observe_vec(Nanos::ZERO, &req).is_empty());
-        assert!(BufferTriggerPolicy::new(X86).observe_vec(Nanos::ZERO, &req).is_empty());
-        assert!(HysteresisPolicy::new(WEB, APP, DB, X86).observe_vec(Nanos::ZERO, &buf).is_empty());
+        assert!(StreamQosPolicy::new(X86, 500)
+            .observe_vec(Nanos::ZERO, &buf)
+            .is_empty());
+        assert!(StreamQosPolicy::new(X86, 500)
+            .observe_vec(Nanos::ZERO, &req)
+            .is_empty());
+        assert!(BufferTriggerPolicy::new(X86)
+            .observe_vec(Nanos::ZERO, &req)
+            .is_empty());
+        assert!(HysteresisPolicy::new(WEB, APP, DB, X86)
+            .observe_vec(Nanos::ZERO, &buf)
+            .is_empty());
     }
 
     #[test]
     fn inference_batch_leans_once_per_tenant() {
         let accel = IslandId(2);
         let mut p = InferenceBatchPolicy::new(accel);
-        let chat = Observation::InferenceArrival { entity: WEB, latency_sensitive: true };
-        let rank = Observation::InferenceArrival { entity: APP, latency_sensitive: false };
+        let chat = Observation::InferenceArrival {
+            entity: WEB,
+            latency_sensitive: true,
+        };
+        let rank = Observation::InferenceArrival {
+            entity: APP,
+            latency_sensitive: false,
+        };
         assert_eq!(
             p.observe_vec(Nanos::ZERO, &chat),
-            vec![CoordMsg::Tune { entity: WEB, delta: -6, target: Some(accel) }]
+            vec![CoordMsg::Tune {
+                entity: WEB,
+                delta: -6,
+                target: Some(accel)
+            }]
         );
         assert_eq!(
             p.observe_vec(Nanos::ZERO, &rank),
-            vec![CoordMsg::Tune { entity: APP, delta: 6, target: Some(accel) }]
+            vec![CoordMsg::Tune {
+                entity: APP,
+                delta: 6,
+                target: Some(accel)
+            }]
         );
         // Steady classes cost no further channel traffic.
         for _ in 0..100 {
@@ -697,7 +821,10 @@ mod tests {
         }
         assert_eq!(p.communicated(), 2);
         // A tenant changing SLA class re-tunes.
-        let flipped = Observation::InferenceArrival { entity: WEB, latency_sensitive: false };
+        let flipped = Observation::InferenceArrival {
+            entity: WEB,
+            latency_sensitive: false,
+        };
         assert_eq!(p.observe_vec(Nanos::ZERO, &flipped).len(), 1);
         assert!(p.observe_vec(Nanos::ZERO, &read_req()).is_empty());
     }
@@ -706,20 +833,33 @@ mod tests {
     fn inference_batch_custom_leans() {
         // The leans are the shipped ±6, whichever island is the target.
         let mut p = InferenceBatchPolicy::new(X86);
-        let obs = Observation::InferenceArrival { entity: DB, latency_sensitive: false };
+        let obs = Observation::InferenceArrival {
+            entity: DB,
+            latency_sensitive: false,
+        };
         assert_eq!(
             p.observe_vec(Nanos::ZERO, &obs),
-            vec![CoordMsg::Tune { entity: DB, delta: INFERENCE_LEAN, target: Some(X86) }]
+            vec![CoordMsg::Tune {
+                entity: DB,
+                delta: INFERENCE_LEAN,
+                target: Some(X86)
+            }]
         );
     }
 
     #[test]
     fn policy_names_are_stable_report_keys() {
         assert_eq!(NullPolicy.name(), "no-coord");
-        assert_eq!(RequestTypePolicy::new(WEB, APP, DB, X86).name(), "coord-ixp-dom0");
+        assert_eq!(
+            RequestTypePolicy::new(WEB, APP, DB, X86).name(),
+            "coord-ixp-dom0"
+        );
         assert_eq!(StreamQosPolicy::new(X86, 1).name(), "stream-qos");
         assert_eq!(BufferTriggerPolicy::new(X86).name(), "buffer-trigger");
         assert_eq!(InferenceBatchPolicy::new(X86).name(), "inference-batch");
-        assert_eq!(HysteresisPolicy::new(WEB, APP, DB, X86).name(), "coord-hysteresis");
+        assert_eq!(
+            HysteresisPolicy::new(WEB, APP, DB, X86).name(),
+            "coord-hysteresis"
+        );
     }
 }

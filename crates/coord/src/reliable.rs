@@ -54,7 +54,11 @@ impl ReliableConfig {
     /// retransmissions.
     fn deadline(&self, now: Nanos, retries: u32) -> Nanos {
         let factor = self.backoff.max(1).saturating_pow(retries.min(16));
-        now + Nanos(self.ack_timeout.as_nanos().saturating_mul(u64::from(factor)))
+        now + Nanos(
+            self.ack_timeout
+                .as_nanos()
+                .saturating_mul(u64::from(factor)),
+        )
     }
 }
 
@@ -115,7 +119,14 @@ impl ReliableSender {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         let deadline = self.cfg.deadline(now, 0);
-        self.pending.insert(seq, Pending { msg, retries: 0, deadline });
+        self.pending.insert(
+            seq,
+            Pending {
+                msg,
+                retries: 0,
+                deadline,
+            },
+        );
         seq
     }
 
@@ -130,7 +141,14 @@ impl ReliableSender {
     /// the pending set. Every expired deadline counts one consecutive
     /// timeout toward the degraded threshold.
     pub fn on_timer(&mut self, now: Nanos, out: &mut Vec<(u32, CoordMsg)>) {
-        let ReliableSender { cfg, pending, consecutive_timeouts, degraded_since, stats, .. } = self;
+        let ReliableSender {
+            cfg,
+            pending,
+            consecutive_timeouts,
+            degraded_since,
+            stats,
+            ..
+        } = self;
         // `retain` visits in sequence order and each entry once, so a
         // deadline re-armed here is not fired again in this call.
         pending.retain(|&seq, p| {
@@ -257,7 +275,11 @@ mod tests {
     use crate::EntityId;
 
     fn tune(delta: i32) -> CoordMsg {
-        CoordMsg::Tune { entity: EntityId(1), delta, target: None }
+        CoordMsg::Tune {
+            entity: EntityId(1),
+            delta,
+            target: None,
+        }
     }
 
     fn cfg() -> ReliableConfig {
@@ -279,7 +301,13 @@ mod tests {
         let mut out = Vec::new();
         tx.on_timer(Nanos::from_secs(1), &mut out);
         assert!(out.is_empty());
-        assert_eq!(tx.stats(), SenderStats { acked: 1, ..Default::default() });
+        assert_eq!(
+            tx.stats(),
+            SenderStats {
+                acked: 1,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]

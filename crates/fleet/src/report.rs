@@ -210,7 +210,10 @@ mod tests {
         assert_eq!(r.total_events(), 1700);
         assert_eq!(r.sessions(), (150, 120, 30));
         assert!((r.throughput() - 20.0).abs() < 1e-9);
-        assert!((r.mean_ms() - 110.0).abs() < 1e-9, "completion-weighted mean");
+        assert!(
+            (r.mean_ms() - 110.0).abs() < 1e-9,
+            "completion-weighted mean"
+        );
     }
 
     #[test]

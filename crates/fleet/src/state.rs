@@ -53,7 +53,11 @@ impl FleetTopology {
         assert!(shards > 0, "need at least one shard");
         assert!(rack_size > 0, "need a positive rack size");
         assert!((1..=3).contains(&depth), "depth must be 1..=3");
-        FleetTopology { shards, depth, rack_size }
+        FleetTopology {
+            shards,
+            depth,
+            rack_size,
+        }
     }
 
     /// Number of racks.
@@ -218,7 +222,11 @@ fn distribute(delta: i64, member_caps: &[u32]) -> Vec<i64> {
 
 /// A `Tune` for `entity` by `delta`.
 fn tune(entity: usize, delta: i32) -> CoordMsg {
-    CoordMsg::Tune { entity: EntityId(entity as u32), delta, target: None }
+    CoordMsg::Tune {
+        entity: EntityId(entity as u32),
+        delta,
+        target: None,
+    }
 }
 
 /// A unit's pressure report to its parent, before it goes on the wire.
@@ -244,7 +252,14 @@ fn exchange(
     let start = bus.now();
     for r in reports {
         let msg = tune(r.unit as usize, quantize(r.pressure));
-        bus.send(NodeId(r.unit), &Envelope { lamport: r.lamport, source: NodeId(r.source), msg });
+        bus.send(
+            NodeId(r.unit),
+            &Envelope {
+                lamport: r.lamport,
+                source: NodeId(r.source),
+                msg,
+            },
+        );
     }
     let mut deliveries = Vec::new();
     bus.advance(start + window, &mut deliveries);
@@ -270,9 +285,15 @@ struct Span {
 }
 
 /// Every shard on its own.
-const SHARDS: Span = Span { stride: 1, width: 1 };
+const SHARDS: Span = Span {
+    stride: 1,
+    width: 1,
+};
 /// Node-group pairs, each named by its first shard.
-const PAIRS: Span = Span { stride: 1, width: 2 };
+const PAIRS: Span = Span {
+    stride: 1,
+    width: 2,
+};
 
 /// One shard's totals across absorbed slices.
 #[derive(Debug, Clone, Copy, Default)]
@@ -391,9 +412,8 @@ impl FleetState {
             .iter()
             .map(|plan| {
                 let s = plan.shard as usize;
-                let adm_seed = seed
-                    ^ 0xAD3A_0000
-                    ^ (plan.shard as u64).wrapping_mul(0x517C_C1B7_2722_0A95);
+                let adm_seed =
+                    seed ^ 0xAD3A_0000 ^ (plan.shard as u64).wrapping_mul(0x517C_C1B7_2722_0A95);
                 let adm = simulate_admission(plan.load, self.caps[s], duration, adm_seed);
                 let t = &mut self.totals[s];
                 t.offered += adm.offered;
@@ -444,16 +464,21 @@ impl FleetState {
         let mut stats = RoundStats::default();
 
         // Every shard stamps its pressure report.
-        let stamps: Vec<u64> =
-            self.shard_clocks.iter_mut().map(LamportClock::tick).collect();
+        let stamps: Vec<u64> = self
+            .shard_clocks
+            .iter_mut()
+            .map(LamportClock::tick)
+            .collect();
 
         // ---- Level 0: node-group pre-balance (depth 3) --------------
         let mut units: Vec<Report> = Vec::new();
         if topo.depth == 3 {
             for rep in (0..topo.shards).step_by(2) {
                 let members = self.members(PAIRS, rep);
-                let member_units: Vec<(u32, f64)> =
-                    members.clone().map(|m| (self.caps[m], pressures[m])).collect();
+                let member_units: Vec<(u32, f64)> = members
+                    .clone()
+                    .map(|m| (self.caps[m], pressures[m]))
+                    .collect();
                 let deltas = self.rebalance(&member_units);
                 let batch: Vec<ChildReport> = members
                     .clone()
@@ -470,23 +495,38 @@ impl FleetState {
                 // Residual: group pressure weighted by the rebalanced caps,
                 // under the rep's clock, which observes its partner first.
                 let pressure = weighted_mean(
-                    &members.clone().map(|m| (self.caps[m], pressures[m])).collect::<Vec<_>>(),
+                    &members
+                        .clone()
+                        .map(|m| (self.caps[m], pressures[m]))
+                        .collect::<Vec<_>>(),
                 );
                 let newest = members.map(|m| stamps[m]).max().unwrap_or(0);
                 let lamport = self.shard_clocks[rep as usize].observe(newest);
-                units.push(Report { unit: rep, lamport, source: rep, pressure });
+                units.push(Report {
+                    unit: rep,
+                    lamport,
+                    source: rep,
+                    pressure,
+                });
             }
         } else {
             for s in 0..topo.shards {
                 let (lamport, pressure) = (stamps[s as usize], pressures[s as usize]);
-                units.push(Report { unit: s, lamport, source: s, pressure });
+                units.push(Report {
+                    unit: s,
+                    lamport,
+                    source: s,
+                    pressure,
+                });
             }
         }
 
         // ---- Level 1: each rack over its intra-rack lanes (depth ≥ 2) --
         let racks = topo.racks();
-        let rack_deliveries =
-            self.rack_bus.as_mut().map(|bus| exchange(bus, round, window, &units, &mut stats));
+        let rack_deliveries = self
+            .rack_bus
+            .as_mut()
+            .map(|bus| exchange(bus, round, window, &units, &mut stats));
         if let Some(deliveries) = rack_deliveries {
             units.clear();
             for r in 0..racks {
@@ -494,7 +534,12 @@ impl FleetState {
                 if let Some(pressure) = self.stage(r, heard.map(|d| &d.envelope), &mut stats) {
                     let lamport = self.zone_clocks[r as usize].tick();
                     let source = topo.shards + r;
-                    units.push(Report { unit: r, lamport, source, pressure });
+                    units.push(Report {
+                        unit: r,
+                        lamport,
+                        source,
+                        pressure,
+                    });
                 }
             }
         }
@@ -530,7 +575,9 @@ impl FleetState {
         let root = zone == topo.racks();
         let mut latest: Vec<(&Envelope, u16, f64)> = Vec::new();
         for e in envelopes {
-            let Some((unit, pressure)) = reading(e) else { continue };
+            let Some((unit, pressure)) = reading(e) else {
+                continue;
+            };
             match latest.iter_mut().find(|l| l.1 == unit) {
                 Some(l) if l.0.key() < e.key() => *l = (e, unit, pressure),
                 Some(_) => {}
@@ -542,10 +589,16 @@ impl FleetState {
         self.zone_clocks[zone as usize].observe(newest);
         let span = match (root, topo.depth) {
             (false, 3) => PAIRS,
-            (true, 2..) => Span { stride: topo.rack_size, width: topo.rack_size },
+            (true, 2..) => Span {
+                stride: topo.rack_size,
+                width: topo.rack_size,
+            },
             _ => SHARDS,
         };
-        let members: Vec<_> = latest.iter().map(|&(_, unit, _)| self.members(span, unit)).collect();
+        let members: Vec<_> = latest
+            .iter()
+            .map(|&(_, unit, _)| self.members(span, unit))
+            .collect();
         let units: Vec<(u32, f64)> = latest
             .iter()
             .zip(&members)
@@ -594,11 +647,13 @@ impl FleetState {
         stats.moves[level] += batch.len() as u32;
         self.tunes[level] += batch.len() as u64;
         for a in self.h.aggregate(self.fleet_bus.now(), batch) {
-            if let Action::ApplyTune { local_key, delta, .. } = a {
+            if let Action::ApplyTune {
+                local_key, delta, ..
+            } = a
+            {
                 let s = local_key as usize;
                 let next = self.caps[s] as i64 + delta as i64;
-                self.caps[s] =
-                    next.clamp(self.cfg.min_cap as i64, self.cfg.max_cap as i64) as u32;
+                self.caps[s] = next.clamp(self.cfg.min_cap as i64, self.cfg.max_cap as i64) as u32;
             }
         }
     }
@@ -619,8 +674,16 @@ impl FleetState {
                 rejected: t.rejected,
                 events: t.events,
                 completed: t.completed,
-                throughput: if secs > 0.0 { t.completed as f64 / secs } else { 0.0 },
-                mean_ms: if t.resp_count > 0 { t.resp_weight / t.resp_count as f64 } else { 0.0 },
+                throughput: if secs > 0.0 {
+                    t.completed as f64 / secs
+                } else {
+                    0.0
+                },
+                mean_ms: if t.resp_count > 0 {
+                    t.resp_weight / t.resp_count as f64
+                } else {
+                    0.0
+                },
             })
             .collect();
         FleetReport {
@@ -631,7 +694,11 @@ impl FleetState {
             coordinated: self.cfg.coordinated,
             per_shard,
             fleet_bus: self.fleet_bus.stats(),
-            rack_bus: self.rack_bus.as_ref().map(CoordBus::stats).unwrap_or_default(),
+            rack_bus: self
+                .rack_bus
+                .as_ref()
+                .map(CoordBus::stats)
+                .unwrap_or_default(),
             tunes: self.tunes,
             root_lookups: self.h.root_lookups(),
             islands: self.islands,
@@ -709,7 +776,10 @@ mod tests {
         );
         let r = st.report();
         assert!(r.tunes.iter().sum::<u64>() > 0);
-        assert!(r.root_lookups > 0, "root-stage moves forward through the directory");
+        assert!(
+            r.root_lookups > 0,
+            "root-stage moves forward through the directory"
+        );
     }
 
     #[test]
@@ -778,7 +848,11 @@ mod tests {
         let report = |i: usize, lamport: u64, pressure: f64| {
             let (unit, source) = units[i];
             let msg = tune(unit as usize, quantize(pressure));
-            Envelope { lamport, source: NodeId(source), msg }
+            Envelope {
+                lamport,
+                source: NodeId(source),
+                msg,
+            }
         };
         let current: Vec<Envelope> = [100.0, 100.0, 240.0, 180.0]
             .iter()
@@ -815,12 +889,19 @@ mod tests {
             };
             let (current, mut copies) = reports(units);
             let expect = run(&current);
-            assert!(expect.3.moves.iter().sum::<u32>() > 0, "depth {depth} zone {zone} moves cap");
+            assert!(
+                expect.3.moves.iter().sum::<u32>() > 0,
+                "depth {depth} zone {zone} moves cap"
+            );
             for _ in 0..100 {
                 for i in (1..copies.len()).rev() {
                     copies.swap(i, rng.below(i as u64 + 1) as usize);
                 }
-                assert_eq!(run(&copies), expect, "depth {depth} zone {zone}: {copies:?}");
+                assert_eq!(
+                    run(&copies),
+                    expect,
+                    "depth {depth} zone {zone}: {copies:?}"
+                );
             }
         }
     }

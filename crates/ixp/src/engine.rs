@@ -75,7 +75,11 @@ pub fn simulate_engine(profile: &TaskProfile, threads: u32, packets_per_thread: 
         packets_done: u32,
     }
     let mut ctxs = vec![
-        Ctx { ready_at: 0, next_ref: 0, packets_done: 0 };
+        Ctx {
+            ready_at: 0,
+            next_ref: 0,
+            packets_done: 0
+        };
         threads as usize
     ];
     let mut cycle: u64 = 0;

@@ -53,7 +53,9 @@ impl BufferMonitor {
     /// Reports the current occupancy at time `now`. Returns `true` exactly
     /// when an alarm fires.
     pub fn on_level(&mut self, now: Nanos, bytes: u64) -> bool {
-        let Some(th) = self.threshold else { return false };
+        let Some(th) = self.threshold else {
+            return false;
+        };
         if bytes >= th {
             let due = match self.last_fire {
                 None => true,

@@ -53,7 +53,11 @@ impl ThreadPool {
     /// [`dropped`](Self::dropped) distinguishes).
     pub fn offer(&mut self, pkt: Packet) -> Option<(Nanos, Packet)> {
         if self.busy < self.threads {
-            let delay = if self.busy == 0 { self.poll / 2 } else { Nanos::ZERO };
+            let delay = if self.busy == 0 {
+                self.poll / 2
+            } else {
+                Nanos::ZERO
+            };
             self.busy += 1;
             return Some((delay, pkt));
         }

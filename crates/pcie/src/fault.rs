@@ -150,7 +150,9 @@ mod tests {
     fn none_profile_is_none() {
         assert!(FaultProfile::none().is_none());
         assert!(!FaultProfile::none().with_drop(0.1).is_none());
-        assert!(!FaultProfile::none().with_jitter(Jitter::Uniform { max: Nanos(5) }).is_none());
+        assert!(!FaultProfile::none()
+            .with_jitter(Jitter::Uniform { max: Nanos(5) })
+            .is_none());
     }
 
     #[test]
@@ -187,7 +189,9 @@ mod tests {
         let profile = FaultProfile::none()
             .with_drop(0.3)
             .with_dup(0.2)
-            .with_jitter(Jitter::Exponential { mean: Nanos::from_micros(20) })
+            .with_jitter(Jitter::Exponential {
+                mean: Nanos::from_micros(20),
+            })
             .with_reorder(Nanos::from_micros(100));
         let mut a = FaultLayer::new(profile, SimRng::new(42));
         let mut b = FaultLayer::new(profile, SimRng::new(42));

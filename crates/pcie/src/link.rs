@@ -362,7 +362,9 @@ mod tests {
     #[test]
     fn interrupt_rate_is_moderated() {
         let cfg = LinkConfig {
-            notify: NotifyMode::Interrupt { period: Nanos::from_millis(1) },
+            notify: NotifyMode::Interrupt {
+                period: Nanos::from_millis(1),
+            },
             ..LinkConfig::default()
         };
         let mut l = HostLink::new(cfg);

@@ -225,10 +225,26 @@ impl InferenceScenario {
         InferenceScenario {
             inference: InferenceConfig {
                 tenants: vec![
-                    TenantSpec { name: "chat", model_id: 0, rate_per_sec: 260.0 },
-                    TenantSpec { name: "vision", model_id: 1, rate_per_sec: 120.0 },
-                    TenantSpec { name: "rank", model_id: 2, rate_per_sec: 220.0 },
-                    TenantSpec { name: "embed", model_id: 3, rate_per_sec: 90.0 },
+                    TenantSpec {
+                        name: "chat",
+                        model_id: 0,
+                        rate_per_sec: 260.0,
+                    },
+                    TenantSpec {
+                        name: "vision",
+                        model_id: 1,
+                        rate_per_sec: 120.0,
+                    },
+                    TenantSpec {
+                        name: "rank",
+                        model_id: 2,
+                        rate_per_sec: 220.0,
+                    },
+                    TenantSpec {
+                        name: "embed",
+                        model_id: 3,
+                        rate_per_sec: 90.0,
+                    },
                 ],
                 cost_jitter: 0.2,
             },
@@ -279,29 +295,54 @@ impl EnergyConfig {
     /// All three knob axes available to the controller (experiment E1's
     /// coordinated arm).
     pub fn coordinated(p99_target_ms: f64) -> Self {
-        EnergyConfig { p99_target_ms, dvfs: true, cache: true, membw: true }
+        EnergyConfig {
+            p99_target_ms,
+            dvfs: true,
+            cache: true,
+            membw: true,
+        }
     }
 
     /// DVFS ladder only (experiment E2 ablation).
     pub fn dvfs_only(p99_target_ms: f64) -> Self {
-        EnergyConfig { p99_target_ms, dvfs: true, cache: false, membw: false }
+        EnergyConfig {
+            p99_target_ms,
+            dvfs: true,
+            cache: false,
+            membw: false,
+        }
     }
 
     /// Cache-way partition only (experiment E2 ablation).
     pub fn cache_only(p99_target_ms: f64) -> Self {
-        EnergyConfig { p99_target_ms, dvfs: false, cache: true, membw: false }
+        EnergyConfig {
+            p99_target_ms,
+            dvfs: false,
+            cache: true,
+            membw: false,
+        }
     }
 
     /// Memory-bandwidth share only (experiment E2 ablation).
     pub fn membw_only(p99_target_ms: f64) -> Self {
-        EnergyConfig { p99_target_ms, dvfs: false, cache: false, membw: true }
+        EnergyConfig {
+            p99_target_ms,
+            dvfs: false,
+            cache: false,
+            membw: true,
+        }
     }
 
     /// Energy accounting with no knob movement: every axis stays at full
     /// performance. Both E1 baselines (uncapped and uncoordinated power
     /// capping) run with this so all arms share one power model.
     pub fn frozen(p99_target_ms: f64) -> Self {
-        EnergyConfig { p99_target_ms, dvfs: false, cache: false, membw: false }
+        EnergyConfig {
+            p99_target_ms,
+            dvfs: false,
+            cache: false,
+            membw: false,
+        }
     }
 }
 

@@ -62,10 +62,10 @@ pub use world::Platform;
 // imports.
 pub use accel::AccelConfig;
 pub use coord::{PolicerConfig, PolicyKind, ReliableConfig};
+pub use pcie::{FaultProfile, Jitter};
+pub use power::Strategy as PowerStrategy;
 pub use simtest::chaos::{ChaosPlan, Perturbation};
 pub use workloads::adversary::{AdversarySpec, Strategy as AdversaryStrategy};
 pub use workloads::inference::{InferenceConfig, TenantSpec};
-pub use pcie::{FaultProfile, Jitter};
-pub use power::Strategy as PowerStrategy;
 pub use workloads::mplayer::{Source, StreamSpec};
 pub use workloads::rubis::Mix;

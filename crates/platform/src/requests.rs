@@ -30,14 +30,25 @@ pub(crate) struct ClientTable<W> {
 
 impl<W> Default for ClientTable<W> {
     fn default() -> Self {
-        ClientTable { reqs: IdMap::default(), offered: 0 }
+        ClientTable {
+            reqs: IdMap::default(),
+            offered: 0,
+        }
     }
 }
 
 impl<W: Copy> ClientTable<W> {
     pub(crate) fn open(&mut self, req: u64, start: Nanos, work: W) {
         self.offered += 1;
-        self.reqs.insert(req, Request { start, attempt: 0, in_service: false, work });
+        self.reqs.insert(
+            req,
+            Request {
+                start,
+                attempt: 0,
+                in_service: false,
+                work,
+            },
+        );
     }
 
     /// The timer of `attempt` fired: if the request still waits on that
@@ -89,12 +100,14 @@ impl Platform {
     pub(crate) fn transmit(&mut self, req: u64, attempt: u32, mut pkt: Packet) {
         pkt.id = req;
         let now = self.now;
-        self.q.schedule(now + self.costs.wire_latency, Ev::WireArrive(pkt));
+        self.q
+            .schedule(now + self.costs.wire_latency, Ev::WireArrive(pkt));
         let rto = Ev::Rto { req, attempt };
         if attempt == 0 {
             self.q.schedule_fifo(now + self.costs.rto_initial, rto);
         } else {
-            self.q.schedule(now + self.costs.rto_initial * (1u64 << attempt.min(4)), rto);
+            self.q
+                .schedule(now + self.costs.rto_initial * (1u64 << attempt.min(4)), rto);
         }
     }
 

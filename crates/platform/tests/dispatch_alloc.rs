@@ -157,9 +157,8 @@ fn building_the_default_rubis_platform_is_cheap() {
 
 #[test]
 fn building_the_default_inference_platform_is_cheap() {
-    let (_, bytes, sim) = allocated_by(|| {
-        PlatformBuilder::new().build_inference(InferenceScenario::mixed_tenants())
-    });
+    let (_, bytes, sim) =
+        allocated_by(|| PlatformBuilder::new().build_inference(InferenceScenario::mixed_tenants()));
     assert!(bytes <= BUILD_BYTES_MAX, "building allocated {bytes} bytes");
     drop(sim);
 }

@@ -21,7 +21,11 @@ type Counts = [(&'static str, u64); 9];
 
 fn assert_counts(mut sim: Platform, expected: &Counts) {
     let r = sim.run(Nanos::from_secs(5));
-    let got: Vec<(&str, u64)> = r.events_by_source.iter().map(|s| (s.name, s.events)).collect();
+    let got: Vec<(&str, u64)> = r
+        .events_by_source
+        .iter()
+        .map(|s| (s.name, s.events))
+        .collect();
     assert_eq!(got, expected, "per-source dispatch counts moved");
 }
 
@@ -43,10 +47,16 @@ fn coord_storm_dispatch_counts_are_pinned() {
             FaultProfile::none()
                 .with_drop(0.10)
                 .with_dup(0.05)
-                .with_jitter(Jitter::Exponential { mean: Nanos::from_micros(20) }),
+                .with_jitter(Jitter::Exponential {
+                    mean: Nanos::from_micros(20),
+                }),
         )
         .reliable_delivery(ReliableConfig::default())
-        .adversaries(vec![AdversarySpec::spam(), AdversarySpec::inflate(), AdversarySpec::spam()])
+        .adversaries(vec![
+            AdversarySpec::spam(),
+            AdversarySpec::inflate(),
+            AdversarySpec::spam(),
+        ])
         .coord_defenses(PolicerConfig::default())
         .build_rubis(RubisScenario::read_write_mix(24));
     assert_counts(sim, &COORD_STORM);

@@ -16,7 +16,11 @@ fn overload_produces_drops_and_retransmissions_recover() {
         .queue_caps(2, 3)
         .build_rubis(scen);
     let r = sim.run(Nanos::from_secs(60));
-    assert!(r.net.guest_drops > 100, "tiny queues overflow: {}", r.net.guest_drops);
+    assert!(
+        r.net.guest_drops > 100,
+        "tiny queues overflow: {}",
+        r.net.guest_drops
+    );
     assert!(
         r.rubis.completed > 500,
         "clients still complete requests via retransmission: {}",

@@ -54,7 +54,14 @@ fn steady_state_trace_recording_does_not_allocate() {
     // Warm-up: fill the ring past capacity so eviction is active — the
     // steady state every long run operates in.
     for i in 0..1024u64 {
-        trace.record(Nanos(i), TraceEvent::Tune { dom, from: 256, to: 257 });
+        trace.record(
+            Nanos(i),
+            TraceEvent::Tune {
+                dom,
+                from: 256,
+                to: 257,
+            },
+        );
     }
 
     // The counter is process-global, so the libtest harness thread can
@@ -69,7 +76,14 @@ fn steady_state_trace_recording_does_not_allocate() {
         let before = ALLOCS.load(Ordering::SeqCst);
         for i in 0..10_000u64 {
             let now = Nanos(2048 + i);
-            trace.record(now, TraceEvent::Tune { dom, from: 256, to: 260 });
+            trace.record(
+                now,
+                TraceEvent::Tune {
+                    dom,
+                    from: 256,
+                    to: 260,
+                },
+            );
             trace.record(now, TraceEvent::Trigger { dom });
             trace.record(now, TraceEvent::Retransmit { seq: i as u32 });
             trace.record(now, TraceEvent::AccelTune { entity, delta: -2 });
@@ -77,7 +91,11 @@ fn steady_state_trace_recording_does_not_allocate() {
             trace.record(
                 now,
                 TraceEvent::DegradedSuppressed {
-                    msg: CoordMsg::Tune { entity, delta: 1, target: None },
+                    msg: CoordMsg::Tune {
+                        entity,
+                        delta: 1,
+                        target: None,
+                    },
                 },
             );
             trace.record(now, TraceEvent::GaveUp { count: 1 });

@@ -82,7 +82,10 @@ impl PowerGovernor {
     /// `floor > 100` (a floor above full speed is meaningless).
     pub fn with_steps(mut self, step: u32, floor: u32) -> Self {
         assert!(step > 0, "governor step must be at least 1 percent");
-        assert!(floor <= 100, "governor floor is a percent of one pCPU (0..=100)");
+        assert!(
+            floor <= 100,
+            "governor floor is a percent of one pCPU (0..=100)"
+        );
         self.step_percent = step;
         self.floor_percent = floor;
         self
@@ -107,12 +110,7 @@ impl PowerGovernor {
     ///
     /// `watts` is the modelled platform draw over the window; `domains`
     /// are the per-domain utilization samples.
-    pub fn sample(
-        &mut self,
-        now: Nanos,
-        watts: f64,
-        domains: &[DomainSample],
-    ) -> Vec<CapAction> {
+    pub fn sample(&mut self, now: Nanos, watts: f64, domains: &[DomainSample]) -> Vec<CapAction> {
         if now < self.last_decision + self.min_gap && !self.last_decision.is_zero() {
             return Vec::new();
         }
@@ -144,7 +142,10 @@ impl PowerGovernor {
                     self.caps.insert(victim.clone(), new);
                     self.actions_applied += 1;
                     self.last_decision = now;
-                    out.push(CapAction { name: victim, cap_percent: new });
+                    out.push(CapAction {
+                        name: victim,
+                        cap_percent: new,
+                    });
                 }
             }
         } else if watts < self.cap_watts - self.hysteresis_w {
@@ -161,7 +162,10 @@ impl PowerGovernor {
                     }
                     self.actions_applied += 1;
                     self.last_decision = now;
-                    out.push(CapAction { name: beneficiary, cap_percent: new });
+                    out.push(CapAction {
+                        name: beneficiary,
+                        cap_percent: new,
+                    });
                 }
             }
         }
@@ -210,9 +214,18 @@ mod tests {
 
     fn doms(web: f64, db: f64, bg: f64) -> Vec<DomainSample> {
         vec![
-            DomainSample { name: "web".into(), cpu_percent: web },
-            DomainSample { name: "db".into(), cpu_percent: db },
-            DomainSample { name: "background".into(), cpu_percent: bg },
+            DomainSample {
+                name: "web".into(),
+                cpu_percent: web,
+            },
+            DomainSample {
+                name: "db".into(),
+                cpu_percent: db,
+            },
+            DomainSample {
+                name: "background".into(),
+                cpu_percent: bg,
+            },
         ]
     }
 
@@ -251,7 +264,7 @@ mod tests {
         g.sample(Nanos::from_secs(1), 120.0, &doms(40.0, 80.0, 30.0));
         g.sample(Nanos::from_secs(2), 115.0, &doms(40.0, 80.0, 15.0));
         g.sample(Nanos::from_secs(3), 112.0, &doms(40.0, 80.0, 10.0)); // caps db
-        // Headroom: db (last capped) is restored first.
+                                                                       // Headroom: db (last capped) is restored first.
         let a = g.sample(Nanos::from_secs(4), 80.0, &doms(40.0, 50.0, 10.0));
         assert_eq!(a[0].name, "db");
     }
@@ -259,8 +272,12 @@ mod tests {
     #[test]
     fn within_band_is_quiet() {
         let mut g = PowerGovernor::new(100.0, Strategy::BiggestConsumer);
-        assert!(g.sample(Nanos::from_secs(1), 99.0, &doms(40.0, 80.0, 30.0)).is_empty());
-        assert!(g.sample(Nanos::from_secs(2), 98.0, &doms(40.0, 80.0, 30.0)).is_empty());
+        assert!(g
+            .sample(Nanos::from_secs(1), 99.0, &doms(40.0, 80.0, 30.0))
+            .is_empty());
+        assert!(g
+            .sample(Nanos::from_secs(2), 98.0, &doms(40.0, 80.0, 30.0))
+            .is_empty());
         assert_eq!(g.actions_applied(), 0);
     }
 
@@ -282,9 +299,8 @@ mod tests {
 
     #[test]
     fn caps_never_fall_below_floor() {
-        let mut g =
-            PowerGovernor::new(100.0, Strategy::Priority(vec!["background".into()]))
-                .with_steps(30, 10);
+        let mut g = PowerGovernor::new(100.0, Strategy::Priority(vec!["background".into()]))
+            .with_steps(30, 10);
         for i in 1..10 {
             g.sample(Nanos::from_secs(i), 150.0, &doms(40.0, 80.0, 30.0));
         }
@@ -301,10 +317,17 @@ mod tests {
         let a = g.sample(
             Nanos::from_secs(1),
             120.0,
-            &[DomainSample { name: "db".into(), cpu_percent: 10.4 }],
+            &[DomainSample {
+                name: "db".into(),
+                cpu_percent: 10.4,
+            }],
         );
         assert_eq!(a.len(), 1);
-        assert!(a[0].cap_percent >= 10, "cap {} fell below the floor", a[0].cap_percent);
+        assert!(
+            a[0].cap_percent >= 10,
+            "cap {} fell below the floor",
+            a[0].cap_percent
+        );
         assert_eq!(a[0].cap_percent, 10);
     }
 
@@ -316,7 +339,10 @@ mod tests {
         let a = g.sample(
             Nanos::from_secs(1),
             120.0,
-            &[DomainSample { name: "db".into(), cpu_percent: 80.3 }],
+            &[DomainSample {
+                name: "db".into(),
+                cpu_percent: 80.3,
+            }],
         );
         assert_eq!(a[0].cap_percent, 66);
     }

@@ -72,7 +72,10 @@ pub struct DvfsState {
 impl DvfsState {
     /// The nominal (full-speed) operating point.
     pub const fn nominal() -> Self {
-        DvfsState { freq_percent: 100, volt: 1.0 }
+        DvfsState {
+            freq_percent: 100,
+            volt: 1.0,
+        }
     }
 
     /// The Xeon's discrete P-state ladder, fastest first. Voltage steps
@@ -80,10 +83,22 @@ impl DvfsState {
     /// falls more slowly than frequency).
     pub const fn xeon_ladder() -> [DvfsState; 4] {
         [
-            DvfsState { freq_percent: 100, volt: 1.0 },
-            DvfsState { freq_percent: 85, volt: 0.95 },
-            DvfsState { freq_percent: 70, volt: 0.9 },
-            DvfsState { freq_percent: 55, volt: 0.85 },
+            DvfsState {
+                freq_percent: 100,
+                volt: 1.0,
+            },
+            DvfsState {
+                freq_percent: 85,
+                volt: 0.95,
+            },
+            DvfsState {
+                freq_percent: 70,
+                volt: 0.9,
+            },
+            DvfsState {
+                freq_percent: 55,
+                volt: 0.85,
+            },
         ]
     }
 
@@ -159,7 +174,10 @@ mod tests {
 
     #[test]
     fn cpu_model_is_affine_and_clamped() {
-        let m = CpuPowerModel { idle_w: 10.0, peak_w: 110.0 };
+        let m = CpuPowerModel {
+            idle_w: 10.0,
+            peak_w: 110.0,
+        };
         assert_eq!(m.watts(0.5), 60.0);
         assert_eq!(m.watts(-1.0), 10.0);
         assert_eq!(m.watts(2.0), 110.0);
@@ -167,7 +185,10 @@ mod tests {
 
     #[test]
     fn ixp_model_scales_with_traffic() {
-        let m = IxpPowerModel { static_w: 20.0, per_kpps_w: 0.1 };
+        let m = IxpPowerModel {
+            static_w: 20.0,
+            per_kpps_w: 0.1,
+        };
         assert_eq!(m.watts(0.0), 20.0);
         assert_eq!(m.watts(100.0), 30.0);
         assert_eq!(m.watts(-5.0), 20.0);

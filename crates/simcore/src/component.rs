@@ -110,7 +110,11 @@ impl<C: Component> Tracked<C> {
     /// Wraps `inner` with a stale cache, so the first
     /// [`horizon`](Self::horizon) computes it from scratch.
     pub fn new(inner: C) -> Self {
-        Tracked { inner, cached: Nanos::MAX, stale: true }
+        Tracked {
+            inner,
+            cached: Nanos::MAX,
+            stale: true,
+        }
     }
 
     /// The component's horizon ([`Nanos::MAX`] when idle), peeked only if
@@ -210,7 +214,10 @@ mod tests {
 
     #[test]
     fn horizon_recomputes_only_when_stale() {
-        let mut t = Tracked::new(Probe { next: Some(Nanos::from_micros(2)), ..Probe::default() });
+        let mut t = Tracked::new(Probe {
+            next: Some(Nanos::from_micros(2)),
+            ..Probe::default()
+        });
         assert_eq!(t.horizon(), Nanos::from_micros(2));
         assert_eq!(t.horizon(), Nanos::from_micros(2));
         assert_eq!(t.peeks.get(), 1, "a fresh cache answers without peeking");
@@ -244,14 +251,20 @@ mod tests {
 
     #[test]
     fn coherence_check_catches_a_corrupted_cache() {
-        let mut t = Tracked::new(Probe { next: Some(Nanos::from_micros(9)), ..Probe::default() });
+        let mut t = Tracked::new(Probe {
+            next: Some(Nanos::from_micros(9)),
+            ..Probe::default()
+        });
         assert!(t.is_coherent(), "a stale cache is never incoherent");
         t.horizon();
         assert!(t.is_coherent());
         t.corrupt_cache_for_test(Nanos::from_micros(1));
         assert!(!t.is_coherent());
         t.next = Some(Nanos::from_micros(1));
-        assert!(t.is_coherent(), "the borrow that moved the horizon marked it stale");
+        assert!(
+            t.is_coherent(),
+            "the borrow that moved the horizon marked it stale"
+        );
     }
 
     #[test]
@@ -259,11 +272,23 @@ mod tests {
         let mut none: Option<Probe> = None;
         assert_eq!(Component::next_event_time(&none), None);
         let mut out = Vec::new();
-        assert_eq!(Component::advance(&mut none, Nanos::from_micros(1), &mut out), None);
+        assert_eq!(
+            Component::advance(&mut none, Nanos::from_micros(1), &mut out),
+            None
+        );
         assert!(out.is_empty());
-        let mut some = Some(Probe { next: Some(Nanos::from_micros(3)), ..Probe::default() });
-        assert_eq!(Component::next_event_time(&some), Some(Nanos::from_micros(3)));
-        assert_eq!(Component::advance(&mut some, Nanos::from_micros(3), &mut out), None);
+        let mut some = Some(Probe {
+            next: Some(Nanos::from_micros(3)),
+            ..Probe::default()
+        });
+        assert_eq!(
+            Component::next_event_time(&some),
+            Some(Nanos::from_micros(3))
+        );
+        assert_eq!(
+            Component::advance(&mut some, Nanos::from_micros(3), &mut out),
+            None
+        );
         assert_eq!(out, vec![Nanos::from_micros(3)]);
         assert_eq!(Component::next_event_time(&some), None);
         assert_eq!(Tracked::new(none).horizon(), Nanos::MAX);

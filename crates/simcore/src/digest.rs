@@ -9,7 +9,9 @@ const PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a 64 of `bytes`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+    bytes
+        .iter()
+        .fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
 }
 
 #[cfg(test)]

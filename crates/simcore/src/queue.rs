@@ -86,7 +86,11 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue. Allocates nothing until the first event
     /// is scheduled.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), lane: VecDeque::new(), next_seq: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            next_seq: 0,
+        }
     }
 
     fn entry(&mut self, time: Nanos, event: E) -> Entry<E> {
@@ -215,8 +219,12 @@ mod tests {
         for (i, &t) in times.iter().enumerate() {
             q.schedule(Nanos(t), i);
         }
-        let mut sorted: Vec<(u64, usize)> =
-            times.iter().copied().enumerate().map(|(i, t)| (t, i)).collect();
+        let mut sorted: Vec<(u64, usize)> = times
+            .iter()
+            .copied()
+            .enumerate()
+            .map(|(i, t)| (t, i))
+            .collect();
         sorted.sort();
         for (t, i) in sorted {
             assert_eq!(q.pop(), Some((Nanos(t), i)));
@@ -268,8 +276,15 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             order,
-            [(10, 'b'), (20, 'd'), (25, 'e'), (30, 'a'), (30, 'c'), (40, 'f')]
-                .map(|(t, c)| (Nanos(t), c))
+            [
+                (10, 'b'),
+                (20, 'd'),
+                (25, 'e'),
+                (30, 'a'),
+                (30, 'c'),
+                (40, 'f')
+            ]
+            .map(|(t, c)| (Nanos(t), c))
         );
     }
 
@@ -281,10 +296,16 @@ mod tests {
         q.schedule(Nanos(9), 2);
         assert_eq!((q.len(), q.is_empty()), (2, false));
         assert_eq!(q.pop(), Some((Nanos(7), 1)));
-        assert_eq!((q.len(), q.is_empty(), q.peek_time()), (1, false, Some(Nanos(9))));
+        assert_eq!(
+            (q.len(), q.is_empty(), q.peek_time()),
+            (1, false, Some(Nanos(9)))
+        );
         assert_eq!(q.pop(), Some((Nanos(9), 2)));
         q.schedule_fifo(Nanos(3), 3);
-        assert_eq!((q.len(), q.is_empty(), q.peek_time()), (1, false, Some(Nanos(3))));
+        assert_eq!(
+            (q.len(), q.is_empty(), q.peek_time()),
+            (1, false, Some(Nanos(3)))
+        );
         assert_eq!(q.pop(), Some((Nanos(3), 3)));
         assert_eq!((q.len(), q.is_empty(), q.peek_time()), (0, true, None));
     }

@@ -175,7 +175,10 @@ mod tests {
         t.record(Nanos(1), Ev(7));
         t.record(Nanos(2), Ev(8));
         t.record(Nanos(3), Ev(9));
-        assert_eq!(t.iter().map(|&(_, e)| e).collect::<Vec<_>>(), [Ev(8), Ev(9)]);
+        assert_eq!(
+            t.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
+            [Ev(8), Ev(9)]
+        );
         assert!(t.dump().contains("ev#9"));
     }
 }

@@ -45,7 +45,11 @@ impl Default for BenchConfig {
         let env_u64 = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<u64>().ok());
         let samples = env_u64("SIMTEST_BENCH_SAMPLES").unwrap_or(if smoke { 1 } else { 100 });
         let warmup = env_u64("SIMTEST_BENCH_WARMUP").unwrap_or(if smoke { 0 } else { 10 });
-        BenchConfig { samples: samples.max(1), warmup, smoke }
+        BenchConfig {
+            samples: samples.max(1),
+            warmup,
+            smoke,
+        }
     }
 }
 
@@ -107,9 +111,7 @@ impl BenchSuite {
     /// benchmark filter (if any) from the command line, so
     /// `cargo bench -- wire` runs only matching benchmarks.
     pub fn new(suite: &str) -> Self {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with("--"));
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with("--"));
         BenchSuite {
             suite: suite.to_owned(),
             cfg: BenchConfig::default(),
@@ -196,7 +198,10 @@ impl BenchSuite {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("suite", Json::Str(self.suite.clone())),
-            ("mode", Json::Str(if self.cfg.smoke { "smoke" } else { "full" }.into())),
+            (
+                "mode",
+                Json::Str(if self.cfg.smoke { "smoke" } else { "full" }.into()),
+            ),
             (
                 "benches",
                 Json::Arr(self.records.iter().map(BenchRecord::to_json).collect()),
@@ -268,7 +273,11 @@ mod tests {
     use super::*;
 
     fn quiet_cfg() -> BenchConfig {
-        BenchConfig { samples: 20, warmup: 2, smoke: false }
+        BenchConfig {
+            samples: 20,
+            warmup: 2,
+            smoke: false,
+        }
     }
 
     #[test]
@@ -300,8 +309,11 @@ mod tests {
 
     #[test]
     fn smoke_mode_runs_exactly_once() {
-        let mut suite = BenchSuite::new("unit_smoke")
-            .with_config(BenchConfig { samples: 50, warmup: 5, smoke: true });
+        let mut suite = BenchSuite::new("unit_smoke").with_config(BenchConfig {
+            samples: 50,
+            warmup: 5,
+            smoke: true,
+        });
         suite.filter = None;
         let mut calls = 0u64;
         suite.bench_n("count", 50, || calls += 1);

@@ -295,9 +295,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
@@ -333,7 +331,10 @@ mod tests {
     #[test]
     fn parses_hand_written_json() {
         let v = parse(r#"{"a": [1, 2.5, -3e2], "b": "x\ny", "c": null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_f64(), Some(-300.0));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
+            Some(-300.0)
+        );
         assert_eq!(v.get("b").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("c"), Some(&Json::Null));
     }

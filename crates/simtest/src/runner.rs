@@ -35,7 +35,10 @@ impl Default for Config {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(96);
-        Config { cases, max_shrink_iters: 4096 }
+        Config {
+            cases,
+            max_shrink_iters: 4096,
+        }
     }
 }
 
@@ -44,7 +47,10 @@ impl Config {
     /// `SIMTEST_CASES` still wins, so a CI override reaches every
     /// property).
     pub fn with_cases(cases: u32) -> Self {
-        Config { cases, ..Config::default() }
+        Config {
+            cases,
+            ..Config::default()
+        }
     }
 }
 
@@ -62,7 +68,9 @@ pub fn case_seed(name: &str, i: u32) -> u64 {
 }
 
 fn forced_seed() -> Option<u64> {
-    std::env::var("SIMTEST_SEED").ok().and_then(|v| v.parse().ok())
+    std::env::var("SIMTEST_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
 }
 
 /// Checks `prop` against [`Config::default`]`.cases` samples of `gen`.
@@ -103,7 +111,9 @@ where
 {
     let mut rng = SimRng::new(seed);
     let value = gen.sample(&mut rng);
-    let Err(original_err) = prop(&value) else { return };
+    let Err(original_err) = prop(&value) else {
+        return;
+    };
     let (shrunk, shrunk_err, steps) = shrink(cfg, gen, prop, value.clone(), original_err.clone());
     panic!(
         "\n[simtest] property '{name}' failed (case {case_index})\n\
@@ -240,7 +250,10 @@ mod tests {
         assert!(msg.contains("failure_demo"), "{msg}");
         // Greedy shrink must land on the boundary counterexample.
         assert!(msg.contains("shrunk counterexample"), "{msg}");
-        assert!(msg.contains(": 500"), "expected minimal counterexample 500: {msg}");
+        assert!(
+            msg.contains(": 500"),
+            "expected minimal counterexample 500: {msg}"
+        );
     }
 
     #[test]
@@ -265,10 +278,18 @@ mod tests {
 
     #[test]
     fn shrink_respects_budget() {
-        let cfg = Config { cases: 1, max_shrink_iters: 3 };
+        let cfg = Config {
+            cases: 1,
+            max_shrink_iters: 3,
+        };
         let gen = Gen::u64_in(0, u32::MAX as u64);
-        let (v, _err, steps) =
-            shrink(&cfg, &gen, &mut |_| Err("always".into()), 1_000_000, "always".into());
+        let (v, _err, steps) = shrink(
+            &cfg,
+            &gen,
+            &mut |_| Err("always".into()),
+            1_000_000,
+            "always".into(),
+        );
         assert!(steps <= 3);
         assert!(v <= 1_000_000);
     }

@@ -68,13 +68,17 @@ impl AdversarySpec {
     /// roughly 100x the honest alarm rate).
     pub fn spam() -> Self {
         AdversarySpec {
-            strategy: Strategy::SpamTrigger { period: Nanos::from_millis(50) },
+            strategy: Strategy::SpamTrigger {
+                period: Nanos::from_millis(50),
+            },
         }
     }
 
     /// A free-rider: no messages, pure consumption.
     pub fn free_ride() -> Self {
-        AdversarySpec { strategy: Strategy::FreeRide }
+        AdversarySpec {
+            strategy: Strategy::FreeRide,
+        }
     }
 }
 
@@ -107,7 +111,13 @@ impl Adversary {
             }
             Strategy::FreeRide => None,
         };
-        Adversary { entity, target, strategy, next_at, sent: 0 }
+        Adversary {
+            entity,
+            target,
+            strategy,
+            next_at,
+            sent: 0,
+        }
     }
 
     /// The entity this adversary plays as.
@@ -138,12 +148,20 @@ impl Adversary {
         debug_assert!(now >= due, "emit called before the scheduled time");
         let (msg, period) = match self.strategy {
             Strategy::InflateTune { delta, period } => (
-                CoordMsg::Tune { entity: self.entity, delta, target: self.target },
+                CoordMsg::Tune {
+                    entity: self.entity,
+                    delta,
+                    target: self.target,
+                },
                 period,
             ),
-            Strategy::SpamTrigger { period } => {
-                (CoordMsg::Trigger { entity: self.entity, target: self.target }, period)
-            }
+            Strategy::SpamTrigger { period } => (
+                CoordMsg::Trigger {
+                    entity: self.entity,
+                    target: self.target,
+                },
+                period,
+            ),
             Strategy::FreeRide => return None,
         };
         self.next_at = Some(due + period);
@@ -158,13 +176,22 @@ mod tests {
 
     #[test]
     fn inflater_emits_monotone_tunes_on_a_fixed_cadence() {
-        let mut a = Adversary::new(EntityId(10), Some(IslandId(0)), AdversarySpec::inflate().strategy, Nanos::ZERO);
+        let mut a = Adversary::new(
+            EntityId(10),
+            Some(IslandId(0)),
+            AdversarySpec::inflate().strategy,
+            Nanos::ZERO,
+        );
         let t0 = a.next_at().unwrap();
         assert_eq!(t0, Nanos::from_millis(250));
         let msg = a.emit(t0).unwrap();
         assert_eq!(
             msg,
-            CoordMsg::Tune { entity: EntityId(10), delta: 512, target: Some(IslandId(0)) }
+            CoordMsg::Tune {
+                entity: EntityId(10),
+                delta: 512,
+                target: Some(IslandId(0))
+            }
         );
         assert_eq!(a.next_at().unwrap(), Nanos::from_millis(500));
         assert_eq!(a.sent(), 1);
@@ -172,7 +199,12 @@ mod tests {
 
     #[test]
     fn spammer_emits_triggers_20_per_second() {
-        let mut a = Adversary::new(EntityId(11), None, AdversarySpec::spam().strategy, Nanos::ZERO);
+        let mut a = Adversary::new(
+            EntityId(11),
+            None,
+            AdversarySpec::spam().strategy,
+            Nanos::ZERO,
+        );
         let mut n = 0;
         while let Some(t) = a.next_at() {
             if t > Nanos::from_secs(1) {
@@ -186,8 +218,12 @@ mod tests {
 
     #[test]
     fn free_rider_never_emits() {
-        let mut a =
-            Adversary::new(EntityId(12), None, AdversarySpec::free_ride().strategy, Nanos::ZERO);
+        let mut a = Adversary::new(
+            EntityId(12),
+            None,
+            AdversarySpec::free_ride().strategy,
+            Nanos::ZERO,
+        );
         assert_eq!(a.next_at(), None);
         assert_eq!(a.emit(Nanos::from_secs(5)), None);
         assert_eq!(a.sent(), 0);
@@ -196,8 +232,12 @@ mod tests {
     #[test]
     fn emission_schedule_is_deterministic() {
         let run = || {
-            let mut a =
-                Adversary::new(EntityId(1), None, AdversarySpec::spam().strategy, Nanos::ZERO);
+            let mut a = Adversary::new(
+                EntityId(1),
+                None,
+                AdversarySpec::spam().strategy,
+                Nanos::ZERO,
+            );
             let mut log = Vec::new();
             for _ in 0..10 {
                 let t = a.next_at().unwrap();

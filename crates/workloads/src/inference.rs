@@ -39,10 +39,42 @@ pub struct ModelSpec {
 
 /// The model catalogue: two interactive and two batch-oriented models.
 pub const MODELS: [ModelSpec; 4] = [
-    ModelSpec { name: "chat-s",  model_id: 0, latency_sensitive: true,  compute_ms: 0.9, input_bytes: 2_048,  output_bytes: 1_400, post_ms: 0.30 },
-    ModelSpec { name: "vision-m", model_id: 1, latency_sensitive: true,  compute_ms: 1.4, input_bytes: 8_192,  output_bytes: 900,   post_ms: 0.25 },
-    ModelSpec { name: "rank-l",  model_id: 2, latency_sensitive: false, compute_ms: 2.2, input_bytes: 16_384, output_bytes: 600,   post_ms: 0.20 },
-    ModelSpec { name: "embed-xl", model_id: 3, latency_sensitive: false, compute_ms: 3.0, input_bytes: 32_768, output_bytes: 500,   post_ms: 0.15 },
+    ModelSpec {
+        name: "chat-s",
+        model_id: 0,
+        latency_sensitive: true,
+        compute_ms: 0.9,
+        input_bytes: 2_048,
+        output_bytes: 1_400,
+        post_ms: 0.30,
+    },
+    ModelSpec {
+        name: "vision-m",
+        model_id: 1,
+        latency_sensitive: true,
+        compute_ms: 1.4,
+        input_bytes: 8_192,
+        output_bytes: 900,
+        post_ms: 0.25,
+    },
+    ModelSpec {
+        name: "rank-l",
+        model_id: 2,
+        latency_sensitive: false,
+        compute_ms: 2.2,
+        input_bytes: 16_384,
+        output_bytes: 600,
+        post_ms: 0.20,
+    },
+    ModelSpec {
+        name: "embed-xl",
+        model_id: 3,
+        latency_sensitive: false,
+        compute_ms: 3.0,
+        input_bytes: 32_768,
+        output_bytes: 500,
+        post_ms: 0.15,
+    },
 ];
 
 /// Looks up a model by its DPI ordinal.
@@ -74,8 +106,16 @@ impl Default for InferenceConfig {
     fn default() -> Self {
         InferenceConfig {
             tenants: vec![
-                TenantSpec { name: "chat", model_id: 0, rate_per_sec: 220.0 },
-                TenantSpec { name: "rank", model_id: 2, rate_per_sec: 260.0 },
+                TenantSpec {
+                    name: "chat",
+                    model_id: 0,
+                    rate_per_sec: 220.0,
+                },
+                TenantSpec {
+                    name: "rank",
+                    model_id: 2,
+                    rate_per_sec: 260.0,
+                },
             ],
             cost_jitter: 0.2,
         }
@@ -157,7 +197,9 @@ impl InferenceModel {
             id,
             client_vm,
             m.output_bytes.clamp(200, 1500),
-            AppTag::InferenceResponse { model_id: m.model_id },
+            AppTag::InferenceResponse {
+                model_id: m.model_id,
+            },
         )
     }
 }
@@ -197,7 +239,10 @@ mod tests {
         let p = model.request_packet(0, 3);
         assert!(matches!(
             p.app,
-            AppTag::Inference { model_id: 0, latency_sensitive: true }
+            AppTag::Inference {
+                model_id: 0,
+                latency_sensitive: true
+            }
         ));
         assert_eq!(p.dst_vm, 3);
         let r = model.response_packet(1, u32::MAX);
@@ -210,7 +255,9 @@ mod tests {
         let mut model = InferenceModel::new(InferenceConfig::default(), 11);
         let mean_ms = model.model_of(0).compute_ms;
         let n = 2000;
-        let total_ms: f64 = (0..n).map(|_| model.compute_cost(0).as_secs_f64() * 1e3).sum();
+        let total_ms: f64 = (0..n)
+            .map(|_| model.compute_cost(0).as_secs_f64() * 1e3)
+            .sum();
         let measured = total_ms / n as f64;
         assert!((measured - mean_ms).abs() / mean_ms < 0.1);
         assert!(model.compute_cost(0) >= Nanos::from_secs_f64(mean_ms * 0.2 / 1e3));

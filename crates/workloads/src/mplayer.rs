@@ -37,7 +37,10 @@ impl StreamSpec {
 
     /// The high-rate stream of Figure 6 (Domain-2): 25 fps at 1 Mbit/s.
     pub fn high() -> Self {
-        StreamSpec { kbps: 1000, fps: 25 }
+        StreamSpec {
+            kbps: 1000,
+            fps: 25,
+        }
     }
 
     /// Interval between frames at the nominal rate.
@@ -224,7 +227,13 @@ mod tests {
     fn packets_carry_stream_properties() {
         let s = StreamSpec::high();
         let setup = s.setup_packet(1, 2);
-        assert!(matches!(setup.app, AppTag::RtspSetup { kbps: 1000, fps: 25 }));
+        assert!(matches!(
+            setup.app,
+            AppTag::RtspSetup {
+                kbps: 1000,
+                fps: 25
+            }
+        ));
         let data = s.data_packet(2, 2, 1400);
         assert!(matches!(data.app, AppTag::Rtp { kbps: 1000, .. }));
         assert_eq!(data.dst_vm, 2);

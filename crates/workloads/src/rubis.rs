@@ -65,22 +65,182 @@ pub struct RequestType {
 /// `PutComment` heaviest, matching their worst baseline latencies in the
 /// paper).
 pub const CATALOG: [RequestType; 16] = [
-    RequestType { name: "Register",               class_id: 0,  write: true,  web_ms: 3.0,  app_ms: 8.0,  db_ms: 9.0, resp_bytes: 1200, browse_weight: 0.0,  rw_weight: 2.0 },
-    RequestType { name: "Browse",                 class_id: 1,  write: false, web_ms: 8.0,  app_ms: 6.0,  db_ms: 0.0,  resp_bytes: 6000, browse_weight: 14.0, rw_weight: 8.0 },
-    RequestType { name: "BrowseCategories",       class_id: 2,  write: false, web_ms: 9.0,  app_ms: 6.5,  db_ms: 0.0,  resp_bytes: 8000, browse_weight: 12.0, rw_weight: 7.0 },
-    RequestType { name: "SearchItemsInCategory",  class_id: 3,  write: false, web_ms: 8.5,  app_ms: 7.0,  db_ms: 1.5,  resp_bytes: 9000, browse_weight: 14.0, rw_weight: 8.0 },
-    RequestType { name: "BrowseRegions",          class_id: 4,  write: false, web_ms: 8.5,  app_ms: 6.0,  db_ms: 0.0,  resp_bytes: 7000, browse_weight: 9.0,  rw_weight: 5.0 },
-    RequestType { name: "BrowseCategoriesInRegion", class_id: 5, write: false, web_ms: 9.0,  app_ms: 6.5,  db_ms: 0.0,  resp_bytes: 8000, browse_weight: 8.0,  rw_weight: 5.0 },
-    RequestType { name: "SearchItemsInRegion",    class_id: 6,  write: false, web_ms: 8.5,  app_ms: 7.0,  db_ms: 1.5,  resp_bytes: 8500, browse_weight: 8.0,  rw_weight: 5.0 },
-    RequestType { name: "ViewItem",               class_id: 7,  write: false, web_ms: 9.0,  app_ms: 7.5,  db_ms: 2.0,  resp_bytes: 7500, browse_weight: 16.0, rw_weight: 10.0 },
-    RequestType { name: "BuyNow",                 class_id: 8,  write: true,  web_ms: 3.0,  app_ms: 8.0,  db_ms: 9.0,  resp_bytes: 4000, browse_weight: 0.0,  rw_weight: 4.0 },
-    RequestType { name: "PutBidAuth",             class_id: 9,  write: true,  web_ms: 3.0,  app_ms: 8.0,  db_ms: 9.5,  resp_bytes: 3000, browse_weight: 0.0,  rw_weight: 5.0 },
-    RequestType { name: "PutBid",                 class_id: 10, write: true,  web_ms: 3.0,  app_ms: 9.0,  db_ms: 12.0, resp_bytes: 4500, browse_weight: 0.0,  rw_weight: 6.0 },
-    RequestType { name: "StoreBid",               class_id: 11, write: true,  web_ms: 3.0,  app_ms: 9.5,  db_ms: 14.0, resp_bytes: 2500, browse_weight: 0.0,  rw_weight: 6.0 },
-    RequestType { name: "PutComment",             class_id: 12, write: true,  web_ms: 3.0,  app_ms: 10.0,  db_ms: 16.0, resp_bytes: 2500, browse_weight: 0.0,  rw_weight: 3.0 },
-    RequestType { name: "Sell",                   class_id: 13, write: true,  web_ms: 3.0,  app_ms: 8.0,  db_ms: 10.0,  resp_bytes: 3500, browse_weight: 0.0,  rw_weight: 4.0 },
-    RequestType { name: "SellItemForm",           class_id: 14, write: false, web_ms: 6.0,  app_ms: 4.0,  db_ms: 0.0,  resp_bytes: 3000, browse_weight: 5.0,  rw_weight: 3.0 },
-    RequestType { name: "AboutMe",                class_id: 15, write: false, web_ms: 8.0,  app_ms: 7.0,  db_ms: 2.5,  resp_bytes: 6500, browse_weight: 14.0, rw_weight: 9.0 },
+    RequestType {
+        name: "Register",
+        class_id: 0,
+        write: true,
+        web_ms: 3.0,
+        app_ms: 8.0,
+        db_ms: 9.0,
+        resp_bytes: 1200,
+        browse_weight: 0.0,
+        rw_weight: 2.0,
+    },
+    RequestType {
+        name: "Browse",
+        class_id: 1,
+        write: false,
+        web_ms: 8.0,
+        app_ms: 6.0,
+        db_ms: 0.0,
+        resp_bytes: 6000,
+        browse_weight: 14.0,
+        rw_weight: 8.0,
+    },
+    RequestType {
+        name: "BrowseCategories",
+        class_id: 2,
+        write: false,
+        web_ms: 9.0,
+        app_ms: 6.5,
+        db_ms: 0.0,
+        resp_bytes: 8000,
+        browse_weight: 12.0,
+        rw_weight: 7.0,
+    },
+    RequestType {
+        name: "SearchItemsInCategory",
+        class_id: 3,
+        write: false,
+        web_ms: 8.5,
+        app_ms: 7.0,
+        db_ms: 1.5,
+        resp_bytes: 9000,
+        browse_weight: 14.0,
+        rw_weight: 8.0,
+    },
+    RequestType {
+        name: "BrowseRegions",
+        class_id: 4,
+        write: false,
+        web_ms: 8.5,
+        app_ms: 6.0,
+        db_ms: 0.0,
+        resp_bytes: 7000,
+        browse_weight: 9.0,
+        rw_weight: 5.0,
+    },
+    RequestType {
+        name: "BrowseCategoriesInRegion",
+        class_id: 5,
+        write: false,
+        web_ms: 9.0,
+        app_ms: 6.5,
+        db_ms: 0.0,
+        resp_bytes: 8000,
+        browse_weight: 8.0,
+        rw_weight: 5.0,
+    },
+    RequestType {
+        name: "SearchItemsInRegion",
+        class_id: 6,
+        write: false,
+        web_ms: 8.5,
+        app_ms: 7.0,
+        db_ms: 1.5,
+        resp_bytes: 8500,
+        browse_weight: 8.0,
+        rw_weight: 5.0,
+    },
+    RequestType {
+        name: "ViewItem",
+        class_id: 7,
+        write: false,
+        web_ms: 9.0,
+        app_ms: 7.5,
+        db_ms: 2.0,
+        resp_bytes: 7500,
+        browse_weight: 16.0,
+        rw_weight: 10.0,
+    },
+    RequestType {
+        name: "BuyNow",
+        class_id: 8,
+        write: true,
+        web_ms: 3.0,
+        app_ms: 8.0,
+        db_ms: 9.0,
+        resp_bytes: 4000,
+        browse_weight: 0.0,
+        rw_weight: 4.0,
+    },
+    RequestType {
+        name: "PutBidAuth",
+        class_id: 9,
+        write: true,
+        web_ms: 3.0,
+        app_ms: 8.0,
+        db_ms: 9.5,
+        resp_bytes: 3000,
+        browse_weight: 0.0,
+        rw_weight: 5.0,
+    },
+    RequestType {
+        name: "PutBid",
+        class_id: 10,
+        write: true,
+        web_ms: 3.0,
+        app_ms: 9.0,
+        db_ms: 12.0,
+        resp_bytes: 4500,
+        browse_weight: 0.0,
+        rw_weight: 6.0,
+    },
+    RequestType {
+        name: "StoreBid",
+        class_id: 11,
+        write: true,
+        web_ms: 3.0,
+        app_ms: 9.5,
+        db_ms: 14.0,
+        resp_bytes: 2500,
+        browse_weight: 0.0,
+        rw_weight: 6.0,
+    },
+    RequestType {
+        name: "PutComment",
+        class_id: 12,
+        write: true,
+        web_ms: 3.0,
+        app_ms: 10.0,
+        db_ms: 16.0,
+        resp_bytes: 2500,
+        browse_weight: 0.0,
+        rw_weight: 3.0,
+    },
+    RequestType {
+        name: "Sell",
+        class_id: 13,
+        write: true,
+        web_ms: 3.0,
+        app_ms: 8.0,
+        db_ms: 10.0,
+        resp_bytes: 3500,
+        browse_weight: 0.0,
+        rw_weight: 4.0,
+    },
+    RequestType {
+        name: "SellItemForm",
+        class_id: 14,
+        write: false,
+        web_ms: 6.0,
+        app_ms: 4.0,
+        db_ms: 0.0,
+        resp_bytes: 3000,
+        browse_weight: 5.0,
+        rw_weight: 3.0,
+    },
+    RequestType {
+        name: "AboutMe",
+        class_id: 15,
+        write: false,
+        web_ms: 8.0,
+        app_ms: 7.0,
+        db_ms: 2.5,
+        resp_bytes: 6500,
+        browse_weight: 14.0,
+        rw_weight: 9.0,
+    },
 ];
 
 /// Looks up a request type by its DPI class ordinal.
@@ -362,7 +522,10 @@ mod tests {
         }
         let avg_ms = total.as_millis_f64() / 100.0;
         let expect = rt.web_ms + rt.app_ms + rt.db_ms;
-        assert!((avg_ms - expect).abs() < expect * 0.2, "avg {avg_ms} vs {expect}");
+        assert!(
+            (avg_ms - expect).abs() < expect * 0.2,
+            "avg {avg_ms} vs {expect}"
+        );
     }
 
     #[test]
@@ -378,7 +541,13 @@ mod tests {
         let rt = by_class_id(10).unwrap(); // PutBid
         let p = m.request_packet(rt, 1);
         assert_eq!(p.dst_vm, 1);
-        assert!(matches!(p.app, AppTag::Http { class_id: 10, write: true }));
+        assert!(matches!(
+            p.app,
+            AppTag::Http {
+                class_id: 10,
+                write: true
+            }
+        ));
         let r = m.response_packet(rt, 0);
         assert!(matches!(r.app, AppTag::HttpResponse { class_id: 10 }));
         assert!(r.len_bytes <= 1500);
@@ -398,7 +567,11 @@ mod tests {
     fn phase_persistence_creates_class_runs() {
         // A single client's request stream must show much longer
         // same-class runs than an i.i.d. draw would.
-        let cfg = RubisConfig { clients: 1, phase_persistence: 0.9, ..RubisConfig::default() };
+        let cfg = RubisConfig {
+            clients: 1,
+            phase_persistence: 0.9,
+            ..RubisConfig::default()
+        };
         let mut m = RubisModel::new(cfg, 7);
         let mut runs = Vec::new();
         let mut current = m.next_request_for(0).write;
@@ -439,9 +612,21 @@ mod tests {
 
     #[test]
     fn demand_scale_multiplies_all_tiers() {
-        let base_cfg = RubisConfig { demand_jitter: 0.0, ..RubisConfig::default() };
-        let scaled_cfg = RubisConfig { demand_scale: 3.0, ..base_cfg };
-        let mut a = RubisModel::new(RubisConfig { demand_scale: 1.0, ..base_cfg }, 5);
+        let base_cfg = RubisConfig {
+            demand_jitter: 0.0,
+            ..RubisConfig::default()
+        };
+        let scaled_cfg = RubisConfig {
+            demand_scale: 3.0,
+            ..base_cfg
+        };
+        let mut a = RubisModel::new(
+            RubisConfig {
+                demand_scale: 1.0,
+                ..base_cfg
+            },
+            5,
+        );
         let mut b = RubisModel::new(scaled_cfg, 5);
         let rt = by_class_id(10).unwrap();
         let da = a.demands(rt);
@@ -453,7 +638,10 @@ mod tests {
 
     #[test]
     fn browsing_mix_write_fraction_is_zero() {
-        let cfg = RubisConfig { mix: Mix::Browsing, ..RubisConfig::default() };
+        let cfg = RubisConfig {
+            mix: Mix::Browsing,
+            ..RubisConfig::default()
+        };
         let m = RubisModel::new(cfg, 1);
         assert_eq!(m.write_fraction(), 0.0);
     }

@@ -79,7 +79,10 @@ pub fn simulate_admission(
     seed: u64,
 ) -> AdmissionStats {
     assert!(load.arrivals_per_sec > 0.0, "need a positive arrival rate");
-    assert!(load.mean_session_secs > 0.0, "need a positive session length");
+    assert!(
+        load.mean_session_secs > 0.0,
+        "need a positive session length"
+    );
     let mut rng = SimRng::new(seed);
     let mut stats = AdmissionStats::default();
     // Departure times of active sessions (min-heap via Reverse ordering).
@@ -136,15 +139,26 @@ pub fn simulate_admission(
 mod tests {
     use super::*;
 
-    const LOAD: SessionLoad = SessionLoad { arrivals_per_sec: 50.0, mean_session_secs: 2.0 };
+    const LOAD: SessionLoad = SessionLoad {
+        arrivals_per_sec: 50.0,
+        mean_session_secs: 2.0,
+    };
 
     #[test]
     fn conserves_and_replays() {
         let d = Nanos::from_secs(60);
         let a = simulate_admission(LOAD, 64, d, 7);
         assert_eq!(a.offered, a.admitted + a.rejected);
-        assert!(a.offered > 2000, "~3000 arrivals expected, got {}", a.offered);
-        assert_eq!(a, simulate_admission(LOAD, 64, d, 7), "same seed must replay");
+        assert!(
+            a.offered > 2000,
+            "~3000 arrivals expected, got {}",
+            a.offered
+        );
+        assert_eq!(
+            a,
+            simulate_admission(LOAD, 64, d, 7),
+            "same seed must replay"
+        );
         assert_ne!(
             a,
             simulate_admission(LOAD, 64, d, 8),

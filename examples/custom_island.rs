@@ -89,7 +89,10 @@ fn main() {
     // then the entities register their island-local identities (§2.3).
     controller.handle(
         Nanos::ZERO,
-        CoordMsg::RegisterIsland { island: io_island, kind: IslandKind::Storage },
+        CoordMsg::RegisterIsland {
+            island: io_island,
+            kind: IslandKind::Storage,
+        },
     );
     let web = EntityId(1);
     let app = EntityId(2);
@@ -97,7 +100,11 @@ fn main() {
     for e in [web, app, db] {
         controller.handle(
             Nanos::ZERO,
-            CoordMsg::RegisterEntity { entity: e, island: io_island, local_key: e.0 as u64 },
+            CoordMsg::RegisterEntity {
+                entity: e,
+                island: io_island,
+                local_key: e.0 as u64,
+            },
         );
         island.register(e.0 as u64, 1_000); // 1 ms poll to start
     }
@@ -107,10 +114,22 @@ fn main() {
     // the controller, and apply the resolved actions on our island.
     let mut policy = RequestTypePolicy::new(web, app, db, io_island);
     let observations = [
-        Observation::Request { class_id: 1, write: false },
-        Observation::Request { class_id: 11, write: true },
-        Observation::Request { class_id: 11, write: true },
-        Observation::Request { class_id: 7, write: false },
+        Observation::Request {
+            class_id: 1,
+            write: false,
+        },
+        Observation::Request {
+            class_id: 11,
+            write: true,
+        },
+        Observation::Request {
+            class_id: 11,
+            write: true,
+        },
+        Observation::Request {
+            class_id: 7,
+            write: false,
+        },
     ];
     let mut bytes_on_wire = 0usize;
     let mut msgs = Vec::new();
@@ -123,7 +142,9 @@ fn main() {
             let (decoded, _) = wire::decode(&buf).expect("round-trip");
             for action in controller.handle(now, decoded) {
                 match action {
-                    Action::ApplyTune { local_key, delta, .. } => {
+                    Action::ApplyTune {
+                        local_key, delta, ..
+                    } => {
                         island
                             .apply_tune(now, EntityId(local_key as u32), delta)
                             .expect("bound entity");

@@ -47,7 +47,11 @@ fn main() {
         fabric.handle(
             Nanos::from_micros(i as u64),
             origin,
-            CoordMsg::Tune { entity, delta: 1, target: None },
+            CoordMsg::Tune {
+                entity,
+                delta: 1,
+                target: None,
+            },
         );
     }
 
@@ -57,7 +61,10 @@ fn main() {
         zones * islands_per_zone,
         zones
     );
-    println!("{:<6} {:>9} {:>10} {:>10}", "zone", "local", "remote-in", "fwd-out");
+    println!(
+        "{:<6} {:>9} {:>10} {:>10}",
+        "zone", "local", "remote-in", "fwd-out"
+    );
     for z in 0..zones {
         let l = fabric.load(ZoneId(z));
         println!(

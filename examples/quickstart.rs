@@ -13,7 +13,10 @@ fn main() {
     println!("archipelago quickstart: 60 simulated seconds of RUBiS on the x86-IXP platform\n");
     for (label, policy) in [
         ("baseline (no coordination)", PolicyKind::None),
-        ("coord-ixp-dom0 (request-type Tunes)", PolicyKind::RequestType),
+        (
+            "coord-ixp-dom0 (request-type Tunes)",
+            PolicyKind::RequestType,
+        ),
     ] {
         let mut sim = PlatformBuilder::new()
             .seed(42)

@@ -9,9 +9,7 @@
 //! that seed, and asserts the identical shrunk report.
 
 use archipelago::coord::{EntityId, EntityPolicer, OscillationDetector, PolicerConfig};
-use archipelago::platform::{
-    AdversarySpec, ChaosPlan, PlatformBuilder, PolicyKind, RubisScenario,
-};
+use archipelago::platform::{AdversarySpec, ChaosPlan, PlatformBuilder, PolicyKind, RubisScenario};
 use archipelago::simcore::{Nanos, SimRng};
 use simtest::chaos::chaos_check_with;
 use simtest::gen::{vec_of, zip2, Gen};

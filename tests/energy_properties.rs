@@ -4,9 +4,7 @@
 //! knob-flapping at the QoS boundary under an active chaos schedule.
 
 use archipelago::coord::{EnergyController, EnergyControllerConfig, KnobPoint};
-use archipelago::platform::{
-    ChaosPlan, EnergyConfig, PlatformBuilder, PolicyKind, RubisScenario,
-};
+use archipelago::platform::{ChaosPlan, EnergyConfig, PlatformBuilder, PolicyKind, RubisScenario};
 use archipelago::simcore::Nanos;
 use simtest::gen::{zip2, zip3, Gen};
 use simtest::runner::Config;
@@ -16,8 +14,7 @@ use simtest::{check, check_with, st_assert, st_assert_eq};
 /// model — each rung of total descent depth adds `per_rung_ms` to a base
 /// p99 — until it settles, and returns the final lattice point.
 fn converge(target_ms: f64, base_ms: f64, per_rung_ms: f64) -> KnobPoint {
-    let mut c =
-        EnergyController::new(EnergyControllerConfig::default().with_target_ms(target_ms));
+    let mut c = EnergyController::new(EnergyControllerConfig::default().with_target_ms(target_ms));
     for i in 1..=400u64 {
         let p99 = base_ms + c.point().depth() as f64 * per_rung_ms;
         c.observe(Nanos::from_secs(2 * i), p99);
@@ -124,9 +121,18 @@ fn knob_flapping_at_the_qos_boundary_cannot_wedge_the_platform() {
         .chaos(ChaosPlan::seeded(0xE0_5EED, 12))
         .build_rubis(RubisScenario::read_write_mix(8));
     let r = sim.run(Nanos::from_secs(120));
-    assert!(sim.chaos_injected() > 0, "chaos plan injected nothing in 120 s");
-    assert!(r.rubis.completed > 0, "platform stopped serving at the QoS boundary");
-    assert!(r.energy.knob_actions > 0, "controller never probed the boundary");
+    assert!(
+        sim.chaos_injected() > 0,
+        "chaos plan injected nothing in 120 s"
+    );
+    assert!(
+        r.rubis.completed > 0,
+        "platform stopped serving at the QoS boundary"
+    );
+    assert!(
+        r.energy.knob_actions > 0,
+        "controller never probed the boundary"
+    );
     assert!(
         r.energy.violations > 0,
         "target {} ms never violated — not a boundary workload",

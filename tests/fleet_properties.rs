@@ -16,7 +16,11 @@ fn env(lamport: u64, source: u16) -> Envelope {
     Envelope {
         lamport,
         source: NodeId(source),
-        msg: CoordMsg::Tune { entity: EntityId(source as u32), delta: 1, target: None },
+        msg: CoordMsg::Tune {
+            entity: EntityId(source as u32),
+            delta: 1,
+            target: None,
+        },
     }
 }
 
@@ -29,8 +33,7 @@ fn equal_lamports_order_by_source_id() {
     // Draw lamports from a deliberately small range so ties are common.
     let input = vec_of(zip2(Gen::u64_in(1, 6), Gen::u16_in(0, 9)), 1, 40);
     check("equal_lamports_order_by_source_id", &input, |pairs| {
-        let mut envs: Vec<Envelope> =
-            pairs.iter().map(|&(l, s)| env(l, s)).collect();
+        let mut envs: Vec<Envelope> = pairs.iter().map(|&(l, s)| env(l, s)).collect();
         sort_envelopes(&mut envs);
         for w in envs.windows(2) {
             st_assert!(

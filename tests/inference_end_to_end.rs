@@ -29,7 +29,12 @@ fn inference_baseline_completes_requests() {
         assert!(t.submitted > 0, "{} submitted nothing", t.name);
         assert!(t.completed > 0, "{} completed nothing", t.name);
         assert!(t.batches > 0, "{} launched no batches", t.name);
-        assert!(t.mean_batch >= 1.0, "{} batch size {}", t.name, t.mean_batch);
+        assert!(
+            t.mean_batch >= 1.0,
+            "{} batch size {}",
+            t.name,
+            t.mean_batch
+        );
         assert!(
             r.rubis.responses.percentile(&t.name, 0.5) > 0.0,
             "{} has no latency samples",
@@ -66,7 +71,11 @@ fn batch_tuning_reaches_the_accelerator() {
     let r = inference(PolicyKind::InferenceBatch, 7, 20);
     // One classify-driven Tune per tenant crosses both mailbox lanes and
     // lands on the device via its ResourceManager.
-    assert!(r.coord.messages_sent >= 4, "messages {}", r.coord.messages_sent);
+    assert!(
+        r.coord.messages_sent >= 4,
+        "messages {}",
+        r.coord.messages_sent
+    );
     assert_eq!(r.coord.tunes_applied, 4, "tunes {}", r.coord.tunes_applied);
     assert_eq!(r.coord.rejected, 0);
 }
@@ -78,7 +87,10 @@ fn coordinated_batching_cuts_interactive_queueing() {
     let base = inference(PolicyKind::None, 11, 30);
     let coord = inference(PolicyKind::InferenceBatch, 11, 30);
     let q99 = |r: &RunReport, name: &str| {
-        r.accel.tenant(name).map(|t| t.queue_p99_ms).unwrap_or(f64::MAX)
+        r.accel
+            .tenant(name)
+            .map(|t| t.queue_p99_ms)
+            .unwrap_or(f64::MAX)
     };
     let lat_base = q99(&base, "chat") + q99(&base, "vision");
     let lat_coord = q99(&coord, "chat") + q99(&coord, "vision");

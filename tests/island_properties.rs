@@ -45,9 +45,9 @@ fn timer_events(link: &mut HostLink, now: Nanos) -> Vec<PcieEvent> {
 #[test]
 fn pcie_link_conserves_descriptors() {
     let input = zip3(
-        Gen::u32_in(1, 64),                                // ring slots
-        vec_of(domain_post(), 1, 149),                     // (gap, len) per post
-        Gen::u64_in(1, 16),                                // host_take batch size
+        Gen::u32_in(1, 64),            // ring slots
+        vec_of(domain_post(), 1, 149), // (gap, len) per post
+        Gen::u64_in(1, 16),            // host_take batch size
     );
     check(
         "pcie_link_conserves_descriptors",
@@ -100,9 +100,9 @@ fn pcie_link_conserves_descriptors() {
 #[test]
 fn pcie_link_drains_in_fifo_order() {
     let input = zip3(
-        Gen::u32_in(1, 32),     // ring slots
-        Gen::u64_in(2, 99),     // packets posted
-        Gen::u64_in(1, 8),      // host_take batch size
+        Gen::u32_in(1, 32), // ring slots
+        Gen::u64_in(2, 99), // packets posted
+        Gen::u64_in(1, 8),  // host_take batch size
     );
     check(
         "pcie_link_drains_in_fifo_order",
@@ -154,9 +154,9 @@ fn pcie_link_drains_in_fifo_order() {
 #[test]
 fn pcie_link_moderates_interrupt_rate() {
     let input = zip3(
-        Gen::u64_in(10, 500),                          // moderation period, µs
-        vec_of(Gen::u64_in(0, 200), 2, 99),            // inter-post gaps, µs
-        Gen::u64_in(1, 4),                             // host_take batch size
+        Gen::u64_in(10, 500),               // moderation period, µs
+        vec_of(Gen::u64_in(0, 200), 2, 99), // inter-post gaps, µs
+        Gen::u64_in(1, 4),                  // host_take batch size
     );
     check(
         "pcie_link_moderates_interrupt_rate",
@@ -210,9 +210,9 @@ fn pcie_link_moderates_interrupt_rate() {
 fn power_caps_monotone_under_sustained_pressure() {
     let input = zip2(
         zip3(
-            Gen::u32_in(5, 40),  // cap step
-            Gen::u32_in(1, 30),  // cap floor
-            Gen::bool_any(),     // strategy: biggest-consumer vs priority
+            Gen::u32_in(5, 40), // cap step
+            Gen::u32_in(1, 30), // cap floor
+            Gen::bool_any(),    // strategy: biggest-consumer vs priority
         ),
         vec_of(
             zip3(
@@ -293,8 +293,9 @@ fn accel_conserves_requests_across_tenant_mixes() {
                 ..AccelConfig::default()
             };
             let mut acc = AccelIsland::new(cfg);
-            let tenants: Vec<TenantId> =
-                (0..mix.len()).map(|i| acc.register_tenant(i as u32 + 1)).collect();
+            let tenants: Vec<TenantId> = (0..mix.len())
+                .map(|i| acc.register_tenant(i as u32 + 1))
+                .collect();
 
             // Deterministic open-loop schedule: up to 30 requests per
             // tenant at its mean inter-arrival gap, merged in time order.
@@ -346,7 +347,13 @@ fn accel_conserves_requests_across_tenant_mixes() {
             let mut seen = std::collections::HashSet::new();
             let mut completed_events = vec![0u64; mix.len()];
             for ev in &events {
-                if let AccelEvent::Completed { id, tenant, batch_size, .. } = ev {
+                if let AccelEvent::Completed {
+                    id,
+                    tenant,
+                    batch_size,
+                    ..
+                } = ev
+                {
                     st_assert!(seen.insert(*id), "request {id} completed twice");
                     st_assert!(*batch_size >= 1, "empty batch completed");
                     completed_events[tenant.0 as usize] += 1;
@@ -355,13 +362,18 @@ fn accel_conserves_requests_across_tenant_mixes() {
             for (t, m) in mix.iter().enumerate() {
                 let s = acc.stats(tenants[t]).ok_or("tenant stats missing")?;
                 st_assert_eq!(s.submitted, accepted[t], "tenant {t} submissions");
-                st_assert_eq!(s.submitted + s.rejected, offered[t], "tenant {t} conservation");
+                st_assert_eq!(
+                    s.submitted + s.rejected,
+                    offered[t],
+                    "tenant {t} conservation"
+                );
                 st_assert_eq!(s.completed, s.submitted, "tenant {t} drained");
                 st_assert_eq!(s.completed, completed_events[t], "tenant {t} events");
                 st_assert_eq!(s.batch_items, s.completed, "tenant {t} batch items");
                 if s.batches > 0 {
                     st_assert!(
-                        s.batch_items.div_ceil(s.batches) <= AccelConfig::default().max_batch as u64,
+                        s.batch_items.div_ceil(s.batches)
+                            <= AccelConfig::default().max_batch as u64,
                         "tenant {t} mean batch exceeds max_batch"
                     );
                 }

@@ -48,7 +48,10 @@ fn coordination_tames_tails_across_seeds() {
     // drops improve in aggregate.
     let mut agg = [(0.0f64, 0.0f64, 0u64), (0.0, 0.0, 0)]; // (sd, max, drops)
     for seed in [42, 7, 99, 1234, 5, 777] {
-        for (i, policy) in [PolicyKind::None, PolicyKind::RequestType].into_iter().enumerate() {
+        for (i, policy) in [PolicyKind::None, PolicyKind::RequestType]
+            .into_iter()
+            .enumerate()
+        {
             let r = rubis(policy, seed, 300);
             let o = r.rubis.responses.overall().clone();
             agg[i].0 += o.std_dev();
@@ -81,7 +84,10 @@ fn coordination_tames_tails_across_seeds() {
 fn coordination_messages_flow_and_none_rejected() {
     let r = rubis(PolicyKind::RequestType, 42, 30);
     assert!(r.coord.messages_sent > 100, "per-request regime flips");
-    assert!(r.coord.bytes_sent >= r.coord.messages_sent * 11, "11-byte tunes");
+    assert!(
+        r.coord.bytes_sent >= r.coord.messages_sent * 11,
+        "11-byte tunes"
+    );
     assert_eq!(r.coord.rejected, 0, "all entities registered");
     // Serialized application may leave a few messages in flight at the
     // end of the run; none are lost on the way.
@@ -119,7 +125,13 @@ fn browsing_mix_issues_only_read_types() {
         assert!(
             !matches!(
                 name,
-                "Register" | "BuyNow" | "PutBidAuth" | "PutBid" | "StoreBid" | "PutComment" | "Sell"
+                "Register"
+                    | "BuyNow"
+                    | "PutBidAuth"
+                    | "PutBid"
+                    | "StoreBid"
+                    | "PutComment"
+                    | "Sell"
             ),
             "write type {name} in browsing mix"
         );
@@ -263,7 +275,11 @@ fn power_cap_holds_and_priority_strategy_preserves_qos() {
         sim.run(Nanos::from_secs(90))
     };
     let uncapped = run(None);
-    assert!(uncapped.power.mean_watts > 110.0, "{}", uncapped.power.mean_watts);
+    assert!(
+        uncapped.power.mean_watts > 110.0,
+        "{}",
+        uncapped.power.mean_watts
+    );
     assert_eq!(uncapped.power.cap_actions, 0);
     let naive = run(Some((105.0, PowerStrategy::BiggestConsumer)));
     let coord = run(Some((

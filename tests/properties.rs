@@ -79,7 +79,11 @@ fn event_queue_interleaving_matches_reference_model() {
                         None => st_assert!(q.pop().is_none(), "empty queue has nothing to pop"),
                         Some((t, i)) => {
                             let (pt, pi) = q.pop().expect("model says an entry is pending");
-                            st_assert_eq!((pt, pi), (Nanos(t), i), "pop follows (time, FIFO) order");
+                            st_assert_eq!(
+                                (pt, pi),
+                                (Nanos(t), i),
+                                "pop follows (time, FIFO) order"
+                            );
                             model[i] = None;
                         }
                     },
@@ -116,7 +120,11 @@ fn event_queue_matches_sorted_vec_reference_across_horizons() {
     const SPAN: [u64; 3] = [2_048, 1_100_000, 100_000_000];
     const FIXED: [u64; 3] = [1_500, 900_000, 500_000_000];
     let ops = vec_of(
-        zip3(Gen::u64_in(0, 8), Gen::u64_in(0, 2), Gen::u64_in(0, u64::MAX / 2)),
+        zip3(
+            Gen::u64_in(0, 8),
+            Gen::u64_in(0, 2),
+            Gen::u64_in(0, u64::MAX / 2),
+        ),
         1,
         400,
     );
@@ -231,8 +239,18 @@ fn summary_min_max_bound_mean() {
         for &x in xs {
             s.record(x);
         }
-        st_assert!(s.min() <= s.mean() + 1e-9, "min {} > mean {}", s.min(), s.mean());
-        st_assert!(s.mean() <= s.max() + 1e-9, "mean {} > max {}", s.mean(), s.max());
+        st_assert!(
+            s.min() <= s.mean() + 1e-9,
+            "min {} > mean {}",
+            s.min(),
+            s.mean()
+        );
+        st_assert!(
+            s.mean() <= s.max() + 1e-9,
+            "mean {} > max {}",
+            s.mean(),
+            s.max()
+        );
         st_assert_eq!(s.count(), xs.len() as u64);
         Ok(())
     });
@@ -258,37 +276,45 @@ fn wire_codec_roundtrips() {
 
 #[test]
 fn wire_codec_streams_roundtrip() {
-    check("wire_codec_streams_roundtrip", &domain::coord_msgs(), |msgs| {
-        let mut buf = Vec::new();
-        for m in msgs {
-            wire::encode(m, &mut buf);
-        }
-        let mut off = 0;
-        for m in msgs {
-            let (d, n) =
-                wire::decode(&buf[off..]).map_err(|e| format!("decode failed: {e:?}"))?;
-            st_assert_eq!(d, *m);
-            off += n;
-        }
-        st_assert_eq!(off, buf.len());
-        Ok(())
-    });
+    check(
+        "wire_codec_streams_roundtrip",
+        &domain::coord_msgs(),
+        |msgs| {
+            let mut buf = Vec::new();
+            for m in msgs {
+                wire::encode(m, &mut buf);
+            }
+            let mut off = 0;
+            for m in msgs {
+                let (d, n) =
+                    wire::decode(&buf[off..]).map_err(|e| format!("decode failed: {e:?}"))?;
+                st_assert_eq!(d, *m);
+                off += n;
+            }
+            st_assert_eq!(off, buf.len());
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn truncated_wire_messages_never_panic() {
     let input = zip2(domain::coord_msg(), Gen::u64_in(0, 15));
-    check("truncated_wire_messages_never_panic", &input, |(msg, cut)| {
-        let mut buf = Vec::new();
-        let n = wire::encode(msg, &mut buf);
-        let cut = (*cut as usize).min(n.saturating_sub(1));
-        // Decoding any strict prefix errors cleanly.
-        st_assert!(
-            wire::decode(&buf[..cut]).is_err() || cut == 0 && n == 0,
-            "decoding a {cut}-byte prefix of a {n}-byte message succeeded"
-        );
-        Ok(())
-    });
+    check(
+        "truncated_wire_messages_never_panic",
+        &input,
+        |(msg, cut)| {
+            let mut buf = Vec::new();
+            let n = wire::encode(msg, &mut buf);
+            let cut = (*cut as usize).min(n.saturating_sub(1));
+            // Decoding any strict prefix errors cleanly.
+            st_assert!(
+                wire::decode(&buf[..cut]).is_err() || cut == 0 && n == 0,
+                "decoding a {cut}-byte prefix of a {n}-byte message succeeded"
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -296,41 +322,51 @@ fn framed_wire_prefixes_never_decode() {
     // Every tag — including the tag-6 reliable-delivery frame — rejects
     // every strict prefix of its encoding with a clean error, under both
     // the plain and the framed decoder.
-    let input = zip2(zip2(domain::coord_msg(), Gen::u32_any()), Gen::u64_in(0, 63));
-    check("framed_wire_prefixes_never_decode", &input, |((msg, seq), cut)| {
-        let mut plain = Vec::new();
-        let n = wire::encode(msg, &mut plain);
-        let c = (*cut as usize) % n;
-        st_assert!(
-            wire::decode(&plain[..c]).is_err(),
-            "plain decode of a {c}-byte prefix of a {n}-byte message succeeded"
-        );
-        st_assert!(
-            wire::decode_framed(&plain[..c]).is_err(),
-            "framed decode of a {c}-byte plain prefix succeeded"
-        );
+    let input = zip2(
+        zip2(domain::coord_msg(), Gen::u32_any()),
+        Gen::u64_in(0, 63),
+    );
+    check(
+        "framed_wire_prefixes_never_decode",
+        &input,
+        |((msg, seq), cut)| {
+            let mut plain = Vec::new();
+            let n = wire::encode(msg, &mut plain);
+            let c = (*cut as usize) % n;
+            st_assert!(
+                wire::decode(&plain[..c]).is_err(),
+                "plain decode of a {c}-byte prefix of a {n}-byte message succeeded"
+            );
+            st_assert!(
+                wire::decode_framed(&plain[..c]).is_err(),
+                "framed decode of a {c}-byte plain prefix succeeded"
+            );
 
-        let mut framed = Vec::new();
-        let fl = wire::encode_framed(*seq, msg, &mut framed);
-        let (s, d, used) =
-            wire::decode_framed(&framed).map_err(|e| format!("frame round-trip failed: {e:?}"))?;
-        st_assert_eq!(s, *seq);
-        st_assert_eq!(d, *msg);
-        st_assert_eq!(used, fl);
-        // The plain decoder never accepts a frame (tag namespaces stay
-        // disjoint), and neither decoder accepts a strict frame prefix.
-        st_assert!(wire::decode(&framed).is_err(), "plain decode accepted a frame");
-        let fc = (*cut as usize) % fl;
-        st_assert!(
-            wire::decode_framed(&framed[..fc]).is_err(),
-            "framed decode of a {fc}-byte prefix of a {fl}-byte frame succeeded"
-        );
-        st_assert!(
-            wire::decode(&framed[..fc]).is_err(),
-            "plain decode of a {fc}-byte frame prefix succeeded"
-        );
-        Ok(())
-    });
+            let mut framed = Vec::new();
+            let fl = wire::encode_framed(*seq, msg, &mut framed);
+            let (s, d, used) = wire::decode_framed(&framed)
+                .map_err(|e| format!("frame round-trip failed: {e:?}"))?;
+            st_assert_eq!(s, *seq);
+            st_assert_eq!(d, *msg);
+            st_assert_eq!(used, fl);
+            // The plain decoder never accepts a frame (tag namespaces stay
+            // disjoint), and neither decoder accepts a strict frame prefix.
+            st_assert!(
+                wire::decode(&framed).is_err(),
+                "plain decode accepted a frame"
+            );
+            let fc = (*cut as usize) % fl;
+            st_assert!(
+                wire::decode_framed(&framed[..fc]).is_err(),
+                "framed decode of a {fc}-byte prefix of a {fl}-byte frame succeeded"
+            );
+            st_assert!(
+                wire::decode(&framed[..fc]).is_err(),
+                "plain decode of a {fc}-byte frame prefix succeeded"
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -338,18 +374,30 @@ fn arbitrary_bytes_never_panic_the_wire_decoders() {
     // Decoding untrusted bytes either errors or reports a consumed length
     // within bounds; it never panics.
     let bytes = vec_of(Gen::u64_in(0, 255).map(|b| b as u8), 0, 40);
-    check("arbitrary_bytes_never_panic_the_wire_decoders", &bytes, |bytes| {
-        if let Ok((_, used)) = wire::decode(bytes) {
-            st_assert!(used <= bytes.len(), "decode used {used} of {}", bytes.len());
-        }
-        if let Ok((_, _, used)) = wire::decode_framed(bytes) {
-            st_assert!(used <= bytes.len(), "decode_framed used {used} of {}", bytes.len());
-        }
-        if let Ok((_, _, _, _, used)) = wire::decode_envelope(bytes) {
-            st_assert!(used <= bytes.len(), "decode_envelope used {used} of {}", bytes.len());
-        }
-        Ok(())
-    });
+    check(
+        "arbitrary_bytes_never_panic_the_wire_decoders",
+        &bytes,
+        |bytes| {
+            if let Ok((_, used)) = wire::decode(bytes) {
+                st_assert!(used <= bytes.len(), "decode used {used} of {}", bytes.len());
+            }
+            if let Ok((_, _, used)) = wire::decode_framed(bytes) {
+                st_assert!(
+                    used <= bytes.len(),
+                    "decode_framed used {used} of {}",
+                    bytes.len()
+                );
+            }
+            if let Ok((_, _, _, _, used)) = wire::decode_envelope(bytes) {
+                st_assert!(
+                    used <= bytes.len(),
+                    "decode_envelope used {used} of {}",
+                    bytes.len()
+                );
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -389,25 +437,29 @@ fn registry_range_lookup_matches_a_scan_of_all_bindings() {
         0,
         60,
     );
-    check("registry_range_lookup_matches_a_scan_of_all_bindings", &bindings, |bindings| {
-        let mut r = Registry::new();
-        let mut accepted = Vec::new();
-        for &(e, i, k) in bindings {
-            if r.bind(EntityId(e), IslandId(i), k).is_ok() && r.len() > accepted.len() {
-                accepted.push((EntityId(e), IslandId(i), k));
+    check(
+        "registry_range_lookup_matches_a_scan_of_all_bindings",
+        &bindings,
+        |bindings| {
+            let mut r = Registry::new();
+            let mut accepted = Vec::new();
+            for &(e, i, k) in bindings {
+                if r.bind(EntityId(e), IslandId(i), k).is_ok() && r.len() > accepted.len() {
+                    accepted.push((EntityId(e), IslandId(i), k));
+                }
             }
-        }
-        for e in (0..=6).map(EntityId) {
-            let mut scan: Vec<(IslandId, u64)> = accepted
-                .iter()
-                .filter(|(be, _, _)| *be == e)
-                .map(|&(_, i, k)| (i, k))
-                .collect();
-            scan.sort_by_key(|&(i, _)| i);
-            st_assert_eq!(r.bindings_of(e).collect::<Vec<_>>(), scan, "entity {e}");
-        }
-        Ok(())
-    });
+            for e in (0..=6).map(EntityId) {
+                let mut scan: Vec<(IslandId, u64)> = accepted
+                    .iter()
+                    .filter(|(be, _, _)| *be == e)
+                    .map(|&(_, i, k)| (i, k))
+                    .collect();
+                scan.sort_by_key(|&(i, _)| i);
+                st_assert_eq!(r.bindings_of(e).collect::<Vec<_>>(), scan, "entity {e}");
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -504,10 +556,20 @@ fn credit_scheduler_is_weight_proportional() {
             let mut s = CreditScheduler::new(SchedConfig::new(1));
             let a = s.create_domain("a", wa, 1);
             let b = s.create_domain("b", wb, 1);
-            s.submit(Nanos::ZERO, a, Burst::user(Nanos::from_secs(30), 1), WakeMode::Plain)
-                .map_err(|e| format!("submit a: {e:?}"))?;
-            s.submit(Nanos::ZERO, b, Burst::user(Nanos::from_secs(30), 2), WakeMode::Plain)
-                .map_err(|e| format!("submit b: {e:?}"))?;
+            s.submit(
+                Nanos::ZERO,
+                a,
+                Burst::user(Nanos::from_secs(30), 1),
+                WakeMode::Plain,
+            )
+            .map_err(|e| format!("submit a: {e:?}"))?;
+            s.submit(
+                Nanos::ZERO,
+                b,
+                Burst::user(Nanos::from_secs(30), 2),
+                WakeMode::Plain,
+            )
+            .map_err(|e| format!("submit b: {e:?}"))?;
             let mut evs = Vec::new();
             while let Some(t) = s.next_event_time() {
                 if t > Nanos::from_secs(10) {
@@ -520,7 +582,11 @@ fn credit_scheduler_is_weight_proportional() {
             let ua = snap.cpu_percent(a);
             let ub = snap.cpu_percent(b);
             let expect_a = 100.0 * wa as f64 / (wa + wb) as f64;
-            st_assert!((ua + ub - 100.0).abs() < 3.0, "work conserving: {}", ua + ub);
+            st_assert!(
+                (ua + ub - 100.0).abs() < 3.0,
+                "work conserving: {}",
+                ua + ub
+            );
             st_assert!(
                 (ua - expect_a).abs() < 8.0,
                 "a got {ua}% of cpu, expected ~{expect_a}% (weights {wa}:{wb})"
@@ -545,7 +611,12 @@ fn forced_failure_reports_reproducible_seed() {
         Ok(())
     };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        check_with(&Config::with_cases(200), "forced_failure_demo", &gen, failing);
+        check_with(
+            &Config::with_cases(200),
+            "forced_failure_demo",
+            &gen,
+            failing,
+        );
     }));
     let msg = *result
         .expect_err("the property must fail")

@@ -22,11 +22,21 @@ fn stresses(seed: u64) -> [(&'static str, PlatformBuilder); 3] {
     let faults = FaultProfile::none()
         .with_drop(0.10)
         .with_dup(0.05)
-        .with_jitter(Jitter::Exponential { mean: Nanos::from_micros(20) });
+        .with_jitter(Jitter::Exponential {
+            mean: Nanos::from_micros(20),
+        });
     [
-        ("faulty channel", base().fault_profile(faults).reliable_delivery(ReliableConfig::default())),
+        (
+            "faulty channel",
+            base()
+                .fault_profile(faults)
+                .reliable_delivery(ReliableConfig::default()),
+        ),
         ("chaos", base().chaos(ChaosPlan::seeded(seed, 6))),
-        ("tight queues", base().queue_caps(4, 6).rto_initial(Nanos::from_millis(300))),
+        (
+            "tight queues",
+            base().queue_caps(4, 6).rto_initial(Nanos::from_millis(300)),
+        ),
     ]
 }
 
@@ -146,11 +156,22 @@ fn a_second_run_continues_the_workload() {
         done.abs_diff(want) * 20 <= want,
         "twenty 2 s runs completed {done} requests, one 40 s run {want}"
     );
-    let samples = |r: &RunReport| r.cpu_series.iter().map(|(_, s)| s.len()).collect::<Vec<_>>();
+    let samples = |r: &RunReport| {
+        r.cpu_series
+            .iter()
+            .map(|(_, s)| s.len())
+            .collect::<Vec<_>>()
+    };
     assert_eq!(samples(&split), samples(&whole), "samples per domain");
 
-    let mut inf = PlatformBuilder::new().seed(42).build_inference(InferenceScenario::mixed_tenants());
+    let mut inf = PlatformBuilder::new()
+        .seed(42)
+        .build_inference(InferenceScenario::mixed_tenants());
     let first = inf.run(Nanos::from_secs(2)).rubis.offered;
     let both = inf.run(Nanos::from_secs(2)).rubis.offered;
-    assert!(both - first > first * 3 / 4, "tenants offered {first} requests, then {}", both - first);
+    assert!(
+        both - first > first * 3 / 4,
+        "tenants offered {first} requests, then {}",
+        both - first
+    );
 }
