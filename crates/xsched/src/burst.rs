@@ -16,20 +16,22 @@ pub enum BurstKind {
 ///
 /// The `tag` is opaque to the scheduler and returned verbatim in
 /// [`SchedEvent::Completed`](crate::SchedEvent), letting callers correlate
-/// completions with in-flight requests.
+/// completions with in-flight requests. It may be any type: a caller can
+/// attach the whole completion context to the burst instead of a key into
+/// a side table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Burst {
+pub struct Burst<T = u64> {
     /// Remaining CPU demand.
     pub demand: Nanos,
     /// Accounting classification.
     pub kind: BurstKind,
     /// Caller correlation tag, echoed on completion.
-    pub tag: u64,
+    pub tag: T,
 }
 
-impl Burst {
+impl<T> Burst<T> {
     /// Creates a user-mode burst.
-    pub fn user(demand: Nanos, tag: u64) -> Self {
+    pub fn user(demand: Nanos, tag: T) -> Self {
         Burst {
             demand,
             kind: BurstKind::User,
@@ -38,7 +40,7 @@ impl Burst {
     }
 
     /// Creates a system-mode burst.
-    pub fn system(demand: Nanos, tag: u64) -> Self {
+    pub fn system(demand: Nanos, tag: T) -> Self {
         Burst {
             demand,
             kind: BurstKind::System,

@@ -17,10 +17,10 @@
 //! * Idle pCPUs steal runnable VCPUs from other runqueues, and optional
 //!   per-domain **caps** park VCPUs that exhaust their capped allowance.
 //!
-//! Work arrives as [`Burst`]s — CPU demands tagged by the caller — queued
-//! per VCPU; the scheduler emits [`SchedEvent::Completed`] when a burst
-//! finishes, which is how the platform layer sequences multi-tier request
-//! processing.
+//! Work arrives as [`Burst`]s — CPU demands tagged by the caller with any
+//! value, by default a `u64` — queued per VCPU; the scheduler emits
+//! [`SchedEvent::Completed`] with the tag when a burst finishes, which is
+//! how the platform layer sequences multi-tier request processing.
 //!
 //! ## Example
 //!

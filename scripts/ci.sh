@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI pass: release build, full test suite, and a bench smoke run
-# that executes every benchmark body once and verifies the JSON reports.
+# Offline CI pass: format check, release build, full test suite, and a
+# bench smoke run that executes every benchmark body once and verifies
+# the JSON reports.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +40,10 @@ for slug, digest in pinned:
 print(f"    ok: {len(pinned)} release {label} tables match {pins}")
 EOF
 }
+
+echo "==> cargo fmt --all -- --check"
+# Formats workspace members only; the benchmark package is not one.
+cargo fmt --all -- --check
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
