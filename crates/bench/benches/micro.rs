@@ -3,6 +3,7 @@
 //! enough to standardize (§3.3).
 
 use coord::{wire, CoordMsg, EntityId, IslandId, TokenBucket};
+use metrics::ResponseStats;
 use simcore::stats::{Histogram, OnlineStats};
 use simcore::{EventQueue, Nanos, SimRng};
 use simtest::BenchSuite;
@@ -59,6 +60,17 @@ fn main() {
     suite.bench("stats/histogram_record", || {
         y = (y * 1.1) % 1e4;
         h.record(black_box(y));
+    });
+
+    // One record updates a type's summary and histogram and the overall
+    // pair; four RUBiS type names, latencies from 0.5 ms to ~200 ms.
+    let mut responses = ResponseStats::new();
+    let names = ["BrowseCategories", "PutBid", "SearchItems", "ViewItem"];
+    let mut i = 0u64;
+    suite.bench("metrics/response_record", || {
+        i += 1;
+        let latency = Nanos::from_micros(500 + (i * 7919) % 200_000);
+        responses.record(black_box(names[(i % 4) as usize]), black_box(latency));
     });
 
     let mut bucket = TokenBucket::new(1e6, 1e3);

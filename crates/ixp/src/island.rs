@@ -20,6 +20,15 @@
 //! CPU-starved), the window closes, the per-flow DRAM queue grows, and the
 //! buffer monitor eventually fires — precisely the causal chain behind the
 //! paper's Figure 7 trigger experiment.
+//!
+//! ## Stage costs
+//!
+//! Every stage's service time is [`CostModel::service_time`] of the
+//! island's fixed geometry. Rx, Tx, flow classification and the host queue
+//! never touch the payload (`dram_refs_per_64b == 0`), so their costs do
+//! not depend on the packet and are computed once, in [`IxpIsland::new`].
+//! DPI classification walks the payload, so its cost is memoized by packet
+//! length in a small direct-mapped table.
 
 use crate::monitor::BufferMonitor;
 use crate::{AppTag, CostModel, FlowId, IxpGeometry, Packet, ThreadPool};
@@ -139,6 +148,62 @@ struct Internal {
     pkt: Packet,
 }
 
+/// Direct-mapped slots of the DPI cost memo (a power of two).
+const DPI_SLOTS: usize = 16;
+
+/// The per-packet stage service times of one island's geometry.
+#[derive(Debug)]
+struct StageCosts {
+    geometry: IxpGeometry,
+    rx: Nanos,
+    tx: Nanos,
+    classify_flow: Nanos,
+    host_queue: Nanos,
+    /// `(len_bytes, DPI cost)` pairs, each slot holding the last length
+    /// that hashed to it. Every slot starts filled with a real entry.
+    dpi: [(u32, Nanos); DPI_SLOTS],
+}
+
+impl StageCosts {
+    fn new(geometry: IxpGeometry) -> Self {
+        let fixed = |model: CostModel| {
+            assert_eq!(
+                model.dram_refs_per_64b, 0.0,
+                "a stage whose cost is computed once must not read the payload"
+            );
+            model.service_time(&geometry, 0)
+        };
+        let empty = (0, CostModel::classify_dpi().service_time(&geometry, 0));
+        StageCosts {
+            geometry,
+            rx: fixed(CostModel::rx()),
+            tx: fixed(CostModel::tx()),
+            classify_flow: fixed(CostModel::classify_flow()),
+            host_queue: fixed(CostModel::host_queue()),
+            dpi: [empty; DPI_SLOTS],
+        }
+    }
+
+    /// The memo slot of a packet length. Fibonacci hashing: the top bits of
+    /// the product spread nearby lengths (and the 420- and 1500-byte
+    /// request sizes) over different slots.
+    fn dpi_slot(len_bytes: u32) -> usize {
+        (len_bytes.wrapping_mul(0x9E37_79B9) >> (32 - DPI_SLOTS.ilog2())) as usize
+    }
+
+    /// DPI classification cost of a `len_bytes` packet.
+    fn dpi(&mut self, len_bytes: u32) -> Nanos {
+        let entry = &mut self.dpi[Self::dpi_slot(len_bytes)];
+        if entry.0 != len_bytes {
+            *entry = (
+                len_bytes,
+                CostModel::classify_dpi().service_time(&self.geometry, len_bytes),
+            );
+        }
+        entry.1
+    }
+}
+
 #[derive(Debug)]
 struct FlowState {
     vm: u32,
@@ -156,6 +221,7 @@ struct FlowState {
 #[derive(Debug)]
 pub struct IxpIsland {
     cfg: IxpConfig,
+    costs: StageCosts,
     rx: ThreadPool,
     classify: ThreadPool,
     tx: ThreadPool,
@@ -179,6 +245,7 @@ impl IxpIsland {
             q: EventQueue::new(),
             now: Nanos::ZERO,
             unroutable: 0,
+            costs: StageCosts::new(cfg.geometry),
             cfg,
         }
     }
@@ -221,9 +288,8 @@ impl IxpIsland {
         let now = self.now;
         if let Some(f) = self.flows.get_mut(flow.0 as usize) {
             for pkt in f.pool.set_threads(threads) {
-                let t = now + Self::flow_service(&self.cfg, &pkt);
                 self.q.schedule(
-                    t,
+                    now + self.costs.host_queue,
                     Internal {
                         stage: Stage::FlowQueue(flow),
                         pkt,
@@ -255,9 +321,8 @@ impl IxpIsland {
         let mut out = Vec::new();
         self.advance(now, &mut out);
         if let Some((delay, pkt)) = self.rx.offer(pkt) {
-            let t = now + delay + CostModel::rx().service_time(&self.cfg.geometry, pkt.len_bytes);
             self.q.schedule(
-                t,
+                now + delay + self.costs.rx,
                 Internal {
                     stage: Stage::Rx,
                     pkt,
@@ -273,9 +338,8 @@ impl IxpIsland {
         let mut out = Vec::new();
         self.advance(now, &mut out);
         if let Some((delay, pkt)) = self.tx.offer(pkt) {
-            let t = now + delay + CostModel::tx().service_time(&self.cfg.geometry, pkt.len_bytes);
             self.q.schedule(
-                t,
+                now + delay + self.costs.tx,
                 Internal {
                     stage: Stage::Tx,
                     pkt,
@@ -305,9 +369,8 @@ impl IxpIsland {
         }
         // Freed queue space may admit new services.
         while let Some(pkt) = f.pool.start_next() {
-            let t = now + Self::flow_service(&self.cfg, &pkt);
             self.q.schedule(
-                t,
+                now + self.costs.host_queue,
                 Internal {
                     stage: Stage::FlowQueue(flow),
                     pkt,
@@ -369,10 +432,6 @@ impl IxpIsland {
     // Internals
     // ------------------------------------------------------------------
 
-    fn flow_service(cfg: &IxpConfig, pkt: &Packet) -> Nanos {
-        CostModel::host_queue().service_time(&cfg.geometry, pkt.len_bytes)
-    }
-
     fn advance(&mut self, now: Nanos, out: &mut Vec<IxpEvent>) {
         debug_assert!(now >= self.now, "ixp time went backwards");
         while let Some(t) = self.q.peek_time() {
@@ -389,9 +448,8 @@ impl IxpIsland {
         match ev.stage {
             Stage::Rx => {
                 if let Some(pkt) = self.rx.finish_one() {
-                    let d = CostModel::rx().service_time(&self.cfg.geometry, pkt.len_bytes);
                     self.q.schedule(
-                        t + d,
+                        t + self.costs.rx,
                         Internal {
                             stage: Stage::Rx,
                             pkt,
@@ -434,9 +492,8 @@ impl IxpIsland {
                 f.stats.rx_packets += 1;
                 f.stats.rx_bytes += ev.pkt.len_bytes as u64;
                 if let Some((delay, pkt)) = f.pool.offer(ev.pkt) {
-                    let d = Self::flow_service(&self.cfg, &pkt);
                     self.q.schedule(
-                        t + delay + d,
+                        t + delay + self.costs.host_queue,
                         Internal {
                             stage: Stage::FlowQueue(flow),
                             pkt,
@@ -453,9 +510,8 @@ impl IxpIsland {
                     // A dequeue thread polls its queue between services:
                     // per-flow bandwidth ≈ threads / poll interval — the
                     // §2.1 knob pair.
-                    let d = f.pool.poll() + Self::flow_service(&self.cfg, &pkt);
                     self.q.schedule(
-                        t + d,
+                        t + f.pool.poll() + self.costs.host_queue,
                         Internal {
                             stage: Stage::FlowQueue(flow),
                             pkt,
@@ -477,9 +533,8 @@ impl IxpIsland {
             }
             Stage::Tx => {
                 if let Some(pkt) = self.tx.finish_one() {
-                    let d = CostModel::tx().service_time(&self.cfg.geometry, pkt.len_bytes);
                     self.q.schedule(
-                        t + d,
+                        t + self.costs.tx,
                         Internal {
                             stage: Stage::Tx,
                             pkt,
@@ -491,14 +546,12 @@ impl IxpIsland {
         }
     }
 
-    fn classify_cost(&self, pkt: &Packet) -> Nanos {
-        let model =
-            if self.cfg.dpi && matches!(pkt.app, AppTag::Http { .. } | AppTag::Inference { .. }) {
-                CostModel::classify_dpi()
-            } else {
-                CostModel::classify_flow()
-            };
-        model.service_time(&self.cfg.geometry, pkt.len_bytes)
+    fn classify_cost(&mut self, pkt: &Packet) -> Nanos {
+        if self.cfg.dpi && matches!(pkt.app, AppTag::Http { .. } | AppTag::Inference { .. }) {
+            self.costs.dpi(pkt.len_bytes)
+        } else {
+            self.costs.classify_flow
+        }
     }
 
     fn check_monitor(&mut self, flow: FlowId, t: Nanos, out: &mut Vec<IxpEvent>) {
@@ -530,6 +583,7 @@ impl simcore::Component for IxpIsland {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimRng;
 
     fn drain(island: &mut IxpIsland, until: Nanos) -> Vec<IxpEvent> {
         let mut out = Vec::new();
@@ -761,6 +815,62 @@ mod tests {
                 write: true
             }
         ));
+    }
+
+    #[test]
+    fn stage_costs_equal_the_cost_model_at_every_length() {
+        let slow = IxpGeometry {
+            clock_hz: 0.6e9,
+            stall_exposure: 0.7,
+            ..IxpGeometry::ixp2850()
+        };
+        for geometry in [IxpGeometry::ixp2850(), slow] {
+            let island = IxpIsland::new(IxpConfig {
+                geometry,
+                ..IxpConfig::default()
+            });
+            let c = &island.costs;
+            for len in 0..=9000 {
+                let cost = |model: CostModel| model.service_time(&geometry, len);
+                assert_eq!(c.rx, cost(CostModel::rx()), "rx at {len} B");
+                assert_eq!(c.tx, cost(CostModel::tx()), "tx at {len} B");
+                assert_eq!(
+                    c.classify_flow,
+                    cost(CostModel::classify_flow()),
+                    "flow classification at {len} B"
+                );
+                assert_eq!(
+                    c.host_queue,
+                    cost(CostModel::host_queue()),
+                    "host queue at {len} B"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dpi_memo_returns_the_formula_under_interleaved_lengths() {
+        let geometry = IxpGeometry::ixp2850();
+        let mut costs = StageCosts::new(geometry);
+        let dpi = |len| CostModel::classify_dpi().service_time(&geometry, len);
+        // The two request sizes the workloads send land in different slots.
+        assert_ne!(StageCosts::dpi_slot(420), StageCosts::dpi_slot(1500));
+        // Lengths that share 420's slot evict one another in turn.
+        let rivals: Vec<u32> = (0..=9000)
+            .filter(|&len| StageCosts::dpi_slot(len) == StageCosts::dpi_slot(420))
+            .take(4)
+            .collect();
+        assert_eq!(rivals.len(), 4);
+        let mut rng = SimRng::new(7);
+        for i in 0..30_000usize {
+            let len = match i % 4 {
+                0 => rivals[(i / 4) % rivals.len()],
+                1 => (rng.next_u64() % 9001) as u32,
+                2 => [0, 64, 420, 1500, u32::MAX][(i / 4) % 5],
+                _ => rivals[rng.next_u64() as usize % rivals.len()],
+            };
+            assert_eq!(costs.dpi(len), dpi(len), "call {i}: {len} B");
+        }
     }
 
     #[test]

@@ -1,4 +1,8 @@
 //! Per-request-type response-time collection (Figures 2 & 4, Table 1).
+//!
+//! Every histogram here is built by `Histogram::latency_millis`, so a
+//! record computes its latency bucket once and counts it in both its
+//! type's histogram and the overall one.
 
 use simcore::stats::{Histogram, Summary};
 use simcore::Nanos;
@@ -53,10 +57,12 @@ impl ResponseStats {
                 .entry(key.to_owned())
                 .or_insert_with(|| (Summary::new(), Histogram::latency_millis())),
         };
-        summary.record_nanos(latency);
-        hist.record(latency.as_millis_f64());
-        self.all.record_nanos(latency);
-        self.all_hist.record(latency.as_millis_f64());
+        let ms = latency.as_millis_f64();
+        let bucket = self.all_hist.bucket_of(ms);
+        summary.record(ms);
+        hist.record_bucket(bucket);
+        self.all.record(ms);
+        self.all_hist.record_bucket(bucket);
     }
 
     /// Approximate latency percentile for one request type, in
@@ -128,6 +134,37 @@ mod tests {
         assert!(p99 > 800.0, "p99 {p99}");
         assert_eq!(r.percentile("missing", 0.5), 0.0);
         assert!(r.overall_percentile(0.99) >= r.overall_percentile(0.5));
+    }
+
+    #[test]
+    fn shared_bucket_matches_separate_histograms() {
+        let names = ["BrowseCategories", "PutBid", "ViewItem", "SearchItems"];
+        let mut r = ResponseStats::new();
+        let mut per_type: Vec<Histogram> =
+            names.iter().map(|_| Histogram::latency_millis()).collect();
+        let mut all = Histogram::latency_millis();
+        for i in 0..20_000u64 {
+            // Sub-µs underflow, every bucket and, above ~268 s, overflow.
+            let latency = if i % 50 == 0 {
+                Nanos(i % 1000)
+            } else {
+                Nanos((i * i * 1009) % 400_000_000_000)
+            };
+            let k = (i % 4) as usize;
+            r.record(names[k], latency);
+            per_type[k].record(latency.as_millis_f64());
+            all.record(latency.as_millis_f64());
+        }
+        for q in (0..=1000).map(|m| f64::from(m) / 1000.0) {
+            for (k, name) in names.iter().enumerate() {
+                assert_eq!(
+                    r.percentile(name, q),
+                    per_type[k].quantile(q),
+                    "{name} q={q}"
+                );
+            }
+            assert_eq!(r.overall_percentile(q), all.quantile(q), "overall q={q}");
+        }
     }
 
     #[test]

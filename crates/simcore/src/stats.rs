@@ -1,6 +1,11 @@
 //! Online statistics used by every measurement in the reproduction:
 //! Welford mean/variance, min/max tracking, logarithmic histograms and
 //! raw time series.
+//!
+//! A [`Histogram`] takes `ln(ratio)` once, when it is built, and splits
+//! recording into [`Histogram::bucket_of`] (one `ln` per observation) and
+//! [`Histogram::record_bucket`], so histograms of one layout can count an
+//! observation under a single bucket computation.
 
 use crate::Nanos;
 use std::fmt;
@@ -202,6 +207,8 @@ pub struct Histogram {
     counts: Vec<u64>,
     scale: f64,
     ratio: f64,
+    /// `ratio.ln()`, taken once at construction.
+    ln_ratio: f64,
     underflow: u64,
     total: u64,
 }
@@ -218,6 +225,7 @@ impl Histogram {
             counts: vec![0; buckets],
             scale,
             ratio,
+            ln_ratio: ratio.ln(),
             underflow: 0,
             total: 0,
         }
@@ -230,14 +238,28 @@ impl Histogram {
 
     /// Adds one observation.
     pub fn record(&mut self, x: f64) {
-        self.total += 1;
+        self.record_bucket(self.bucket_of(x));
+    }
+
+    /// The bucket `x` falls in: `None` below `scale`, else its index,
+    /// with overflow in the last bucket.
+    pub fn bucket_of(&self, x: f64) -> Option<usize> {
         if x < self.scale {
-            self.underflow += 1;
-            return;
+            return None;
         }
-        let idx = ((x / self.scale).ln() / self.ratio.ln()) as usize;
-        let idx = idx.min(self.counts.len() - 1);
-        self.counts[idx] += 1;
+        let idx = ((x / self.scale).ln() / self.ln_ratio) as usize;
+        Some(idx.min(self.counts.len() - 1))
+    }
+
+    /// Counts one observation in `bucket`, as returned by
+    /// [`bucket_of`](Self::bucket_of) of a histogram built with the same
+    /// parameters.
+    pub fn record_bucket(&mut self, bucket: Option<usize>) {
+        self.total += 1;
+        match bucket {
+            Some(idx) => self.counts[idx] += 1,
+            None => self.underflow += 1,
+        }
     }
 
     /// Total observations.
@@ -442,6 +464,54 @@ mod tests {
         h.record(1e12);
         assert_eq!(h.count(), 1);
         assert!(h.quantile(1.0) >= 8.0);
+    }
+
+    /// The pre-split `record`, with `ln(ratio)` taken per observation.
+    fn reference_record(h: &mut Histogram, x: f64) {
+        h.total += 1;
+        if x < h.scale {
+            h.underflow += 1;
+            return;
+        }
+        let idx = ((x / h.scale).ln() / h.ratio.ln()) as usize;
+        let idx = idx.min(h.counts.len() - 1);
+        h.counts[idx] += 1;
+    }
+
+    #[test]
+    fn split_bucket_path_counts_like_the_reference() {
+        for (scale, ratio, buckets) in [
+            (1e-3, std::f64::consts::SQRT_2, 56),
+            (1.0, 2.0, 4),
+            (0.5, 1.1, 200),
+        ] {
+            let mut split = Histogram::new(scale, ratio, buckets);
+            let mut twin = Histogram::new(scale, ratio, buckets);
+            let mut reference = Histogram::new(scale, ratio, buckets);
+            let mut xs = vec![0.0, -1.0, scale / 2.0, f64::INFINITY, f64::MAX];
+            // Every bucket edge `scale·ratio^k` from below, on and above,
+            // up to past the last bucket (overflow).
+            for k in 0..=buckets as i32 + 3 {
+                let edge = scale * ratio.powi(k);
+                xs.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            // A geometric sweep between the edges.
+            let mut x = scale / 4.0;
+            while x < scale * ratio.powi(buckets as i32 + 2) {
+                xs.push(x);
+                x *= 1.0137;
+            }
+            for &x in &xs {
+                split.record(x);
+                twin.record_bucket(split.bucket_of(x));
+                reference_record(&mut reference, x);
+            }
+            for h in [&split, &twin] {
+                assert_eq!(h.counts, reference.counts, "scale {scale} ratio {ratio}");
+                assert_eq!(h.underflow, reference.underflow);
+                assert_eq!(h.total, reference.total);
+            }
+        }
     }
 
     #[test]
