@@ -27,8 +27,8 @@
 //! island's fixed geometry. Rx, Tx, flow classification and the host queue
 //! never touch the payload (`dram_refs_per_64b == 0`), so their costs do
 //! not depend on the packet and are computed once, in [`IxpIsland::new`].
-//! DPI classification walks the payload, so its cost is memoized by packet
-//! length in a small direct-mapped table.
+//! DPI classification walks the payload, so the island keeps the cost of
+//! the last packet length it classified.
 
 use crate::monitor::BufferMonitor;
 use crate::{AppTag, CostModel, FlowId, IxpGeometry, Packet, ThreadPool};
@@ -148,59 +148,38 @@ struct Internal {
     pkt: Packet,
 }
 
-/// Direct-mapped slots of the DPI cost memo (a power of two).
-const DPI_SLOTS: usize = 16;
-
 /// The per-packet stage service times of one island's geometry.
 #[derive(Debug)]
 struct StageCosts {
-    geometry: IxpGeometry,
     rx: Nanos,
     tx: Nanos,
     classify_flow: Nanos,
     host_queue: Nanos,
-    /// `(len_bytes, DPI cost)` pairs, each slot holding the last length
-    /// that hashed to it. Every slot starts filled with a real entry.
-    dpi: [(u32, Nanos); DPI_SLOTS],
+    /// The last `(len_bytes, DPI cost)` computed. An island's DPI traffic
+    /// is one request size, so this one entry nearly always hits.
+    dpi: (u32, Nanos),
 }
 
 impl StageCosts {
-    fn new(geometry: IxpGeometry) -> Self {
-        let fixed = |model: CostModel| {
-            assert_eq!(
-                model.dram_refs_per_64b, 0.0,
-                "a stage whose cost is computed once must not read the payload"
-            );
-            model.service_time(&geometry, 0)
-        };
-        let empty = (0, CostModel::classify_dpi().service_time(&geometry, 0));
+    fn new(geometry: &IxpGeometry) -> Self {
         StageCosts {
-            geometry,
-            rx: fixed(CostModel::rx()),
-            tx: fixed(CostModel::tx()),
-            classify_flow: fixed(CostModel::classify_flow()),
-            host_queue: fixed(CostModel::host_queue()),
-            dpi: [empty; DPI_SLOTS],
+            rx: CostModel::rx().service_time(geometry, 0),
+            tx: CostModel::tx().service_time(geometry, 0),
+            classify_flow: CostModel::classify_flow().service_time(geometry, 0),
+            host_queue: CostModel::host_queue().service_time(geometry, 0),
+            dpi: (0, CostModel::classify_dpi().service_time(geometry, 0)),
         }
-    }
-
-    /// The memo slot of a packet length. Fibonacci hashing: the top bits of
-    /// the product spread nearby lengths (and the 420- and 1500-byte
-    /// request sizes) over different slots.
-    fn dpi_slot(len_bytes: u32) -> usize {
-        (len_bytes.wrapping_mul(0x9E37_79B9) >> (32 - DPI_SLOTS.ilog2())) as usize
     }
 
     /// DPI classification cost of a `len_bytes` packet.
-    fn dpi(&mut self, len_bytes: u32) -> Nanos {
-        let entry = &mut self.dpi[Self::dpi_slot(len_bytes)];
-        if entry.0 != len_bytes {
-            *entry = (
+    fn dpi(&mut self, geometry: &IxpGeometry, len_bytes: u32) -> Nanos {
+        if self.dpi.0 != len_bytes {
+            self.dpi = (
                 len_bytes,
-                CostModel::classify_dpi().service_time(&self.geometry, len_bytes),
+                CostModel::classify_dpi().service_time(geometry, len_bytes),
             );
         }
-        entry.1
+        self.dpi.1
     }
 }
 
@@ -245,7 +224,7 @@ impl IxpIsland {
             q: EventQueue::new(),
             now: Nanos::ZERO,
             unroutable: 0,
-            costs: StageCosts::new(cfg.geometry),
+            costs: StageCosts::new(&cfg.geometry),
             cfg,
         }
     }
@@ -548,7 +527,7 @@ impl IxpIsland {
 
     fn classify_cost(&mut self, pkt: &Packet) -> Nanos {
         if self.cfg.dpi && matches!(pkt.app, AppTag::Http { .. } | AppTag::Inference { .. }) {
-            self.costs.dpi(pkt.len_bytes)
+            self.costs.dpi(&self.cfg.geometry, pkt.len_bytes)
         } else {
             self.costs.classify_flow
         }
@@ -851,25 +830,18 @@ mod tests {
     #[test]
     fn dpi_memo_returns_the_formula_under_interleaved_lengths() {
         let geometry = IxpGeometry::ixp2850();
-        let mut costs = StageCosts::new(geometry);
+        let mut costs = StageCosts::new(&geometry);
         let dpi = |len| CostModel::classify_dpi().service_time(&geometry, len);
-        // The two request sizes the workloads send land in different slots.
-        assert_ne!(StageCosts::dpi_slot(420), StageCosts::dpi_slot(1500));
-        // Lengths that share 420's slot evict one another in turn.
-        let rivals: Vec<u32> = (0..=9000)
-            .filter(|&len| StageCosts::dpi_slot(len) == StageCosts::dpi_slot(420))
-            .take(4)
-            .collect();
-        assert_eq!(rivals.len(), 4);
         let mut rng = SimRng::new(7);
         for i in 0..30_000usize {
             let len = match i % 4 {
-                0 => rivals[(i / 4) % rivals.len()],
-                1 => (rng.next_u64() % 9001) as u32,
-                2 => [0, 64, 420, 1500, u32::MAX][(i / 4) % 5],
-                _ => rivals[rng.next_u64() as usize % rivals.len()],
+                // Runs of one length, as a workload sends, ...
+                0 | 1 => [420, 1500][(i / 64) % 2],
+                // ... interleaved with random lengths and the extremes.
+                2 => (rng.next_u64() % 9001) as u32,
+                _ => [0, 64, 420, 1500, u32::MAX][(i / 4) % 5],
             };
-            assert_eq!(costs.dpi(len), dpi(len), "call {i}: {len} B");
+            assert_eq!(costs.dpi(&geometry, len), dpi(len), "call {i}: {len} B");
         }
     }
 

@@ -2,7 +2,8 @@
 //!
 //! Every histogram here is built by `Histogram::latency_millis`, so a
 //! record computes its latency bucket once and counts it in both its
-//! type's histogram and the overall one.
+//! type's histogram and the overall one (`Histogram::record_with`, which
+//! checks that the two layouts agree).
 
 use simcore::stats::{Histogram, Summary};
 use simcore::Nanos;
@@ -58,11 +59,9 @@ impl ResponseStats {
                 .or_insert_with(|| (Summary::new(), Histogram::latency_millis())),
         };
         let ms = latency.as_millis_f64();
-        let bucket = self.all_hist.bucket_of(ms);
         summary.record(ms);
-        hist.record_bucket(bucket);
         self.all.record(ms);
-        self.all_hist.record_bucket(bucket);
+        hist.record_with(&mut self.all_hist, ms);
     }
 
     /// Approximate latency percentile for one request type, in

@@ -2,10 +2,9 @@
 //! Welford mean/variance, min/max tracking, logarithmic histograms and
 //! raw time series.
 //!
-//! A [`Histogram`] takes `ln(ratio)` once, when it is built, and splits
-//! recording into [`Histogram::bucket_of`] (one `ln` per observation) and
-//! [`Histogram::record_bucket`], so histograms of one layout can count an
-//! observation under a single bucket computation.
+//! A [`Histogram`] takes `ln(ratio)` once, when it is built, so a record
+//! costs one `ln`; [`Histogram::record_with`] counts one observation in
+//! two histograms of the same layout under that single `ln`.
 
 use crate::Nanos;
 use std::fmt;
@@ -241,9 +240,27 @@ impl Histogram {
         self.record_bucket(self.bucket_of(x));
     }
 
+    /// Adds one observation to this histogram and to `twin`, computing
+    /// its bucket once.
+    ///
+    /// # Panics
+    /// Panics if `twin` was built with a different scale, ratio or bucket
+    /// count.
+    pub fn record_with(&mut self, twin: &mut Histogram, x: f64) {
+        assert!(
+            self.scale == twin.scale
+                && self.ratio == twin.ratio
+                && self.counts.len() == twin.counts.len(),
+            "histograms of different layouts share a bucket"
+        );
+        let bucket = self.bucket_of(x);
+        self.record_bucket(bucket);
+        twin.record_bucket(bucket);
+    }
+
     /// The bucket `x` falls in: `None` below `scale`, else its index,
     /// with overflow in the last bucket.
-    pub fn bucket_of(&self, x: f64) -> Option<usize> {
+    fn bucket_of(&self, x: f64) -> Option<usize> {
         if x < self.scale {
             return None;
         }
@@ -251,10 +268,8 @@ impl Histogram {
         Some(idx.min(self.counts.len() - 1))
     }
 
-    /// Counts one observation in `bucket`, as returned by
-    /// [`bucket_of`](Self::bucket_of) of a histogram built with the same
-    /// parameters.
-    pub fn record_bucket(&mut self, bucket: Option<usize>) {
+    /// Counts one observation in `bucket`, an index of this layout.
+    fn record_bucket(&mut self, bucket: Option<usize>) {
         self.total += 1;
         match bucket {
             Some(idx) => self.counts[idx] += 1,
@@ -479,13 +494,14 @@ mod tests {
     }
 
     #[test]
-    fn split_bucket_path_counts_like_the_reference() {
+    fn cached_ln_ratio_and_shared_bucket_count_like_the_reference() {
         for (scale, ratio, buckets) in [
             (1e-3, std::f64::consts::SQRT_2, 56),
             (1.0, 2.0, 4),
             (0.5, 1.1, 200),
         ] {
-            let mut split = Histogram::new(scale, ratio, buckets);
+            let mut single = Histogram::new(scale, ratio, buckets);
+            let mut pair = Histogram::new(scale, ratio, buckets);
             let mut twin = Histogram::new(scale, ratio, buckets);
             let mut reference = Histogram::new(scale, ratio, buckets);
             let mut xs = vec![0.0, -1.0, scale / 2.0, f64::INFINITY, f64::MAX];
@@ -502,16 +518,24 @@ mod tests {
                 x *= 1.0137;
             }
             for &x in &xs {
-                split.record(x);
-                twin.record_bucket(split.bucket_of(x));
+                single.record(x);
+                pair.record_with(&mut twin, x);
                 reference_record(&mut reference, x);
             }
-            for h in [&split, &twin] {
+            for h in [&single, &pair, &twin] {
                 assert_eq!(h.counts, reference.counts, "scale {scale} ratio {ratio}");
                 assert_eq!(h.underflow, reference.underflow);
                 assert_eq!(h.total, reference.total);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "different layouts")]
+    fn record_with_rejects_a_twin_of_another_layout() {
+        let mut h = Histogram::latency_millis();
+        let mut longer = Histogram::new(1e-3, std::f64::consts::SQRT_2, 57);
+        h.record_with(&mut longer, 1.0);
     }
 
     #[test]

@@ -93,10 +93,6 @@ pub struct TenantSpec {
     pub rate_per_sec: f64,
 }
 
-fn model_spec(tenant: &TenantSpec) -> &'static ModelSpec {
-    by_model_id(tenant.model_id).expect("tenant model in catalogue")
-}
-
 /// Inference workload configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferenceConfig {
@@ -126,23 +122,12 @@ impl Default for InferenceConfig {
     }
 }
 
-/// The per-request values of one tenant that its configuration fixes,
-/// computed once when the model is built.
-#[derive(Debug, Clone, Copy)]
-struct TenantCosts {
-    /// Mean inter-arrival gap, `1 / rate`.
-    mean_gap: Nanos,
-    /// The x86 post-processing burst of one response.
-    post: Nanos,
-}
-
 /// The inference stochastic model: Poisson arrivals per tenant, jittered
 /// compute costs and packet synthesis. The platform drives it; it owns no
 /// clock.
 #[derive(Debug)]
 pub struct InferenceModel {
     cfg: InferenceConfig,
-    costs: Vec<TenantCosts>,
     rng: SimRng,
     next_packet_id: u64,
 }
@@ -150,17 +135,8 @@ pub struct InferenceModel {
 impl InferenceModel {
     /// Creates a model with a deterministic seed.
     pub fn new(cfg: InferenceConfig, seed: u64) -> Self {
-        let costs = cfg
-            .tenants
-            .iter()
-            .map(|t| TenantCosts {
-                mean_gap: Nanos::from_secs_f64(1.0 / t.rate_per_sec.max(1e-9)),
-                post: Nanos::from_secs_f64(model_spec(t).post_ms / 1e3),
-            })
-            .collect();
         InferenceModel {
             cfg,
-            costs,
             rng: SimRng::new(seed.wrapping_mul(0xC2B2_AE35)),
             next_packet_id: 0,
         }
@@ -173,12 +149,13 @@ impl InferenceModel {
 
     /// The model a tenant serves.
     pub fn model_of(&self, tenant: usize) -> &'static ModelSpec {
-        model_spec(&self.cfg.tenants[tenant])
+        by_model_id(self.cfg.tenants[tenant].model_id).expect("tenant model in catalogue")
     }
 
     /// Draws the gap to a tenant's next arrival (exponential, open-loop).
     pub fn next_gap(&mut self, tenant: usize) -> Nanos {
-        self.rng.exp_nanos(self.costs[tenant].mean_gap)
+        let rate = self.cfg.tenants[tenant].rate_per_sec.max(1e-9);
+        self.rng.exp_nanos(Nanos::from_secs_f64(1.0 / rate))
     }
 
     /// Samples the jittered accelerator compute cost of one request.
@@ -191,7 +168,7 @@ impl InferenceModel {
 
     /// The x86 post-processing burst for one of a tenant's responses.
     pub fn post_cost(&self, tenant: usize) -> Nanos {
-        self.costs[tenant].post
+        Nanos::from_secs_f64(self.model_of(tenant).post_ms / 1e3)
     }
 
     /// Builds the on-wire request packet for a tenant addressed to its
@@ -284,65 +261,5 @@ mod tests {
         let measured = total_ms / n as f64;
         assert!((measured - mean_ms).abs() / mean_ms < 0.1);
         assert!(model.compute_cost(0) >= Nanos::from_secs_f64(mean_ms * 0.2 / 1e3));
-    }
-
-    /// One tenant per catalogue model; the last rate is below one per
-    /// second.
-    fn catalogue_config() -> InferenceConfig {
-        InferenceConfig {
-            tenants: MODELS
-                .iter()
-                .zip([220.0, 260.0, 37.3, 0.5])
-                .map(|(m, rate_per_sec)| TenantSpec {
-                    name: m.name,
-                    model_id: m.model_id,
-                    rate_per_sec,
-                })
-                .collect(),
-            cost_jitter: 0.2,
-        }
-    }
-
-    #[test]
-    fn stored_tenant_costs_equal_the_formula() {
-        let mut cfg = catalogue_config();
-        cfg.tenants.push(TenantSpec {
-            name: "idle",
-            model_id: 1,
-            rate_per_sec: 0.0,
-        });
-        let mut model = InferenceModel::new(cfg.clone(), 42);
-        let mut rng = SimRng::new(42u64.wrapping_mul(0xC2B2_AE35));
-        for round in 0..50 {
-            for (i, t) in cfg.tenants.iter().enumerate() {
-                let spec = by_model_id(t.model_id).unwrap();
-                assert_eq!(
-                    model.post_cost(i),
-                    Nanos::from_secs_f64(spec.post_ms / 1e3),
-                    "tenant {i}"
-                );
-                let rate = t.rate_per_sec.max(1e-9);
-                let expect = rng.exp_nanos(Nanos::from_secs_f64(1.0 / rate));
-                assert_eq!(model.next_gap(i), expect, "tenant {i}, round {round}");
-            }
-        }
-    }
-
-    #[test]
-    fn seed_42_draws_the_pinned_sequence() {
-        let mut model = InferenceModel::new(catalogue_config(), 42);
-        let draws: Vec<u64> = (0..12usize)
-            .flat_map(|i| [model.next_gap(i % 4).0, model.compute_cost(i % 4).0])
-            .collect();
-        assert_eq!(
-            draws,
-            [
-                4339113, 871621, 400624, 1485033, 2371151, 1871758, 4392270873, 2030010, 1810416,
-                839373, 1813810, 1559372, 43487561, 3067581, 270508827, 2733385, 4328994, 952860,
-                6798021, 1222724, 11978321, 2758852, 2876220479, 3175391
-            ]
-        );
-        let posts: Vec<u64> = (0..4).map(|i| model.post_cost(i).0).collect();
-        assert_eq!(posts, [300_000, 250_000, 200_000, 150_000]);
     }
 }
